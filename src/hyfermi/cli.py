@@ -565,7 +565,6 @@ def _apply_threads(threads):
 def run(config):
     """Execute a parsed RunConfig; returns the process exit code."""
     _apply_threads(config.parameters.get("threads"))
-    np.random.seed(config.parameters.get("seed", 42))
     fn = _DISPATCH[config.command]
     t0 = time.perf_counter()
     try:

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from .kernels import opstring_apply
 from .potentials import fourier_V
 
 SPIN_UP = 0
@@ -71,8 +70,14 @@ class LatticeConfig:
         # boundary modes count as occupied
         return self.k_norm(n) <= self.kF(spin)
 
+    @cached_property
+    def _balls(self) -> tuple[tuple[Triple, ...], tuple[Triple, ...]]:
+        return tuple(
+            tuple(n for n in self.momenta if self.in_ball(n, s)) for s in (SPIN_UP, SPIN_DOWN)
+        )
+
     def ball(self, spin: int) -> tuple[Triple, ...]:
-        return tuple(n for n in self.momenta if self.in_ball(n, spin))
+        return self._balls[spin]
 
 
 def _neg(n: Triple) -> Triple:
@@ -227,48 +232,100 @@ def make_operator(basis, matrix, hermitian=False, antihermitian=False,
     )
 
 
-def _opstring_columns(dim: int, ops) -> tuple[np.ndarray, np.ndarray]:
-    """Images of every basis state under a product of ladder operators.
+# entries generated per assembly block: large enough to amortize the sparse
+# addition, small enough that no block dominates peak memory
+_BLOCK = 1 << 16
+
+
+def _reduce(ops):
+    """Symbolic right-to-left pass over one product of ladder operators.
 
     ops lists (mode, dagger) factors in written order; the rightmost factor
-    acts first. Dead states get target -1.
+    acts first. A string touching the modes in `fixed` maps a basis state x
+    to a nonzero image only if x carries the bits `need` on them; the image
+    then carries `final` there, agrees with x elsewhere, and comes with the
+    factor sign * (-1)^popcount(x & flip), where flip collects the untouched
+    modes lying below an odd number of factors. Returns
+    ((fixed, need, final, flip), sign), or None when the string vanishes on
+    every state.
     """
-    modes = np.array([m for m, _ in ops], dtype=np.int64)
-    dags = np.array([1 if d else 0 for _, d in ops], dtype=np.int64)
-    targets = np.empty(dim, dtype=np.int64)
-    signs = np.empty(dim, dtype=np.int64)
-    opstring_apply(modes, dags, len(ops), dim, targets, signs)
-    return targets, signs
+    fixed = need = cur = 0
+    for mode, dag in reversed(ops):
+        bit = 1 << mode
+        if not fixed & bit:
+            fixed |= bit
+            if not dag:
+                need |= bit
+                cur |= bit
+        elif bool(cur & bit) == dag:
+            return None
+        cur ^= bit
+    # second pass: with every required bit known, collect the sign pieces
+    cur, odd, flip = need, 0, 0
+    for mode, _ in reversed(ops):
+        bit = 1 << mode
+        odd ^= (cur & (bit - 1)).bit_count() & 1
+        flip ^= bit - 1
+        cur ^= bit
+    return (fixed, need, cur, flip & ~fixed), -1.0 if odd else 1.0
 
 
-def _assemble(basis: FockBasis, terms, chunk: int = 256) -> sp.csr_matrix:
-    """Sum coefficient * opstring over a term list into one sparse matrix."""
-    dim = basis.dimension
-    src = np.arange(dim, dtype=np.int64)
-    acc = sp.csr_matrix((dim, dim), dtype=np.float64)
-    rows, cols, vals, pending = [], [], [], 0
+def _assemble(basis: FockBasis, terms) -> sp.csr_matrix:
+    """Sum coefficient * opstring over a term list into one sparse matrix.
+
+    Each string is reduced symbolically first, and strings with the same
+    reduced form are merged. Only the source states that satisfy a string's
+    fixed bits are generated, by inserting zero bits at the fixed positions
+    into a counter over the free ones. Strings with equally many fixed modes
+    share one vectorized pass, in blocks of about _BLOCK entries that are
+    added into the result as soon as they exist. Strings that leave every
+    state in place (number-like ones) sum into a dense diagonal instead.
+    """
+    dim, n_modes = basis.dimension, basis.n_modes
+    merged: dict[tuple[int, int, int, int], float] = {}
     for coef, ops in terms:
         if coef == 0.0:
             continue
-        targets, signs = _opstring_columns(dim, ops)
-        alive = targets >= 0
-        rows.append(targets[alive])
-        cols.append(src[alive])
-        vals.append(coef * signs[alive].astype(np.float64))
-        pending += 1
-        if pending >= chunk:
-            acc = acc + sp.coo_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(dim, dim),
-            ).tocsr()
-            rows, cols, vals, pending = [], [], [], 0
-    if pending:
-        acc = acc + sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(dim, dim),
-        ).tocsr()
+        red = _reduce(ops)
+        if red is not None:
+            form, sign = red
+            merged[form] = merged.get(form, 0.0) + sign * coef
+    groups: dict[tuple[int, bool], list] = {}
+    for (fixed, need, final, flip), coef in merged.items():
+        if coef != 0.0:
+            groups.setdefault((fixed.bit_count(), need == final), []).append(
+                (coef, fixed, need, final, flip))
+    diag = np.zeros(dim)
+    acc = sp.csr_matrix((dim, dim), dtype=np.float64)
+    for (m, diagonal), group in groups.items():
+        free = np.arange(1 << (n_modes - m), dtype=np.int64)
+        per_block = max(1, _BLOCK >> (n_modes - m))
+        for lo in range(0, len(group), per_block):
+            coef, fixed, need, final, flip = (
+                np.array(col) for col in zip(*group[lo:lo + per_block])
+            )
+            x = np.broadcast_to(free, (coef.size, free.size))
+            for p in _fixed_positions(fixed, m, n_modes).T:
+                p = p[:, None]
+                x = ((x >> p) << (p + 1)) | (x & ((1 << p) - 1))
+            parity = np.bitwise_count(x & flip[:, None]) & 1
+            vals = (coef[:, None] * (1.0 - 2.0 * parity)).ravel()
+            src = (x | need[:, None]).ravel()
+            if diagonal:
+                diag += np.bincount(src, weights=vals, minlength=dim)
+            else:
+                dst = (x | final[:, None]).ravel()
+                acc = acc + sp.csr_matrix((vals, (dst, src)), shape=(dim, dim))
+    if diag.any():
+        acc = acc + sp.diags(diag, format="csr")
     acc.eliminate_zeros()
     return acc
+
+
+def _fixed_positions(fixed: np.ndarray, m: int, n_modes: int) -> np.ndarray:
+    """Set-bit positions of each mask, ascending, as a (len(fixed), m) array."""
+    bits = (fixed[:, None] >> np.arange(n_modes)) & 1
+    return np.nonzero(bits)[1].reshape(fixed.size, m)
 
 
 def _diagonal(basis: FockBasis, per_mode: np.ndarray) -> sp.csr_matrix:
@@ -361,10 +418,6 @@ def build_hamiltonian(lattice: LatticeConfig, basis: FockBasis, vhat) -> FockOpe
     return make_operator(basis, m, hermitian=True, number_conserving=True)
 
 
-# one transform per (lattice, basis); construction verifies itself, so cache it
-_PH_CACHE: dict = {}
-
-
 def ffg_index(lattice: LatticeConfig, basis: FockBasis) -> int:
     """Basis index of the filled-Fermi-ball determinant."""
     x = 0
@@ -374,6 +427,8 @@ def ffg_index(lattice: LatticeConfig, basis: FockBasis) -> int:
     return x
 
 
+# bounded, so that a process sweeping lattices does not grow without limit
+@lru_cache(maxsize=4)
 def ph_transform(lattice: LatticeConfig, basis: FockBasis) -> FockOperator:
     """Unitary R with R* a_k R = a_k outside the Fermi ball and a*_{-k} inside.
 
@@ -384,9 +439,6 @@ def ph_transform(lattice: LatticeConfig, basis: FockBasis) -> FockOperator:
     per-mode image and unitarity itself are verified before the matrix is
     returned, so a cached transform can be trusted blindly.
     """
-    key = (lattice, basis)
-    if key in _PH_CACHE:
-        return _PH_CACHE[key]
     dim = basis.dimension
     eye = sp.identity(dim, format="csr", dtype=np.float64)
     states = np.arange(dim, dtype=np.int64)
@@ -431,9 +483,7 @@ def ph_transform(lattice: LatticeConfig, basis: FockBasis) -> FockOperator:
         want = ladder(basis.mode(_neg(n), spin), True) if lattice.in_ball(n, spin) else a_j
         if _abs_max((img - want).tocoo()) > 1e-12:
             raise RuntimeError(f"particle-hole transform maps mode {j} incorrectly")
-    op = make_operator(basis, r)
-    _PH_CACHE[key] = op
-    return op
+    return make_operator(basis, r)
 
 
 def particle_hole_conjugate(basis: FockBasis, lattice: LatticeConfig,
@@ -759,20 +809,27 @@ def build_generator(lattice: LatticeConfig, basis: FockBasis, which: str, *,
     if which == "B1":
         if phi is None:
             raise ValueError("B1 needs the periodized scattering coefficients")
-        coeffs = getattr(phi, "coefficients", phi)
         if hasattr(phi, "L") and abs(phi.L - lattice.L) > 1e-12 * lattice.L:
             raise ValueError("scattering function was periodized for a different box")
-        for p, c in coeffs.items():
+        up, down = lattice.ball(SPIN_UP), lattice.ball(SPIN_DOWN)
+        out_up = set(lattice.momenta) - set(up)
+        out_down = set(lattice.momenta) - set(down)
+        # only transfers lifting an up momentum out of its ball can contribute
+        transfers = sorted({_sub(m, k) for m in out_up for k in up})
+        if hasattr(phi, "coeffs"):
+            coeffs = phi.coeffs(transfers).tolist()
+        else:
+            coeffs = [phi.get(p, 0.0) for p in transfers]
+        for p, c in zip(transfers, coeffs):
             if c == 0.0:
                 continue
-            p = tuple(int(x) for x in p)
-            for k in lattice.ball(SPIN_UP):
+            for k in up:
                 pk = _add(p, k)
-                if pk not in idx or lattice.in_ball(pk, SPIN_UP):
+                if pk not in out_up:
                     continue
-                for kp in lattice.ball(SPIN_DOWN):
-                    pkp = _add(_neg(p), kp)
-                    if pkp not in idx or lattice.in_ball(pkp, SPIN_DOWN):
+                for kp in down:
+                    pkp = _sub(kp, p)
+                    if pkp not in out_down:
                         continue
                     ops = [
                         (basis.mode(pk, SPIN_UP), False),
@@ -811,51 +868,24 @@ def build_generator(lattice: LatticeConfig, basis: FockBasis, which: str, *,
     return make_operator(basis, _assemble(basis, terms))
 
 
-def _expm_action(a: sp.csr_matrix, vec: np.ndarray, tol: float = 1e-12,
-                 max_krylov: int = 120, _depth: int = 0) -> np.ndarray:
-    """exp(a) @ vec by dense exponential or an Arnoldi iteration with a residual stop."""
-    dim = a.shape[0]
-    if dim <= _DENSE_LIMIT:
-        return scipy.linalg.expm(a.toarray()) @ vec
-    beta = float(np.linalg.norm(vec))
-    if beta == 0.0:
-        return vec.copy()
-    v = np.empty((max_krylov + 1, dim))
-    v[0] = vec / beta
-    h = np.zeros((max_krylov + 1, max_krylov))
-    err = math.inf
-    for j in range(max_krylov):
-        w = a @ v[j]
-        for i in range(j + 1):
-            c = float(w @ v[i])
-            h[i, j] += c
-            w -= c * v[i]
-        for i in range(j + 1):
-            # one reorthogonalization pass keeps the basis clean
-            c = float(w @ v[i])
-            h[i, j] += c
-            w -= c * v[i]
-        hn = float(np.linalg.norm(w))
-        h[j + 1, j] = hn
-        small = scipy.linalg.expm(h[: j + 1, : j + 1])
-        err = beta * hn * abs(small[j, 0])
-        if hn < 1e-14 or err < tol * max(1.0, beta):
-            return beta * (v[: j + 1].T @ small[:, 0])
-        v[j + 1] = w / hn
-    if _depth < 8:
-        half = (a * 0.5).tocsr()
-        mid = _expm_action(half, vec, tol=0.5 * tol, max_krylov=max_krylov,
-                           _depth=_depth + 1)
-        return _expm_action(half, mid, tol=0.5 * tol, max_krylov=max_krylov,
-                            _depth=_depth + 1)
-    raise RuntimeError(
-        f"matrix exponential action did not converge: Krylov residual {err:.3e} "
-        f"after {max_krylov} vectors at depth {_depth}"
-    )
+def _invariant_support(m: sp.csr_matrix, vec: np.ndarray) -> np.ndarray:
+    """Basis states reachable from the support of vec under m and m*.
+
+    Any l (m - m*) maps vectors on these states to vectors on them, so its
+    exponential can act on that block alone.
+    """
+    mag = abs(m)
+    reach = vec != 0.0
+    while True:
+        x = reach.astype(np.float64)
+        grown = reach | (mag @ x != 0.0) | (mag.T @ x != 0.0)
+        if np.array_equal(grown, reach):
+            return np.flatnonzero(reach)
+        reach = grown
 
 
 def trial_state(basis: FockBasis, b1: FockOperator, b2: FockOperator,
-                lambda1: float, lambda2: float, tol: float = 1e-12) -> np.ndarray:
+                lambda1: float, lambda2: float) -> np.ndarray:
     """exp(l1 (B1 - B1*)) exp(l2 (B2 - B2*)) applied to the vacuum."""
     vec = np.zeros(basis.dimension)
     vec[0] = 1.0
@@ -864,17 +894,21 @@ def trial_state(basis: FockBasis, b1: FockOperator, b2: FockOperator,
             continue
         if b.basis is not basis and b.basis != basis:
             raise ValueError("generator built on a different basis")
-        k = (b.matrix - b.matrix.T).tocsr() * lam
-        vec = _expm_action(k, vec, tol=tol)
+        sel = _invariant_support(b.matrix, vec)
+        blk = b.matrix[sel][:, sel]
+        out = np.zeros_like(vec)
+        out[sel] = scipy.sparse.linalg.expm_multiply((blk - blk.T) * lam, vec[sel],
+                                                     traceA=0.0)
+        vec = out
     return vec
 
 
 def trial_energy(lattice: LatticeConfig, basis: FockBasis, corr_terms: dict,
                  b1: FockOperator, b2: FockOperator,
                  lambda1: float, lambda2: float) -> float:
+    # every term was checked Hermitian when built, so their sum needs no recheck
     vec = trial_state(basis, b1, b2, lambda1, lambda2)
-    total = corr_hamiltonian(corr_terms)
-    return float(vec @ (total.matrix @ vec))
+    return sum(t.expectation(vec) for t in corr_terms.values())
 
 
 def _spin_counts(basis: FockBasis):

@@ -2,7 +2,7 @@
 
 Every kernel exists twice: ``*_nb`` (numba @njit) and ``*_np`` (numpy
 broadcasting). The unsuffixed names bind to whichever twin the active
-backend selects; the benchmark imports both twins directly. Twins must
+backend selects; the tests import both twins directly. Twins must
 agree to floating-point reassociation error, which tests assert.
 """
 
@@ -83,87 +83,9 @@ def lattice_chi_sum_np(nmax, fac, c1, c2):
     return acc
 
 
-# ------------------------------------------- fermionic operator application
-
-# Mode j occupies bit j; the fermionic sign of a_m / a*_m on a state is
-# the parity of the occupied modes at bits below m.
-
-
-@njit(cache=True)
-def _parity32(x):
-    x = x ^ (x >> 32)
-    x = x ^ (x >> 16)
-    x = x ^ (x >> 8)
-    x = x ^ (x >> 4)
-    x = x ^ (x >> 2)
-    x = x ^ (x >> 1)
-    return x & 1
-
-
-@njit(cache=True)
-def opstring_apply_nb(modes, dags, nops, dim, targets, signs):
-    for x in range(dim):
-        cur = x
-        sgn = 1
-        alive = True
-        # rightmost factor of the product acts first
-        for j in range(nops - 1, -1, -1):
-            bit = 1 << modes[j]
-            below = cur & (bit - 1)
-            if dags[j]:
-                if cur & bit:
-                    alive = False
-                    break
-                if _parity32(below):
-                    sgn = -sgn
-                cur |= bit
-            else:
-                if not (cur & bit):
-                    alive = False
-                    break
-                if _parity32(below):
-                    sgn = -sgn
-                cur &= ~bit
-        targets[x] = cur if alive else -1
-        signs[x] = sgn
-
-
-_PAR16 = None
-
-
-def _parity_table():
-    global _PAR16
-    if _PAR16 is None:
-        b = np.arange(1 << 16, dtype=np.uint16)
-        p = b.copy()
-        for shift in (8, 4, 2, 1):
-            p ^= p >> shift
-        _PAR16 = (p & 1).astype(np.int8)
-    return _PAR16
-
-
-def opstring_apply_np(modes, dags, nops, dim, targets, signs):
-    par = _parity_table()
-    cur = np.arange(dim, dtype=np.int64)
-    sgn = np.ones(dim, dtype=np.int8)
-    alive = np.ones(dim, dtype=bool)
-    for j in range(nops - 1, -1, -1):
-        bit = np.int64(1) << np.int64(modes[j])
-        occupied = (cur & bit) != 0
-        alive &= ~occupied if dags[j] else occupied
-        below = cur & (bit - 1)
-        flips = par[below & 0xFFFF] ^ par[(below >> 16) & 0xFFFF]
-        sgn = np.where(flips == 1, -sgn, sgn).astype(np.int8)
-        cur = (cur | bit) if dags[j] else (cur & ~bit)
-    targets[:] = np.where(alive, cur, -1)
-    signs[:] = sgn
-
-
 if USE_NUMBA:
     pair_sum = pair_sum_nb
     lattice_chi_sum = lattice_chi_sum_nb
-    opstring_apply = opstring_apply_nb
 else:
     pair_sum = pair_sum_np
     lattice_chi_sum = lattice_chi_sum_np
-    opstring_apply = opstring_apply_np

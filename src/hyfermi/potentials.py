@@ -9,9 +9,11 @@ solution is exactly linear and the scattering length is read off from
 a = r - u(r)/u'(r).
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad, simpson
@@ -268,23 +270,62 @@ def fourier_V(potential, s):
     return float(out[0]) if np.ndim(s) == 0 else out.reshape(np.shape(s))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeriodicScatteringFunction:
     """Fourier data of the periodized scattering function on (2pi/L)Z^3.
 
-    Coefficients are keyed by integer triples n with p = (2pi/L)*n; the
-    zero mode is pinned to 0. cutoff_applied records whether the
-    high-momentum cutoff has been multiplied in.
+    coeff(n) is phi-hat at p = (2pi/L)*n for n in the cube |n_i| <= n_max
+    and 0 outside it; the zero mode is pinned to 0. phi-hat is radial, so
+    values are kept by |n|^2 and computed on first request, one batched
+    transform for all new radii of a request. cutoff_applied records
+    whether the high-momentum cutoff has been multiplied in.
     """
 
     L: float
     n_max: int
-    coefficients: dict
-    cutoff_applied: bool
     a: float
+    solution: object = field(repr=False)
+    cutoff: object = field(default=None, repr=False)
+    _by_n2: dict = field(default_factory=lambda: {0: 0.0}, init=False, repr=False)
+
+    @property
+    def cutoff_applied(self) -> bool:
+        return self.cutoff is not None
+
+    def _values(self, n2):
+        """phi-hat at integer |n|^2 values (any array shape)."""
+        uniq, inverse = np.unique(np.asarray(n2, dtype=np.int64), return_inverse=True)
+        new = [m for m in uniq.tolist() if m not in self._by_n2]
+        if new:
+            s = (2.0 * np.pi / self.L) * np.sqrt(np.array(new, dtype=np.float64))
+            vals = fourier_Vf(self.solution, s) / (2.0 * s ** 2)
+            if self.cutoff is not None:
+                vals = vals * self.cutoff.chi_greater(s)
+            self._by_n2.update(zip(new, vals.tolist()))
+        table = np.array([self._by_n2[m] for m in uniq.tolist()])
+        return table[inverse].reshape(np.shape(n2))
+
+    def coeffs(self, ns) -> np.ndarray:
+        """coeff(n) for each integer triple of ns, in one batch."""
+        n = np.asarray(ns, dtype=np.int64).reshape(-1, 3)
+        inside = np.all(np.abs(n) <= self.n_max, axis=1)
+        return self._values(np.where(inside, np.sum(n * n, axis=1), 0))
 
     def coeff(self, n):
-        return self.coefficients.get(tuple(int(c) for c in n), 0.0)
+        return float(self.coeffs([n])[0])
+
+    def _cube(self) -> np.ndarray:
+        """phi-hat on the whole cube, axes n_i = -n_max..n_max in order."""
+        n = np.arange(-self.n_max, self.n_max + 1)
+        return self._values(n[:, None, None] ** 2 + n[None, :, None] ** 2
+                            + n[None, None, :] ** 2)
+
+    @cached_property
+    def coefficients(self) -> dict:
+        """{n: coeff(n)} over the whole cube, built in one batch on first use."""
+        axis = range(-self.n_max, self.n_max + 1)
+        return dict(zip(itertools.product(axis, repeat=3),
+                        self._cube().ravel().tolist()))
 
     def real_space(self, N=None):
         """Evaluate on the uniform N^3 spatial grid via an inverse FFT.
@@ -296,9 +337,9 @@ class PeriodicScatteringFunction:
             N = 2 * self.n_max + 1
         if N < 2 * self.n_max + 1:
             raise ValueError("N too small to hold the coefficient cube")
+        n = np.arange(-self.n_max, self.n_max + 1)
         A = np.zeros((N, N, N), dtype=np.complex128)
-        for n, v in self.coefficients.items():
-            A[n[0] % N, n[1] % N, n[2] % N] = v
+        A[np.ix_(n % N, n % N, n % N)] = self._cube()
         vals = np.fft.ifftn(A) * (N ** 3 / self.L ** 3)
         x = np.arange(N) * (self.L / N)
         return x, vals.real
@@ -310,33 +351,13 @@ def periodize_phi(solution, L, cutoff=None, n_max=24):
     phi-hat(p) = F(V(1-phi))(|p|) / (2|p|^2) on p in (2pi/L)Z^3, zero mode
     dropped; when a cutoff is supplied each coefficient is multiplied by
     chi_greater(|p|). Refuses boxes that cannot contain the support of V.
+    Coefficients are transformed only when first asked for.
     """
     R = solution.potential.R
     if L <= 2.0 * R:
         raise ValueError(f"box side L = {L} must exceed twice the range {R}")
-    base = 2.0 * np.pi / L
-    n = np.arange(-n_max, n_max + 1)
-    n2 = (n[:, None, None] ** 2 + n[None, :, None] ** 2
-          + n[None, None, :] ** 2)
-    uniq = np.unique(n2)
-    uniq = uniq[uniq > 0]
-    s = base * np.sqrt(uniq.astype(np.float64))
-    vals = fourier_Vf(solution, s) / (2.0 * s ** 2)
-    if cutoff is not None:
-        vals = vals * cutoff.chi_greater(s)
-    lookup = dict(zip(uniq.tolist(), vals.tolist()))
-    coeffs = {}
-    for i in n:
-        for j in n:
-            for k in n:
-                m2 = int(i * i + j * j + k * k)
-                if m2 > 0:
-                    coeffs[(int(i), int(j), int(k))] = lookup[m2]
-    coeffs[(0, 0, 0)] = 0.0
-    return PeriodicScatteringFunction(L=float(L), n_max=int(n_max),
-                                      coefficients=coeffs,
-                                      cutoff_applied=cutoff is not None,
-                                      a=solution.a)
+    return PeriodicScatteringFunction(L=float(L), n_max=int(n_max), a=solution.a,
+                                      solution=solution, cutoff=cutoff)
 
 
 def lambda_shift(r, p):

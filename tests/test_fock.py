@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import eigsh, expm_multiply
 
 from hyfermi import fock
 from hyfermi.cutoffs import CutoffConfig
@@ -169,6 +171,52 @@ def test_ground_energy_unknown_block(demo):
         fock.ground_energy(lat, basis, h, 8, 0)
 
 
+# ---------------------------------------------------- operator assembly
+
+
+def _dense_string(n_modes, ops):
+    """Product of dense ladder matrices; the rightmost factor acts first."""
+    dim = 1 << n_modes
+    out = np.eye(dim)
+    for mode, dag in reversed(ops):
+        create = np.zeros((dim, dim))
+        for x in range(dim):
+            if not x & (1 << mode):
+                create[x | (1 << mode), x] = (-1) ** bin(x & ((1 << mode) - 1)).count("1")
+        out = (create if dag else create.T) @ out
+    return out
+
+
+@st.composite
+def _string_sums(draw):
+    n_modes = draw(st.integers(4, 6))
+    factor = st.tuples(st.integers(0, n_modes - 1), st.booleans())
+    term = st.tuples(st.floats(-2.0, 2.0, allow_nan=False),
+                     st.lists(factor, max_size=6))
+    return n_modes, draw(st.lists(term, min_size=1, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_string_sums())
+# a*_1 a*_1: repeated creation, identically zero
+@example((4, [(1.0, [(1, True), (1, True)])]))
+# a_2 a*_2 a_2: repeated modes that survive
+@example((5, [(0.5, [(2, False), (2, True), (2, False)])]))
+# number-like strings and a sum that cancels exactly
+@example((6, [(1.5, [(4, True), (1, True), (1, False), (4, False)]),
+              (-0.25, [(3, True), (3, False)]),
+              (1.5, [(1, True), (4, True), (4, False), (1, False)]),
+              (0.7, [(0, True), (5, False)]), (-0.7, [(0, True), (5, False)])]))
+def test_opstring_against_dense_reference(case):
+    """Assembled operator strings equal products of dense ladder matrices."""
+    n_modes, terms = case
+    basis = fock.FockBasis(mode_order=tuple(((j, 0, 0), 0) for j in range(n_modes)),
+                           dimension=1 << n_modes)
+    got = fock._assemble(basis, terms).toarray()
+    ref = sum(coef * _dense_string(n_modes, ops) for coef, ops in terms)
+    assert np.abs(got - ref).max() <= 1e-12
+
+
 # --------------------------------------------- particle-hole frame and FFG
 
 
@@ -186,6 +234,17 @@ def test_ph_vacuum_is_determinant(demo):
     n_tot = fock.number_operator(basis)
     assert float(v_ffg @ (n_tot.matrix @ v_ffg)) == pytest.approx(2.0)
     assert float(v_ffg[fock.ffg_index(lat, basis)]) > 0.0
+
+
+def test_ph_cache_stays_bounded():
+    """A process sweeping lattices keeps only a few transforms alive."""
+    for box in np.linspace(2.0, 12.0, 20):
+        lat = fock.build_lattice(float(box), 0.01, 0.005, 0.005)
+        basis = fock.build_basis(lat)
+        r = fock.ph_transform(lat, basis)
+        assert fock.ph_transform(lat, basis) is r
+        info = fock.ph_transform.cache_info()
+        assert info.currsize <= info.maxsize <= 4
 
 
 def test_ffg_energy_against_wick(demo, asym):
@@ -262,14 +321,50 @@ def test_generator_needs_matching_box(demo):
 
 
 def test_exponential_is_unitary(demo, generators):
+    """trial_state acts on the block the vacuum reaches; it must agree with
+    the exponential of the full generators and keep the norm."""
     _, basis, _, _, _ = demo
-    b1, _ = generators
-    rng = np.random.default_rng(42)
-    w = rng.standard_normal(basis.dimension)
-    w /= np.linalg.norm(w)
-    k = ((b1.matrix - b1.matrix.T) * 0.7).tocsr()
-    out = fock._expm_action(k, w)
-    assert abs(np.linalg.norm(out) - 1.0) < 1e-10
+    b1, b2 = generators
+    vac = np.zeros(basis.dimension)
+    vac[0] = 1.0
+    for l1, l2 in ((0.7, 0.0), (0.0, -1.3), (1.5, 0.9)):
+        vec = fock.trial_state(basis, b1, b2, l1, l2)
+        assert abs(np.linalg.norm(vec) - 1.0) < 1e-10
+        ref = vac
+        for b, lam in ((b2, l2), (b1, l1)):
+            ref = expm_multiply(((b.matrix - b.matrix.T) * lam).tocsr(), ref)
+        assert np.abs(vec - ref).max() < 1e-12
+
+
+def test_invariant_support_is_closed(demo, generators):
+    """The block an exponential acts on holds the start vector and is
+    closed under B and B*."""
+    _, basis, _, _, _ = demo
+    vac = np.zeros(basis.dimension)
+    vac[0] = 1.0
+    rng = np.random.default_rng(7)
+    for b in generators:
+        excited = np.flatnonzero(b.matrix.T @ vac)[0]
+        for start in ([excited], rng.choice(basis.dimension, 5, replace=False)):
+            vec = np.zeros(basis.dimension)
+            vec[start] = 1.0
+            inside = np.zeros(basis.dimension, dtype=bool)
+            inside[fock._invariant_support(b.matrix, vec)] = True
+            assert inside[start].all()
+            k = (b.matrix - b.matrix.T).tocsr()
+            assert k[~inside][:, inside].nnz == 0
+
+
+def test_b1_lazy_coefficients_match_explicit_table(demo):
+    lat, basis, _, _, _ = demo
+    sol = solve_scattering(POT)
+    cut = CutoffConfig(rho=0.225 ** 4.5)
+    lazy = fock.build_generator(lat, basis, "B1", phi=periodize_phi(sol, L, cutoff=cut))
+    table = dict(periodize_phi(sol, L, cutoff=cut, n_max=24).coefficients)
+    assert len(table) == 49 ** 3
+    explicit = fock.build_generator(lat, basis, "B1", phi=table)
+    assert lazy.matrix.nnz == explicit.matrix.nnz > 0
+    assert absmax(lazy.matrix - explicit.matrix) <= 1e-14 * absmax(explicit.matrix)
 
 
 def test_trial_state_sector_support(demo, generators):

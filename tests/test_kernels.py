@@ -11,8 +11,6 @@ from hyfermi import backend
 from hyfermi.kernels import (
     lattice_chi_sum_nb,
     lattice_chi_sum_np,
-    opstring_apply_nb,
-    opstring_apply_np,
     pair_sum_nb,
     pair_sum_np,
 )
@@ -54,62 +52,6 @@ def test_lattice_chi_sum_counts_plateau():
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def _random_opstring(n_modes, nops):
-    modes = RNG.integers(0, n_modes, size=nops).astype(np.int64)
-    dags = RNG.integers(0, 2, size=nops).astype(np.int64)
-    return modes, dags
-
-
-def test_opstring_twins_agree():
-    n_modes = 10
-    dim = 1 << n_modes
-    for nops in (1, 2, 4, 6):
-        for _ in range(8):
-            modes, dags = _random_opstring(n_modes, nops)
-            ta = np.empty(dim, dtype=np.int64)
-            sa = np.empty(dim, dtype=np.int8)
-            tb = np.empty(dim, dtype=np.int64)
-            sb = np.empty(dim, dtype=np.int8)
-            opstring_apply_nb(modes, dags, nops, dim, ta, sa)
-            opstring_apply_np(modes, dags, nops, dim, tb, sb)
-            assert np.array_equal(ta, tb)
-            live = ta >= 0
-            assert np.array_equal(sa[live], sb[live])
-
-
-def test_opstring_against_dense_reference():
-    """Spot-check the bitstring kernel against explicitly built dense
-    creation matrices on 4 modes."""
-    n_modes = 4
-    dim = 1 << n_modes
-
-    def dense_create(m):
-        out = np.zeros((dim, dim))
-        for x in range(dim):
-            if x & (1 << m):
-                continue
-            sign = (-1) ** bin(x & ((1 << m) - 1)).count("1")
-            out[x | (1 << m), x] = sign
-        return out
-
-    creates = [dense_create(m) for m in range(n_modes)]
-    annis = [c.T for c in creates]
-    for _ in range(12):
-        modes, dags = _random_opstring(n_modes, 3)
-        ref = np.eye(dim)
-        # rightmost factor acts first
-        for m, d in zip(modes[::-1], dags[::-1]):
-            ref = (creates[m] if d else annis[m]) @ ref
-        t = np.empty(dim, dtype=np.int64)
-        s = np.empty(dim, dtype=np.int8)
-        opstring_apply_nb(modes, dags, 3, dim, t, s)
-        got = np.zeros((dim, dim))
-        for x in range(dim):
-            if t[x] >= 0:
-                got[t[x], x] = s[x]
-        assert np.array_equal(got, ref)
-
-
 def test_backend_env_flag_selects_numpy():
     """HYFERMI_BACKEND=numpy must bind the unsuffixed kernel names to the
     numpy twins in a fresh interpreter."""
@@ -118,7 +60,6 @@ def test_backend_env_flag_selects_numpy():
         "assert backend.BACKEND == 'numpy', backend.BACKEND\n"
         "assert not backend.USE_NUMBA\n"
         "assert kernels.pair_sum is kernels.pair_sum_np\n"
-        "assert kernels.opstring_apply is kernels.opstring_apply_np\n"
         "import numpy as np\n"
         "from hyfermi.quadrature import F_quadrature\n"
         "r = F_quadrature(1.0, tol=5e-2)\n"

@@ -120,6 +120,25 @@ def test_periodized_coefficients_reflection_symmetric():
         assert psf.coefficients[m] == pytest.approx(c, rel=1e-12)
 
 
+def test_periodized_coefficients_lazy_contract():
+    """Values are radial, zero off the cube and at the origin, and the
+    full-cube view, coeff and real_space all read the same numbers."""
+    sol = solve_scattering(RadialPotential(kind="square-well", V0=0.4,
+                                           R=1.0))
+    psf = periodize_phi(sol, L=2.0 * math.pi, n_max=6)
+    assert not psf.cutoff_applied
+    assert psf.coeff((0, 0, 0)) == 0.0 and psf.coeff((7, 0, 0)) == 0.0
+    # at L = 2 pi the momentum of n = (1, 0, 0) is 1
+    assert psf.coeff((1, 0, 0)) == pytest.approx(fourier_Vf(sol, 1.0) / 2.0,
+                                                 rel=1e-14)
+    assert psf.coeff((3, -1, 2)) == psf.coefficients[(1, 2, -3)] != 0.0
+    assert len(psf.coefficients) == 13 ** 3
+    assert (7, 0, 0) not in psf.coefficients
+    _, vals = psf.real_space()
+    assert vals[0, 0, 0] == pytest.approx(
+        sum(psf.coefficients.values()) / psf.L ** 3, rel=1e-12)
+
+
 def test_lambda_shift_broadcasts():
     r = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     p = np.array([0.0, 2.0, 0.0])
