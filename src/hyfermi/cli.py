@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__ as VERSION
+from . import quadrature
 from .cutoffs import CutoffConfig, fermi_momentum
 from .hyformula import F_closed, F_from_f, FermiParams, hy_energy
 from .potentials import (
@@ -29,13 +31,6 @@ from .potentials import (
     periodize_phi,
     solve_scattering,
 )
-from . import quadrature, fock
-
-try:
-    from importlib.metadata import version as _pkg_version
-    VERSION = _pkg_version("hyfermi")
-except Exception:
-    VERSION = "0.1.0"
 
 COMMANDS = ("scatter", "hy-eval", "hy-table", "verify-f", "quad-g",
             "gap-study", "lattice-sum", "singular-bound", "fock-demo",
@@ -165,7 +160,8 @@ def _build_parser():
     return top
 
 
-def _load_config_file(path):
+def _load_config_file(path, known):
+    """Read the JSON config; every key must name a flag of the command."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -175,14 +171,23 @@ def _load_config_file(path):
         raise UsageError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise UsageError("config file must hold a JSON object")
-    return {str(k).replace("-", "_"): v for k, v in doc.items()}
+    config = {}
+    for key, value in doc.items():
+        name = str(key).replace("-", "_")
+        if name not in known:
+            raise UsageError(f"unknown config file key {key!r}: not a flag "
+                             f"of this command")
+        config[name] = value
+    return config
 
 
 def parse_config(argv):
     """argv -> RunConfig with precedence flag > config file > default."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    filecfg = _load_config_file(args.config) if args.config else {}
+    # argparse fills a default for every flag of the chosen subcommand only
+    known = set(vars(args)) - {"command"}
+    filecfg = _load_config_file(args.config, known) if args.config else {}
 
     def pick(key, default):
         flag = getattr(args, key, None)
@@ -219,6 +224,11 @@ def parse_config(argv):
 
 def _validate(config):
     p = config.parameters
+    for key, value in p.items():
+        for v in value if isinstance(value, list) else [value]:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise UsageError(f"{key.replace('_', '-')} must be finite, "
+                                 f"got {v}")
     gamma, delta = p.get("gamma"), p.get("delta")
     if gamma is not None:
         if not 0.0 < gamma < 1.0 / 3.0:
@@ -232,12 +242,12 @@ def _validate(config):
             raise UsageError(
                 f"2*gamma + delta/16 <= 1/3 violated: gamma={gamma}, "
                 f"delta={delta}")
-    if p.get("V0") is not None and p["V0"] < 0.0:
+    if p.get("V0") is not None and not p["V0"] >= 0.0:
         raise UsageError(f"V0 must be nonnegative (V >= 0), got {p['V0']}")
-    if p.get("R") is not None and p["R"] <= 0.0:
+    if p.get("R") is not None and not p["R"] > 0.0:
         raise UsageError(f"R must be positive, got {p['R']}")
     for key in ("rho_up", "rho_down"):
-        if p.get(key) is not None and p[key] < 0.0:
+        if p.get(key) is not None and not p[key] >= 0.0:
             raise UsageError(f"{key.replace('_', '-')} must be "
                              f"nonnegative, got {p[key]}")
     if config.command == "gap-study":
@@ -245,13 +255,19 @@ def _validate(config):
             raise UsageError(
                 f"need 0 < rho-min <= rho-max, got {p['rho_min']}, "
                 f"{p['rho_max']}")
-        if p.get("rho_up", 1.0) <= 0.0 or p.get("rho_down", 1.0) <= 0.0:
+        if not (p.get("rho_up", 1.0) > 0.0 and p.get("rho_down", 1.0) > 0.0):
             raise UsageError("gap-study needs both densities positive")
     if config.command == "singular-bound":
         for x in p["x_grid"]:
             if not 0.0 < x <= 1.0:
                 raise UsageError(f"x values must lie in (0, 1], got {x}")
+    if config.command == "lattice-sum":
+        for L in p["L_grid"]:
+            if not L > 0.0:
+                raise UsageError(f"L values must be positive, got {L}")
     if config.command == "fock-demo":
+        from . import fock
+
         # closed-shell refusal is a config problem, not a runtime one
         try:
             fock.build_lattice(p["L"], p["kmax"], p["shells"][0],
@@ -358,7 +374,8 @@ def _cmd_hy_eval(config):
 
 def _cmd_hy_table(config):
     p = config.parameters
-    if p["x_count"] < 1 or p["x_min"] <= 0.0 or p["x_max"] < p["x_min"]:
+    if not (p["x_count"] >= 1 and p["x_min"] > 0.0
+            and p["x_max"] >= p["x_min"]):
         raise UsageError("need 0 < x-min <= x-max and x-count >= 1")
     grid = np.linspace(p["x_min"], p["x_max"], p["x_count"])
     header = ("x", "F_closed", "F_from_f", "rel_diff")
@@ -398,7 +415,7 @@ def _cmd_quad_g(config):
     p = config.parameters
     if not 0.0 < p["x"] <= 1.0:
         raise UsageError(f"x must lie in (0, 1], got {p['x']}")
-    if p["p"] <= 0.0:
+    if not p["p"] > 0.0:
         raise UsageError(f"p must be positive, got {p['p']}")
     res = quadrature.g_pointwise(p["x"], p["p"], tol=p["tol"])
     header = ("x", "p", "value", "error_estimate", "evaluations")
@@ -471,6 +488,8 @@ def _demo_crossover_density(lattice, gamma):
 
 
 def _cmd_fock_demo(config):
+    from . import fock
+
     p = config.parameters
     tol = p["tol"]
     lat = fock.build_lattice(p["L"], p["kmax"], p["shells"][0],

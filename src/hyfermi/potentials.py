@@ -16,9 +16,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad, simpson
-from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import dgecon
 
 _KINDS = ("square-well", "truncated-gaussian", "tabulated")
 
@@ -97,9 +94,12 @@ class RadialPotential:
         if self.kind == "square-well":
             return self.V0 * self.R ** (power + 1) / (power + 1)
         if self.kind == "truncated-gaussian":
-            val, _ = quad(lambda r: self.V0 * math.exp(-((3.0 * r / self.R) ** 2))
-                          * r ** power, 0.0, self.R, limit=200)
-            return val
+            # the integrand is entire: 48 Gauss nodes on [0, R] are exact to
+            # rounding for the powers used here
+            x48, w48 = np.polynomial.legendre.leggauss(48)
+            half = 0.5 * self.R
+            rr = half * (1.0 + x48)
+            return float(half * np.sum(w48 * self(rr) * rr ** power))
         radii = np.array([p[0] for p in self.samples])
         vals = np.array([p[1] for p in self.samples])
         # 3-point Gauss per linear segment: exact for (linear V) * r^power, power <= 4
@@ -184,23 +184,29 @@ def solve_scattering(potential, n_steps=4000, matching_radius=None):
     r_in = np.linspace(0.0, R, n_steps + 1)
     r_half = np.linspace(0.0, R, 2 * n_steps + 1)
     q_in = 0.5 * potential(r_half)
-    u_in, w_end = _rk4_linear(q_in, 0.0, 1.0, h_in)
+    # a strong well overflows u to inf; the finiteness check on a below
+    # reports that once, so numpy's warnings along the way are muted
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_in, w_end = _rk4_linear(q_in, 0.0, 1.0, h_in)
+        if rm > R:
+            # exterior: u'' = 0, the continuation is exactly linear
+            n_out = max(16, n_steps // 8)
+            r_out = np.linspace(R, rm, n_out + 1)
+            u_out = u_in[-1] + w_end * (r_out - R)
+            r_grid = np.concatenate([r_in, r_out[1:]])
+            u_raw = np.concatenate([u_in, u_out[1:]])
+        else:
+            r_grid, u_raw = r_in, u_in
 
-    if rm > R:
-        # exterior: u'' = 0, the continuation is exactly linear
-        n_out = max(16, n_steps // 8)
-        r_out = np.linspace(R, rm, n_out + 1)
-        u_out = u_in[-1] + w_end * (r_out - R)
-        r_grid = np.concatenate([r_in, r_out[1:]])
-        u_raw = np.concatenate([u_in, u_out[1:]])
-    else:
-        r_grid, u_raw = r_in, u_in
-
-    c = w_end
-    if c <= 0.0:
-        raise RuntimeError("u'(matching_radius) <= 0; potential too singular "
-                           "for the zero-energy reduction")
-    a = rm - (u_raw[-1]) / c
+        c = w_end
+        if not c > 0.0:
+            raise RuntimeError("u'(matching_radius) <= 0; potential too "
+                               "singular for the zero-energy reduction")
+        a = rm - (u_raw[-1]) / c
+    if not math.isfinite(a):
+        raise RuntimeError(
+            f"scattering length {a} is not finite: u overflowed inside the "
+            f"support; potential too strong for the zero-energy reduction")
 
     # centered-difference consistency check on the interior of [0, R]
     if n_steps >= 4:
@@ -210,7 +216,7 @@ def solve_scattering(potential, n_steps=4000, matching_radius=None):
         residual = float(np.max(np.abs(lap - rhs)) / scale)
     else:
         residual = 0.0
-    if residual > 1e-3:
+    if not residual <= 1e-3:
         raise RuntimeError(
             f"integration residual {residual:.3e} too large; raise n_steps")
 
@@ -221,6 +227,8 @@ def solve_scattering(potential, n_steps=4000, matching_radius=None):
 
 def scattering_length_from_integral(solution):
     """a = (1/2) * integral of V(r) u(r) r dr, a quadrature cross-check."""
+    from scipy.integrate import simpson
+
     pot = solution.potential
     mask = solution.r_grid <= pot.R
     r = solution.r_grid[mask]
@@ -234,6 +242,8 @@ def fourier_Vf(solution, s):
     Equals 8*pi*a at s = 0 and decays like 1/s^2; phi-hat(p) is this
     divided by 2|p|^2.
     """
+    from scipy.integrate import simpson
+
     pot = solution.potential
     mask = solution.r_grid <= pot.R
     r = solution.r_grid[mask]
@@ -251,6 +261,8 @@ def fourier_Vf(solution, s):
 
 def fourier_V(potential, s):
     """Radial Fourier transform of the bare potential at |p| = s."""
+    from scipy.integrate import simpson
+
     flat = np.atleast_1d(np.asarray(s, dtype=np.float64)).ravel()
     if potential.kind == "square-well":
         V0, R = potential.V0, potential.R
@@ -560,6 +572,9 @@ def bethe_goldstone_solve(potential, kF_up, kF_down, r=None, rp=None,
     used_direct = False
     cond = None
     if not converged:
+        from scipy.linalg import lu_factor, lu_solve
+        from scipy.linalg.lapack import dgecon
+
         A = np.eye(len(FV_nodes)) + M
         lu, piv = lu_factor(A)
         G = lu_solve((lu, piv), FV_nodes)

@@ -18,7 +18,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .cutoffs import CutoffConfig, FermiProjectors, fermi_momentum
 from .hyformula import F_closed, f_aux
@@ -234,6 +233,8 @@ def pv_quadratic_epsilon(a_coef, b_coef, eps):
     """Real part of the eps-smoothed ball integral of
     1/(p^2 + a*p1 + b + i*eps); radial-angular reduction, one smooth 1D
     quadrature. Extrapolate eps -> 0 to recover the principal value."""
+    from scipy.integrate import quad
+
     a, b = float(a_coef), float(b_coef)
     if a == 0.0:
         raise ValueError("reduction needs a != 0")
@@ -257,6 +258,8 @@ def pv_quadratic_epsilon(a_coef, b_coef, eps):
 
 def pv_linear_epsilon(a_coef, b_coef, eps):
     """Real part of the eps-smoothed ball integral of 1/(a*p1 + b + i*eps)."""
+    from scipy.integrate import quad
+
     a, b = float(a_coef), float(b_coef)
     if a == 0.0:
         raise ValueError("reduction needs a != 0")

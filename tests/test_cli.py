@@ -202,3 +202,62 @@ def test_summary_goes_to_stderr_for_stdout_data(capsys):
     _, out, err = run_cli(["hy-table", "--x-count", "3"], capsys)
     assert "worst rel_diff" in err
     assert "worst rel_diff" not in out
+
+
+def test_scatter_overflow_exits_one(capsys):
+    code, out, err = run_cli(["scatter", "--V0", "1e6"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "not finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["hy-eval", "--rho-up", "nan"],
+    ["hy-eval", "--rho-up", "inf"],
+    ["quad-g", "--p", "nan"],
+    ["lattice-sum", "--L-grid", "nan", "16"],
+    ["scatter", "--R=-inf"],
+    ["verify-f", "--tol", "nan"],
+])
+def test_non_finite_flag_exits_two(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
+
+
+@pytest.mark.parametrize("doc", [{"V0": float("nan")},
+                                 {"shells": [0.5, float("inf")]}])
+def test_non_finite_config_value_exits_two(doc, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    command = "fock-demo" if "shells" in doc else "scatter"
+    code, _, err = run_cli([command, "--config", str(cfg)], capsys)
+    assert code == 2
+    assert "must be finite" in err
+
+
+@pytest.mark.parametrize("key", ["rho-upp", "rho_upp", "x-grid"])
+def test_unknown_config_key_exits_two(key, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"rho-up": 5e-3, key: 5}))
+    code, out, err = run_cli(["hy-eval", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert repr(key) in err
+
+
+def test_config_keys_accept_dashes_and_underscores(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"rho-up": 2e-3, "rho_down": 3e-3,
+                               "out": str(tmp_path / "o.json")}))
+    p = cli.parse_config(["hy-eval", "--config", str(cfg)]).parameters
+    assert (p["rho_up"], p["rho_down"]) == (2e-3, 3e-3)
+
+
+@pytest.mark.parametrize("grid", [["0", "16"], ["16", "-32"]])
+def test_lattice_sum_rejects_nonpositive_box(grid, capsys):
+    code, out, err = run_cli(["lattice-sum", "--L-grid", *grid], capsys)
+    assert code == 2
+    assert out == ""
+    assert "L values must be positive" in err
