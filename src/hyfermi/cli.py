@@ -157,11 +157,46 @@ def _build_parser():
     p.add_argument("--lambda-grid", type=float, nargs="+")
     add("bg-solve", "in-medium pair scattering equation on a radial grid",
         "pot", "dens")
-    return top
+    return top, sub.choices
 
 
-def _load_config_file(path, known):
-    """Read the JSON config; every key must name a flag of the command."""
+def _config_value(key, value, action):
+    """A config-file value converted the way its flag converts text: the
+    flag's type on every element, its nargs for the list shape, its
+    choices checked."""
+    kind = action.type or str
+    if action.nargs is None:
+        items = [value]
+    elif not isinstance(value, list) or not value or (
+            isinstance(action.nargs, int) and len(value) != action.nargs):
+        count = "one or more" if action.nargs == "+" else str(action.nargs)
+        raise UsageError(f"config file key {key!r} needs a list of {count} "
+                         f"values, got {value!r}")
+    else:
+        items = value
+    out = []
+    for item in items:
+        if isinstance(item, str):
+            try:
+                item = kind(item)
+            except ValueError:
+                pass
+        elif kind is float and isinstance(item, int) \
+                and not isinstance(item, bool):
+            item = float(item)
+        if type(item) is not kind:
+            raise UsageError(f"config file key {key!r}: {item!r} is not a "
+                             f"valid {kind.__name__} for this flag")
+        if action.choices is not None and item not in action.choices:
+            raise UsageError(f"config file key {key!r}: {item!r} is not one "
+                             f"of {', '.join(action.choices)}")
+        out.append(item)
+    return out[0] if action.nargs is None else out
+
+
+def _load_config_file(path, actions):
+    """Read the JSON config; every key must name a flag of the command and
+    its value must fit that flag."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -174,20 +209,21 @@ def _load_config_file(path, known):
     config = {}
     for key, value in doc.items():
         name = str(key).replace("-", "_")
-        if name not in known:
+        if name not in actions:
             raise UsageError(f"unknown config file key {key!r}: not a flag "
                              f"of this command")
-        config[name] = value
+        config[name] = _config_value(key, value, actions[name])
     return config
 
 
 def parse_config(argv):
     """argv -> RunConfig with precedence flag > config file > default."""
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     # argparse fills a default for every flag of the chosen subcommand only
-    known = set(vars(args)) - {"command"}
-    filecfg = _load_config_file(args.config, known) if args.config else {}
+    actions = {a.dest: a for a in commands[args.command]._actions
+               if a.dest in vars(args)}
+    filecfg = _load_config_file(args.config, actions) if args.config else {}
 
     def pick(key, default):
         flag = getattr(args, key, None)
@@ -214,8 +250,6 @@ def parse_config(argv):
 
     out_path = args.out if args.out is not None else filecfg.get("out")
     fmt = pick("format", "json" if cmd in _JSON_DEFAULT_COMMANDS else "csv")
-    if fmt not in ("csv", "json"):
-        raise UsageError(f"format must be csv or json, got {fmt!r}")
     config = RunConfig(command=cmd, parameters=params, output_path=out_path,
                        output_format=fmt)
     _validate(config)
@@ -251,12 +285,16 @@ def _validate(config):
             raise UsageError(f"{key.replace('_', '-')} must be "
                              f"nonnegative, got {p[key]}")
     if config.command == "gap-study":
-        if not 0.0 < p["rho_min"] <= p["rho_max"]:
+        # the decay slope is fitted over at least two distinct densities
+        if not 0.0 < p["rho_min"] < p["rho_max"]:
             raise UsageError(
-                f"need 0 < rho-min <= rho-max, got {p['rho_min']}, "
+                f"need 0 < rho-min < rho-max, got {p['rho_min']}, "
                 f"{p['rho_max']}")
         if not (p.get("rho_up", 1.0) > 0.0 and p.get("rho_down", 1.0) > 0.0):
             raise UsageError("gap-study needs both densities positive")
+        if p["rho_count"] < 2:
+            raise UsageError(f"rho-count must be at least 2 to fit a decay "
+                             f"slope, got {p['rho_count']}")
     if config.command == "singular-bound":
         for x in p["x_grid"]:
             if not 0.0 < x <= 1.0:
@@ -438,11 +476,9 @@ def _cmd_gap_study(config):
     header = ("rho", "i_regularized", "i_limit", "diff", "error_estimate",
               "evaluations", "elapsed", "flagged")
     rows = [tuple(r[k] for k in header) for r in result]
-    slope = float("nan")
-    if len(result) >= 2:
-        lr = np.log([r["rho"] for r in result])
-        ld = np.log([max(r["diff"], 1e-300) for r in result])
-        slope = float(np.polyfit(lr, ld, 1)[0])
+    lr = np.log([r["rho"] for r in result])
+    ld = np.log([max(r["diff"], 1e-300) for r in result])
+    slope = float(np.polyfit(lr, ld, 1)[0])
     payload = {"rows": [dict(zip(header, r)) for r in rows],
                "slope": slope}
     extra = {"evaluations": int(sum(r["evaluations"] for r in result)),
@@ -569,6 +605,42 @@ _DISPATCH = {
 }
 
 
+# output fields that are NaN by design, by command: bg-solve's phi is
+# G over the pair dispersion and NaN where that is not positive
+_NAN_BY_DESIGN = {"bg-solve": {"phi"}}
+
+
+def _nonfinite(obj, skip, path):
+    """'path = value' for the first NaN or infinity in obj (a number, a
+    list or array of them, or a dict of those), or None. Dict keys in
+    skip are not looked at."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            found = None if key in skip else _nonfinite(value, skip,
+                                                        f"{path}.{key}")
+            if found:
+                return found
+        return None
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        try:
+            arr = np.asarray(obj)
+        except ValueError:  # ragged nesting
+            arr = np.empty(0, dtype=object)
+        if arr.dtype.kind in "biu":
+            return None
+        if arr.dtype.kind == "f":
+            bad = arr[~np.isfinite(arr)]
+            return f"{path} = {bad[0]}" if bad.size else None
+        for i, value in enumerate(obj):
+            found = _nonfinite(value, skip, f"{path}[{i}]")
+            if found:
+                return found
+        return None
+    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        return f"{path} = {obj}"
+    return None
+
+
 def _apply_threads(threads):
     if threads is None:
         return
@@ -594,6 +666,13 @@ def run(config):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     wall_ms = (time.perf_counter() - t0) * 1000.0
+    skip = _NAN_BY_DESIGN.get(config.command, ())
+    found = (_nonfinite(dict(zip(header, zip(*rows))), skip, "column")
+             or _nonfinite(payload, skip, "payload"))
+    if found:
+        print(f"error: non-finite result {found}; nothing written",
+              file=sys.stderr)
+        return 1
     tolerances = {}
     if config.parameters.get("tol") is not None:
         tolerances["tol"] = config.parameters["tol"]

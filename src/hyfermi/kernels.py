@@ -1,46 +1,15 @@
 """Hot numeric loops, in numba and pure-numpy twins.
 
-Every kernel exists twice: ``*_nb`` (numba @njit) and ``*_np`` (numpy
-broadcasting). The unsuffixed names bind to whichever twin the active
-backend selects; the tests import both twins directly. Twins must
-agree to floating-point reassociation error, which tests assert.
+The lattice Riemann sum exists twice: ``*_nb`` (numba @njit) and
+``*_np`` (numpy broadcasting). The unsuffixed name binds to whichever
+twin the active backend selects; the tests import both twins directly.
+Twins must agree to floating-point reassociation error, which tests
+assert.
 """
 
 import numpy as np
 
 from .backend import USE_NUMBA, njit
-
-# ---------------------------------------------------------------- pair sums
-
-
-@njit(cache=True)
-def pair_sum_nb(s, ws, t, wt, c, twop, power):
-    # denominator c + twop*(s_i + t_j) is > 0 on every node by construction
-    acc = 0.0
-    if power == 1:
-        for i in range(s.size):
-            base = c + twop * s[i]
-            row = 0.0
-            for j in range(t.size):
-                row += wt[j] / (base + twop * t[j])
-            acc += ws[i] * row
-    else:
-        for i in range(s.size):
-            base = c + twop * s[i]
-            row = 0.0
-            for j in range(t.size):
-                d = base + twop * t[j]
-                row += wt[j] / (d * d)
-            acc += ws[i] * row
-    return acc
-
-
-def pair_sum_np(s, ws, t, wt, c, twop, power):
-    den = c + twop * (s[:, None] + t[None, :])
-    if power == 2:
-        den = den * den
-    return float(ws @ (1.0 / den) @ wt)
-
 
 # ------------------------------------------------------------- lattice sums
 
@@ -84,8 +53,6 @@ def lattice_chi_sum_np(nmax, fac, c1, c2):
 
 
 if USE_NUMBA:
-    pair_sum = pair_sum_nb
     lattice_chi_sum = lattice_chi_sum_nb
 else:
-    pair_sum = pair_sum_np
     lattice_chi_sum = lattice_chi_sum_np

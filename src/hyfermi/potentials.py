@@ -442,36 +442,51 @@ def _fourier_V_table(potential, s_max):
     return lambda s: np.interp(s, s_tab, v_tab)
 
 
-def _bg_radial_matrix(potential, kf_floor, n_radial, q_max, n_mu):
+def _panels(edges, n):
+    """Nodes and weights of n-point Gauss panels between sorted edges."""
+    xg, wg = np.polynomial.legendre.leggauss(n)
+    edges = np.asarray(edges, dtype=np.float64)
+    a, b = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (b - a)
+    return (0.5 * (a + b) + half * xg).ravel(), (half * wg).ravel()
+
+
+def _radial_rule(potential, q_max):
+    """Composite Gauss rule on [0, R] with V folded into the weights.
+
+    Panels of 12 nodes, at least 16 and enough that sin(pr) sin(qr) with
+    p, q <= q_max turns by at most 10 radians across one: 12 nodes are
+    then exact to rounding. The tabulated sample radii are added as edges,
+    so every panel sees a smooth V.
+    """
+    R = potential.R
+    edges = np.linspace(0.0, R, max(16, math.ceil(q_max * R / 5.0)) + 1)
+    if potential.kind == "tabulated":
+        radii = np.array([p[0] for p in potential.samples])
+        edges = np.union1d(edges, radii[(radii > 0.0) & (radii < R)])
+    r, w = _panels(edges, 12)
+    return r, w * potential(r)
+
+
+def _bg_radial_matrix(potential, kf_floor, n_radial, q_max):
     """Collocation matrix for the spherically symmetric case r = r' = 0.
 
-    Returns (nodes, M, FV) with the equation reading (I + M) G = FV.
+    Returns (nodes, M, FV) with the equation reading (I + M) G = FV. The
+    angle integral of the kernel is done exactly: with FV the radial
+    transform of V,
+
+        int_{-1}^{1} FV(|p - q mu|) dmu = (8 pi / pq) int_0^R V sin(pr) sin(qr) dr,
+        FV(q) = (4 pi / q) int_0^R V(r) r sin(qr) dr,
+
+    so one radial rule turns M into S diag(wV) S^T with S = sin(q_i r_k).
     """
     edges = kf_floor + (q_max - kf_floor) * np.array(
         [0.0, 0.03, 0.1, 0.3, 0.6, 1.0])
-    per = max(8, n_radial // (len(edges) - 1))
-    xg, wg = np.polynomial.legendre.leggauss(per)
-    qs, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        qs.append(mid + half * xg)
-        ws.append(half * wg)
-    q = np.concatenate(qs)
-    w = np.concatenate(ws)
-
-    if potential.kind == "square-well":
-        FV = lambda s: fourier_V(potential, s)
-    else:
-        FV = _fourier_V_table(potential, 2.0 * q_max + 1.0)
-
-    xm, wm = np.polynomial.legendre.leggauss(n_mu)
-    p2 = q[:, None, None] ** 2
-    q2 = q[None, :, None] ** 2
-    pq = q[:, None, None] * q[None, :, None]
-    s = np.sqrt(np.maximum(p2 + q2 - 2.0 * pq * xm[None, None, :], 0.0))
-    K0 = np.tensordot(FV(s), wm, axes=([2], [0]))
-    M = K0 * w[None, :] / (8.0 * np.pi ** 2)
-    return q, M, FV(q)
+    q, w = _panels(edges, max(8, n_radial // (len(edges) - 1)))
+    r, wv = _radial_rule(potential, q_max)
+    S = np.sin(q[:, None] * r[None, :])
+    M = ((S * wv) @ S.T) * (w / q) / (np.pi * q[:, None])
+    return q, M, (4.0 * np.pi / q) * (S @ (wv * r))
 
 
 def _bg_generic_matrix(potential, kF_up, kF_down, r, rp,
@@ -481,15 +496,7 @@ def _bg_generic_matrix(potential, kF_up, kF_down, r, rp,
         c for c in (kF_up - np.linalg.norm(r), kF_up + np.linalg.norm(r),
                     kF_down - np.linalg.norm(rp), kF_down + np.linalg.norm(rp))
         if 0.0 < c < q_max})
-    per = max(6, n_radial // (len(cuts) - 1))
-    xg, wg = np.polynomial.legendre.leggauss(per)
-    qs, ws = [], []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        qs.append(mid + half * xg)
-        ws.append(half * wg)
-    q_r = np.concatenate(qs)
-    w_r = np.concatenate(ws)
+    q_r, w_r = _panels(cuts, max(6, n_radial // (len(cuts) - 1)))
 
     xmu, wmu = np.polynomial.legendre.leggauss(n_theta)
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
@@ -525,7 +532,7 @@ def _bg_generic_matrix(potential, kF_up, kF_down, r, rp,
 
 
 def bethe_goldstone_solve(potential, kF_up, kF_down, r=None, rp=None,
-                          n_radial=240, q_max=None, n_mu=64,
+                          n_radial=240, q_max=None,
                           n_theta=8, n_phi=8, tol=1e-11, max_iter=200):
     """Solve the in-medium pair scattering equation on a momentum grid.
 
@@ -545,7 +552,7 @@ def bethe_goldstone_solve(potential, kF_up, kF_down, r=None, rp=None,
     if radial:
         kf_floor = max(kF_up, kF_down)
         nodes, M, FV_nodes = _bg_radial_matrix(
-            potential, kf_floor, n_radial, q_max, n_mu)
+            potential, kf_floor, n_radial, q_max)
         lam_p = 2.0 * nodes ** 2
     else:
         nodes, M, FV_nodes, lam_p = _bg_generic_matrix(

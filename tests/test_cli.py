@@ -261,3 +261,77 @@ def test_lattice_sum_rejects_nonpositive_box(grid, capsys):
     assert code == 2
     assert out == ""
     assert "L values must be positive" in err
+
+
+@pytest.mark.parametrize("command,doc,want", [
+    ("scatter", {"V0": "4", "R": 1}, {"V0": 4.0, "R": 1.0}),
+    ("hy-table", {"x-count": "7"}, {"x_count": 7}),
+    ("singular-bound", {"x-grid": ["0.5", 1]}, {"x_grid": [0.5, 1.0]}),
+])
+def test_config_values_take_their_flag_type(command, doc, want, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    p = cli.parse_config([command, "--config", str(cfg)]).parameters
+    for key, value in want.items():
+        assert p[key] == value and type(p[key]) is type(value)
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("scatter", {"V0": "four"}),
+    ("scatter", {"V0": True}),
+    ("scatter", {"R": [1.0]}),
+    ("scatter", {"kind": "box"}),
+    ("scatter", {"format": "xml"}),
+    ("hy-table", {"x-count": 4.5}),
+    ("singular-bound", {"x-grid": 0.5}),
+    ("singular-bound", {"x-grid": []}),
+    ("fock-demo", {"shells": [0.5]}),
+])
+def test_config_value_that_does_not_fit_its_flag_exits_two(command, doc,
+                                                           tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert repr(next(iter(doc))) in err
+
+
+@pytest.mark.parametrize("argv,word", [
+    (["--rho-count", "1"], "rho-count"),
+    (["--rho-min", "1e-3", "--rho-max", "1e-3"], "rho-min < rho-max"),
+])
+def test_gap_study_needs_two_distinct_densities(argv, word, capsys):
+    code, out, err = run_cli(["gap-study", *argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert word in err
+
+
+def test_non_finite_result_exits_one(monkeypatch, capsys):
+    def nan_rows(params, cutoff, grid, tol):
+        return [{"rho": rho, "i_regularized": float("nan"), "i_limit": -1.0,
+                 "diff": 1.0, "error_estimate": 0.0, "evaluations": 1,
+                 "elapsed": 0.0, "flagged": False} for rho in grid]
+
+    monkeypatch.setattr(cli.quadrature, "gap_cutoff_study", nan_rows)
+    code, out, err = run_cli(["gap-study", "--rho-count", "2"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "i_regularized" in err
+
+
+def test_nan_by_design_is_not_a_failure(monkeypatch, capsys):
+    """bg-solve's phi is NaN where the pair dispersion is not positive."""
+    real = cli.bethe_goldstone_solve
+
+    def with_blocked_node(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        sol.denominators[0], sol.phi[0] = 0.0, float("nan")
+        return sol
+
+    monkeypatch.setattr(cli, "bethe_goldstone_solve", with_blocked_node)
+    code, out, _ = run_cli(["bg-solve"], capsys)
+    assert code == 0
+    header, rows, _ = parse_csv_output(out)
+    assert rows[0][header.index("phi")] == "nan"

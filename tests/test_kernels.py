@@ -8,28 +8,7 @@ import numpy as np
 import pytest
 
 from hyfermi import backend
-from hyfermi.kernels import (
-    lattice_chi_sum_nb,
-    lattice_chi_sum_np,
-    pair_sum_nb,
-    pair_sum_np,
-)
-
-RNG = np.random.default_rng(42)
-
-
-def test_pair_sum_twins_agree():
-    for power in (1, 2):
-        for _ in range(6):
-            n, m = RNG.integers(3, 60, size=2)
-            s = np.sort(RNG.uniform(0.0, 2.0, n))
-            t = np.sort(RNG.uniform(0.0, 2.0, m))
-            ws = RNG.uniform(0.1, 1.0, n)
-            wt = RNG.uniform(0.1, 1.0, m)
-            c = float(RNG.uniform(0.5, 3.0))
-            a = pair_sum_nb(s, ws, t, wt, c, 2.0, power)
-            b = pair_sum_np(s, ws, t, wt, c, 2.0, power)
-            assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+from hyfermi.kernels import lattice_chi_sum_nb, lattice_chi_sum_np
 
 
 def test_lattice_chi_sum_twins_agree():
@@ -53,13 +32,13 @@ def test_lattice_chi_sum_counts_plateau():
 
 
 def test_backend_env_flag_selects_numpy():
-    """HYFERMI_BACKEND=numpy must bind the unsuffixed kernel names to the
-    numpy twins in a fresh interpreter."""
+    """HYFERMI_BACKEND=numpy must bind the unsuffixed kernel name to the
+    numpy twin in a fresh interpreter."""
     code = (
         "from hyfermi import backend, kernels\n"
         "assert backend.BACKEND == 'numpy', backend.BACKEND\n"
         "assert not backend.USE_NUMBA\n"
-        "assert kernels.pair_sum is kernels.pair_sum_np\n"
+        "assert kernels.lattice_chi_sum is kernels.lattice_chi_sum_np\n"
         "import numpy as np\n"
         "from hyfermi.quadrature import F_quadrature\n"
         "r = F_quadrature(1.0, tol=5e-2)\n"

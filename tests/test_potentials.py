@@ -10,6 +10,7 @@ import pytest
 from hyfermi.potentials import (
     EtaFunction,
     RadialPotential,
+    _bg_radial_matrix,
     bethe_goldstone_solve,
     born_length,
     eta_eps,
@@ -164,13 +165,48 @@ def test_eta_epsilon_regularizes_everywhere():
 
 def test_bg_reduces_to_free_scattering_at_zero_kf():
     """With empty Fermi seas the in-medium equation is the zero-energy
-    scattering problem; compare the momentum profiles."""
-    pot = RadialPotential(kind="square-well", V0=4.0, R=1.0)
-    free = solve_scattering(pot)
-    sol = bethe_goldstone_solve(pot, 0.0, 0.0)
-    phi_free = fourier_Vf(free, sol.nodes) / (2.0 * sol.nodes ** 2)
-    scale = float(np.max(np.abs(phi_free)))
-    assert np.max(np.abs(sol.phi - phi_free)) <= 1e-4 * scale
+    scattering problem; compare the momentum profiles. Measured: 8.8e-7
+    (square well), 2.8e-13 (truncated Gaussian; its bound sits above the
+    Picard stopping tolerance 1e-11), 1.1e-8 (tabulated, kinks at its
+    samples)."""
+    tabulated = RadialPotential(kind="tabulated", R=1.0, samples=(
+        (0.0, 5.0), (0.3, 4.0), (0.7, 1.0), (0.9, 0.5), (1.0, 0.2)))
+    for pot, tol in ((RadialPotential(kind="square-well", V0=4.0, R=1.0), 3e-6),
+                     (RadialPotential(kind="truncated-gaussian", V0=30.0,
+                                      R=1.2), 1e-10),
+                     (tabulated, 5e-8)):
+        free = solve_scattering(pot)
+        sol = bethe_goldstone_solve(pot, 0.0, 0.0)
+        phi_free = fourier_Vf(free, sol.nodes) / (2.0 * sol.nodes ** 2)
+        scale = float(np.max(np.abs(phi_free)))
+        assert np.max(np.abs(sol.phi - phi_free)) <= tol * scale, pot.kind
+
+
+@pytest.mark.parametrize("V0,R,kf,q_max", [(4.0, 1.0, 0.0, 80.0),
+                                           (300.0, 0.9, 0.2, 80.0 / 0.9),
+                                           (2.0, 1.1, 0.5, 200.0)])
+def test_bg_radial_kernel_matches_angle_quadrature(V0, R, kf, q_max):
+    """The exact angle integral of the radial kernel against a 512-node
+    Gauss rule in mu over the closed-form square-well transform, written
+    as 4 pi V0 R^3 j1(sR)/(sR), which does not cancel at small s."""
+    from scipy.special import spherical_jn
+
+    def transform(s):
+        x = np.maximum(s * R, 1e-300)
+        return 4.0 * np.pi * V0 * R ** 3 * spherical_jn(1, x) / x
+
+    pot = RadialPotential(kind="square-well", V0=V0, R=R)
+    q, M, FV = _bg_radial_matrix(pot, kf, 240, q_max)
+    rows = np.r_[0:len(q):10, len(q) - 1]
+    xm, wm = np.polynomial.legendre.leggauss(512)
+    p, qq = q[rows, None, None], q[None, :, None]
+    dist = np.sqrt(np.maximum(p * p + qq * qq - 2.0 * p * qq * xm, 0.0))
+    edges = kf + (q_max - kf) * np.array([0.0, 0.03, 0.1, 0.3, 0.6, 1.0])
+    xg, wg = np.polynomial.legendre.leggauss(48)
+    wq = (0.5 * np.diff(edges)[:, None] * wg).ravel()
+    want = (transform(dist) @ wm) * wq / (8.0 * np.pi ** 2)
+    assert np.max(np.abs(M[rows] - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(FV - transform(q))) <= 1e-12 * np.max(np.abs(FV))
 
 
 def test_bg_pauli_blocking_raises_amplitude():

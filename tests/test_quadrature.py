@@ -6,11 +6,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from hyfermi.cutoffs import CutoffConfig
 from hyfermi.hyformula import F_closed, FermiParams
 from hyfermi.quadrature import (
     F_quadrature,
+    _axis,
     g_pointwise,
     gap_cutoff_study,
     inner_pair,
@@ -22,6 +26,7 @@ from hyfermi.quadrature import (
     pv_quadratic_epsilon,
     singular_integral_bound,
     slice_measure,
+    t_integral,
 )
 
 
@@ -62,6 +67,75 @@ def test_inner_pair_large_p_limit():
     v, _ = inner_pair(p, 1.0, 0.7, 0.0, 1, 24, 22)
     want = ball_volume(1.0) * ball_volume(0.7) / (2.0 * p * p)
     assert v == pytest.approx(want, rel=1e-3)
+
+
+def t_integral_by_quad(beta, p, kf, power):
+    """The t-integral of the slice measure over (beta + p(p + 2t))^power,
+    one adaptive quadrature per polynomial piece of the measure.
+
+    Each piece is written in tau = t - t_a, its offset from the lower end,
+    so neither the area nor the denominator cancels next to the corner;
+    breakpoints at geometric offsets let quad find the peak there.
+    """
+    lo, kink = max(-kf, -0.5 * p), kf - p
+    pieces = [(lo, kink, lambda tau, ta: 2.0 * math.pi * p * tau)] \
+        if kink > lo else []
+    pieces.append((max(lo, kink), kf,
+                   lambda tau, ta: math.pi * (kf - ta - tau) * (kf + ta + tau)))
+    total = 0.0
+    for ta, tb, area in pieces:
+        ua, width = beta + p * (p + 2.0 * ta), tb - ta
+        total += quad(lambda tau: area(tau, ta) / (ua + 2.0 * p * tau) ** power,
+                      0.0, width, points=[width * 4.0 ** -j for j in range(1, 20)],
+                      epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return total
+
+
+def pair_sum_2d(p, kf1, kf2, two_eps, power, n_gauss, n_levels):
+    """inner_pair as the plain 2D node-pair sum over both Gauss axes."""
+    s, ws = _axis(kf1, p, n_gauss, n_levels)
+    t, wt = _axis(kf2, p, n_gauss, n_levels)
+    den = 2.0 * p * p + two_eps + 2.0 * p * (s[:, None] + t[None, :])
+    return float(ws @ den ** -power @ wt)
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.floats(1e-3, 60.0), kf=st.floats(1e-3, 1.0),
+       power=st.sampled_from([1, 2]), two_eps=st.floats(0.0, 1e-2),
+       node=st.integers(0, 1000))
+# shells far smaller than p, where the closed form alone would cancel
+@example(p=50.0, kf=1e-3, power=2, two_eps=0.0, node=0)
+@example(p=60.0, kf=1e-3, power=1, two_eps=1e-2, node=200)
+@example(p=7.0, kf=0.01, power=1, two_eps=0.0, node=77)
+# the s-node next to the corner s = t = -p/2
+@example(p=1.0, kf=1.0, power=2, two_eps=0.0, node=0)
+@example(p=1.9, kf=1.0, power=2, two_eps=0.0, node=5)
+@example(p=0.05, kf=0.1, power=1, two_eps=0.0, node=0)
+def test_t_integral_matches_quad_per_piece(p, kf, power, two_eps, node):
+    s, _ = _axis(1.0, p, 16, 18)
+    beta = two_eps + p * (p + 2.0 * s[node % len(s)])
+    want = t_integral_by_quad(beta, p, kf, power)
+    assert abs(t_integral(beta, p, kf, power) - want) <= 1e-12 * abs(want)
+
+
+def test_t_integral_array_matches_scalars():
+    beta = np.array([1e-6, 0.1, 0.5, 2.0])
+    got = t_integral(beta, 0.7, 0.6, 2)
+    want = [t_integral(b, 0.7, 0.6, 2) for b in beta]
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("power", [1, 2])
+@pytest.mark.parametrize("two_eps", [0.0, 1e-3])
+def test_inner_pair_matches_2d_sum(power, two_eps):
+    """The exact t-integral against the 2D node-pair sum at high order,
+    corner reachable (p <= 2 min(kf)) or not."""
+    for p in (0.3, 1.0, 1.5, 2.5, 7.0):
+        for kf2 in (0.3, 0.8, 1.0):
+            want = pair_sum_2d(p, 1.0, kf2, two_eps, power, 24, 30)
+            got, n = inner_pair(p, 1.0, kf2, two_eps, power)
+            assert got == pytest.approx(want, rel=1e-12)
+            assert n == len(_axis(1.0, p, 16, 18)[0])
 
 
 # ------------------------------------------------------------- g and F
