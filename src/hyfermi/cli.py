@@ -557,6 +557,10 @@ def _cmd_fock_demo(config):
         "trial_energies": [list(t) for t in trial],
         "identity_residuals": report,
     }
+    counters = {
+        "trial_block": int(fock.trial_block(b1, b2).size),
+        "nnz": int(sum(o.matrix.nnz for o in (h, *terms.values(), b1, b2))),
+    }
     header = ("lambda1", "lambda2", "energy")
     best = min(trial, key=lambda t: t[2])
     failed = max(report.values()) > tol
@@ -564,7 +568,7 @@ def _cmd_fock_demo(config):
                f"trial {best[2]:.12g} at ({best[0]:g}, {best[1]:g}); "
                f"identity residuals "
                f"{'exceed' if failed else 'within'} {tol:g}")
-    return (1 if failed else 0), header, trial, payload, {}, summary
+    return (1 if failed else 0), header, trial, payload, counters, summary
 
 
 def _cmd_bg_solve(config):

@@ -10,6 +10,16 @@ identities that tests can check to near machine precision.
 Momenta are integer triples n standing for k = (2*pi/L) n. All interaction
 coefficients used here are real (radial potentials), so every matrix is real
 and Hermitian conjugation is plain transposition.
+
+The trial states never see the full space. B - B* maps each weakly connected
+component of B's sparsity graph to itself, so an exponential acting on a
+vector only touches the components that meet its support, and the energy
+only needs the operator rows of the states the vector occupies. Under the
+22-mode cap the only lattices with nonzero generators have 7 momenta and
+one particle per spin, and the vacuum reaches 7 states there; one particle
+per spin on 19 momenta would give at most 1 + 18^2 = 325. So the
+exponentials are dense matrix exponentials of the reached block, with no
+size switch.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
+from scipy.sparse.csgraph import connected_components
 
 from .potentials import fourier_V
 
@@ -201,7 +212,46 @@ class FockOperator:
         return self.matrix @ vec
 
     def expectation(self, vec: np.ndarray) -> float:
-        return float(np.real(np.vdot(vec, self.matrix @ vec)))
+        """<vec, M vec>, summed over the stored entries of vec's nonzero rows."""
+        rows = np.flatnonzero(vec != 0.0)
+        at, cols, vals = _gather_rows(self.matrix, rows)
+        return float(np.real(np.sum(np.conj(vec[rows])[at] * vals * vec[cols])))
+
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        """Weakly connected component label of every basis state.
+
+        Each component is closed under the matrix and its transpose, so
+        these are the invariant blocks of M - M* and of M + M*.
+        """
+        return connected_components(self.matrix, directed=True, connection="weak")[1]
+
+    @cached_property
+    def _block_members(self) -> tuple[np.ndarray, np.ndarray]:
+        # component c holds states order[indptr[c]:indptr[c + 1]], as in CSR
+        order = np.argsort(self.blocks, kind="stable")
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(self.blocks))))
+        return order, indptr
+
+    def reach(self, states: np.ndarray) -> np.ndarray:
+        """Sorted union of the blocks that hold any of the given states."""
+        order, indptr = self._block_members
+        _, pos = _row_positions(indptr, np.unique(self.blocks[states]))
+        return np.sort(order[pos])
+
+
+def _row_positions(indptr: np.ndarray, rows: np.ndarray):
+    """Entries of `rows` in a CSR index: which of `rows` each is, and where."""
+    start = indptr[rows]
+    counts = indptr[rows + 1] - start
+    at = np.repeat(np.arange(rows.size), counts)
+    return at, start[at] + np.arange(at.size) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _gather_rows(m: sp.csr_matrix, rows: np.ndarray):
+    """Stored entries of the CSR rows `rows`: (position in rows, column, value)."""
+    at, pos = _row_positions(m.indptr, rows)
+    return at, m.indices[pos], m.data[pos]
 
 
 def _abs_max(m) -> float:
@@ -868,44 +918,50 @@ def build_generator(lattice: LatticeConfig, basis: FockBasis, which: str, *,
     return make_operator(basis, _assemble(basis, terms))
 
 
-def _invariant_support(m: sp.csr_matrix, vec: np.ndarray) -> np.ndarray:
-    """Basis states reachable from the support of vec under m and m*.
-
-    Any l (m - m*) maps vectors on these states to vectors on them, so its
-    exponential can act on that block alone.
-    """
-    mag = abs(m)
-    reach = vec != 0.0
-    while True:
-        x = reach.astype(np.float64)
-        grown = reach | (mag @ x != 0.0) | (mag.T @ x != 0.0)
-        if np.array_equal(grown, reach):
-            return np.flatnonzero(reach)
-        reach = grown
-
-
 def trial_state(basis: FockBasis, b1: FockOperator, b2: FockOperator,
                 lambda1: float, lambda2: float) -> np.ndarray:
-    """exp(l1 (B1 - B1*)) exp(l2 (B2 - B2*)) applied to the vacuum."""
-    vec = np.zeros(basis.dimension)
-    vec[0] = 1.0
+    """exp(l1 (B1 - B1*)) exp(l2 (B2 - B2*)) applied to the vacuum.
+
+    Each exponential acts only on the blocks of its generator that hold the
+    current vector (FockOperator.reach), as a dense scipy.linalg.expm of
+    that block. The block is tiny: 7 states on every lattice the mode cap
+    admits with nonzero generators, and at most 1 + 18^2 = 325 states with
+    one particle per spin on 19 momenta. A dense exponential of that size
+    costs well under a millisecond, so no switch to a sparse method is
+    needed.
+    """
+    sel = np.zeros(1, dtype=np.int64)
+    amp = np.ones(1)
     for b, lam in ((b2, lambda2), (b1, lambda1)):
         if lam == 0.0:
             continue
         if b.basis is not basis and b.basis != basis:
             raise ValueError("generator built on a different basis")
-        sel = _invariant_support(b.matrix, vec)
-        blk = b.matrix[sel][:, sel]
-        out = np.zeros_like(vec)
-        out[sel] = scipy.sparse.linalg.expm_multiply((blk - blk.T) * lam, vec[sel],
-                                                     traceA=0.0)
-        vec = out
+        grown = b.reach(sel)
+        # the block is closed, so every stored column of its rows lies in it
+        at, cols, vals = _gather_rows(b.matrix, grown)
+        blk = np.zeros((grown.size, grown.size))
+        np.add.at(blk, (at, np.searchsorted(grown, cols)), vals)
+        start = np.zeros(grown.size)
+        start[np.searchsorted(grown, sel)] = amp
+        sel, amp = grown, scipy.linalg.expm(lam * (blk - blk.T)) @ start
+    vec = np.zeros(basis.dimension)
+    vec[sel] = amp
     return vec
+
+
+def trial_block(b1: FockOperator, b2: FockOperator) -> np.ndarray:
+    """The states trial_state's exponentials can act on: the blocks of B1
+    meeting the block of B2 that holds the vacuum."""
+    return b1.reach(b2.reach(np.zeros(1, dtype=np.int64)))
 
 
 def trial_energy(lattice: LatticeConfig, basis: FockBasis, corr_terms: dict,
                  b1: FockOperator, b2: FockOperator,
                  lambda1: float, lambda2: float) -> float:
+    """Correlation energy of the trial state: the sum of the terms'
+    expectations, each taken over the rows of the state's support only
+    (the trial block, 7 rows on the demo lattice, out of 2^14)."""
     # every term was checked Hermitian when built, so their sum needs no recheck
     vec = trial_state(basis, b1, b2, lambda1, lambda2)
     return sum(t.expectation(vec) for t in corr_terms.values())

@@ -236,41 +236,69 @@ def scattering_length_from_integral(solution):
     return 0.5 * float(simpson(w, x=r))
 
 
+def _simpson_weights(x):
+    """Composite Simpson weights on the nodes x, any spacing: sum(w * y) is
+    scipy.integrate.simpson(y, x=x) up to rounding. With an even number of
+    nodes the last interval takes the parabola through the last three."""
+    h = np.diff(x)
+    pairs = (x.size - 1) // 2 * 2
+    h0, h1 = h[0:pairs:2], h[1:pairs:2]
+    hs = h0 + h1
+    w = np.zeros(x.size)
+    w[0:pairs - 1:2] += hs / 6.0 * (2.0 - h1 / h0)
+    w[1:pairs:2] += hs ** 3 / (6.0 * h0 * h1)
+    w[2:pairs + 1:2] += hs / 6.0 * (2.0 - h0 / h1)
+    if x.size % 2 == 0:
+        h0, h1 = h[-2], h[-1]
+        w[-1] += (2.0 * h1 + 3.0 * h0) * h1 / (6.0 * (h0 + h1))
+        w[-2] += (h1 + 3.0 * h0) * h1 / (6.0 * h0)
+        w[-3] -= h1 ** 3 / (6.0 * h0 * (h0 + h1))
+    return w
+
+
 def fourier_Vf(solution, s):
     """Radial Fourier transform of V * (1 - phi) at |p| = s (vectorized).
 
     Equals 8*pi*a at s = 0 and decays like 1/s^2; phi-hat(p) is this
-    divided by 2|p|^2.
+    divided by 2|p|^2. Simpson's rule on the solution's grid inside R,
+    as one weight vector, so a batch of s is one matrix-vector product.
     """
-    from scipy.integrate import simpson
-
     pot = solution.potential
     mask = solution.r_grid <= pot.R
     r = solution.r_grid[mask]
-    w = pot(r) * solution.u_profile[mask] * r
+    w = 4.0 * np.pi * _simpson_weights(r) * pot(r) * solution.u_profile[mask] * r
     s = np.asarray(s, dtype=np.float64)
     flat = np.atleast_1d(s).ravel()
     out = np.empty(flat.shape)
     for lo in range(0, flat.size, 256):
-        blk = flat[lo:lo + 256, None]
-        out[lo:lo + 256] = simpson(
-            4.0 * np.pi * w[None, :] * np.sinc(blk * r[None, :] / np.pi),
-            x=r, axis=1)
+        out[lo:lo + 256] = np.sinc(flat[lo:lo + 256, None] * r[None, :] / np.pi) @ w
     return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
+
+
+# Below this sR the square-well closed form (sin x - x cos x)/x^3 cancels
+# (its relative error grows like 1e-16/x^2) and its Taylor series takes over,
+# written as 1/3 of sum_j (-1)^j 6(j+1) x^2j / (2j+3)!: seven terms, highest
+# first for Horner, exact to rounding for x <= 0.3 (the first omitted term is
+# 7e-21 of the sum there), and equal to 1 at x = 0, so the zero mode keeps
+# its value bit for bit.
+_SW_SERIES_MAX = 0.3
+_SW_SERIES = tuple((-1) ** j * 6.0 * (j + 1) / math.factorial(2 * j + 3)
+                   for j in reversed(range(7)))
 
 
 def fourier_V(potential, s):
     """Radial Fourier transform of the bare potential at |p| = s."""
-    from scipy.integrate import simpson
-
     flat = np.atleast_1d(np.asarray(s, dtype=np.float64)).ravel()
     if potential.kind == "square-well":
         V0, R = potential.V0, potential.R
-        small = np.abs(flat) < 1e-8
+        small = np.abs(flat * R) <= _SW_SERIES_MAX
         ss = np.where(small, 1.0, flat)
         out = 4.0 * np.pi * V0 * (np.sin(ss * R) - ss * R * np.cos(ss * R)) / ss ** 3
-        out = np.where(small, 4.0 * np.pi * V0 * R ** 3 / 3.0, out)
+        series = np.polyval(_SW_SERIES, (flat * R) ** 2)
+        out = np.where(small, 4.0 * np.pi * V0 * R ** 3 * series / 3.0, out)
     else:
+        from scipy.integrate import simpson
+
         r = np.linspace(0.0, potential.R, 4001)
         w = potential(r) * r * r
         out = np.empty(flat.shape)

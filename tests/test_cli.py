@@ -169,10 +169,13 @@ def test_bg_solve_csv(capsys):
 
 
 def test_fock_demo_contract(capsys):
-    code, out, _ = run_cli(["fock-demo", "--lambda-grid", "0", "0.5"],
-                           capsys)
-    assert code == 0
-    payload, _ = parse_json_output(out)
+    metas = []
+    for _ in range(2):
+        code, out, _ = run_cli(["fock-demo", "--lambda-grid", "0", "0.5"],
+                               capsys)
+        assert code == 0
+        payload, meta = parse_json_output(out)
+        metas.append({k: meta[k] for k in ("trial_block", "nnz")})
     assert set(payload) == {"E_ffg", "E_ground", "trial_energies",
                             "identity_residuals"}
     assert len(payload["trial_energies"]) == 4
@@ -180,6 +183,10 @@ def test_fock_demo_contract(capsys):
     assert payload["E_ground"] <= min(t[2] for t in payload["trial_energies"])
     best = min(t[2] for t in payload["trial_energies"])
     assert best < payload["E_ffg"]
+    # work counters: positive ints that a rerun repeats exactly
+    assert all(type(v) is int and v > 0 for v in metas[0].values())
+    assert metas[0]["trial_block"] == 7
+    assert metas[0] == metas[1]
 
 
 def test_output_file_and_determinism(tmp_path, capsys):

@@ -320,24 +320,33 @@ def test_generator_needs_matching_box(demo):
         fock.build_generator(lat, basis, "B1", phi=psf)
 
 
-def test_exponential_is_unitary(demo, generators):
+_LAMBDA = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_LAMBDA, _LAMBDA)
+@example(0.0, 0.0)
+@example(0.0, 1.0)
+@example(1.0, 0.0)
+@example(0.7, 0.0)
+@example(0.0, -1.3)
+@example(1.5, 0.9)
+def test_exponential_is_unitary(demo, generators, l1, l2):
     """trial_state acts on the block the vacuum reaches; it must agree with
     the exponential of the full generators and keep the norm."""
     _, basis, _, _, _ = demo
     b1, b2 = generators
-    vac = np.zeros(basis.dimension)
-    vac[0] = 1.0
-    for l1, l2 in ((0.7, 0.0), (0.0, -1.3), (1.5, 0.9)):
-        vec = fock.trial_state(basis, b1, b2, l1, l2)
-        assert abs(np.linalg.norm(vec) - 1.0) < 1e-10
-        ref = vac
-        for b, lam in ((b2, l2), (b1, l1)):
-            ref = expm_multiply(((b.matrix - b.matrix.T) * lam).tocsr(), ref)
-        assert np.abs(vec - ref).max() < 1e-12
+    vec = fock.trial_state(basis, b1, b2, l1, l2)
+    assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+    ref = np.zeros(basis.dimension)
+    ref[0] = 1.0
+    for b, lam in ((b2, l2), (b1, l1)):
+        ref = expm_multiply(((b.matrix - b.matrix.T) * lam).tocsr(), ref)
+    assert np.abs(vec - ref).max() <= 1e-12
 
 
 def test_invariant_support_is_closed(demo, generators):
-    """The block an exponential acts on holds the start vector and is
+    """The block FockOperator.reach returns holds the start states and is
     closed under B and B*."""
     _, basis, _, _, _ = demo
     vac = np.zeros(basis.dimension)
@@ -346,13 +355,58 @@ def test_invariant_support_is_closed(demo, generators):
     for b in generators:
         excited = np.flatnonzero(b.matrix.T @ vac)[0]
         for start in ([excited], rng.choice(basis.dimension, 5, replace=False)):
-            vec = np.zeros(basis.dimension)
-            vec[start] = 1.0
+            start = np.sort(np.asarray(start))
+            block = b.reach(start)
+            assert np.all(np.diff(block) > 0)
             inside = np.zeros(basis.dimension, dtype=bool)
-            inside[fock._invariant_support(b.matrix, vec)] = True
+            inside[block] = True
             assert inside[start].all()
-            k = (b.matrix - b.matrix.T).tocsr()
-            assert k[~inside][:, inside].nnz == 0
+            for m in (b.matrix, b.matrix.T.tocsr()):
+                assert m[~inside][:, inside].nnz == 0
+                assert m[inside][:, ~inside].nnz == 0
+
+
+def test_trial_block_is_seven_states(demo, generators):
+    """On the demo lattice the exponentials act on 7 basis states: the
+    vacuum and the six states one generator term reaches from it."""
+    _, basis, _, _, _ = demo
+    b1, b2 = generators
+    block = fock.trial_block(b1, b2)
+    assert block.size == 7 and block[0] == 0
+    vec = fock.trial_state(basis, b1, b2, 0.8, -0.6)
+    assert set(np.flatnonzero(vec)) <= set(block.tolist())
+
+
+@pytest.mark.parametrize("support", ["dense", "scattered"])
+def test_expectation_matches_full_matvec(demo, generators, support):
+    _, basis, _, h, terms = demo
+    rng = np.random.default_rng(11)
+    vec = rng.standard_normal(basis.dimension)
+    if support == "scattered":
+        keep = rng.choice(basis.dimension, 40, replace=False)
+        vec[np.setdiff1d(np.arange(basis.dimension), keep)] = 0.0
+    b1, _ = generators
+    for op in (h, *terms.values(), b1):
+        ref = float(np.vdot(vec, op.matrix @ vec))
+        scale = float(np.abs(vec) @ (abs(op.matrix) @ np.abs(vec)))
+        assert abs(op.expectation(vec) - ref) <= 1e-13 * max(scale, 1e-300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_LAMBDA, _LAMBDA)
+@example(0.0, 0.0)
+@example(0.0, 1.0)
+@example(1.0, 0.0)
+@example(5e-324, -1e-300)
+def test_trial_energy_matches_full_space(demo, generators, l1, l2):
+    """The row-gathered energy equals the full-space expectation sum."""
+    lat, basis, _, _, terms = demo
+    b1, b2 = generators
+    vec = fock.trial_state(basis, b1, b2, l1, l2)
+    energy = fock.trial_energy(lat, basis, terms, b1, b2, l1, l2)
+    full = sum(float(np.vdot(vec, t.matrix @ vec)) for t in terms.values())
+    # the floor only matters where subnormal amplitudes leave no digits
+    assert abs(energy - full) <= 1e-13 * abs(full) + 1e-300
 
 
 def test_b1_lazy_coefficients_match_explicit_table(demo):

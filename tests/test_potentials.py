@@ -11,6 +11,7 @@ from hyfermi.potentials import (
     EtaFunction,
     RadialPotential,
     _bg_radial_matrix,
+    _simpson_weights,
     bethe_goldstone_solve,
     born_length,
     eta_eps,
@@ -95,6 +96,31 @@ def test_fourier_v_zero_mode_is_volume_integral():
         assert vec[i] == pytest.approx(float(fourier_V(pot, float(si))))
 
 
+@pytest.mark.parametrize("V0,R", [(4.0, 1.0), (0.4, 1.3), (30.0, 0.7)])
+def test_square_well_fourier_v_against_mpmath(V0, R):
+    """The series below sR = 0.3 is exact to rounding; above it the closed
+    form is kept bit for bit and loses only its cancellation, which grows
+    like 1/(sR)^2."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    pot = RadialPotential(kind="square-well", V0=V0, R=R)
+    x = np.concatenate([np.geomspace(1e-12, 2.0, 400),
+                        [0.3, np.nextafter(0.3, 0.0), np.nextafter(0.3, 1.0)]])
+    s = x / R
+    got = fourier_V(pot, s)
+    closed = 4.0 * np.pi * V0 * (np.sin(s * R) - s * R * np.cos(s * R)) / s ** 3
+    for si, gi, ci in zip(s, got, closed):
+        xm = mpmath.mpf(float(si)) * R
+        ref = 4 * mpmath.pi * V0 * R ** 3 * (mpmath.sin(xm) - xm * mpmath.cos(xm)) / xm ** 3
+        err = float(abs((gi - ref) / ref))
+        xr = float(si) * R
+        if xr <= 0.3:
+            assert err <= 1e-15
+        else:
+            assert gi == ci
+            assert err <= 1e-15 * max(1.0, xr ** -2)
+
+
 def test_fourier_vf_anchors():
     sol = solve_scattering(RadialPotential(kind="square-well", V0=4.0,
                                            R=1.0))
@@ -103,6 +129,34 @@ def test_fourier_vf_anchors():
     # 1/s^2 decay sets in beyond the potential scale
     hi = float(fourier_Vf(sol, 40.0))
     assert abs(hi) < 0.05 * 8.0 * math.pi * sol.a
+
+
+@pytest.mark.parametrize("n", [3, 4, 9, 10, 4001, 4000])
+@pytest.mark.parametrize("uniform", [True, False])
+def test_simpson_weights_match_scipy(n, uniform):
+    """Both node parities, even and uneven spacing."""
+    from scipy.integrate import simpson
+
+    rng = np.random.default_rng(n)
+    x = np.linspace(0.0, 1.3, n) if uniform else np.sort(rng.uniform(0.0, 2.0, n))
+    for y in (np.cos(3.0 * x) + x ** 2, x ** 3 - x):
+        want = simpson(y, x=x)
+        assert abs(_simpson_weights(x) @ y - want) <= 1e-14 * np.abs(y).max() * (x[-1] - x[0])
+
+
+@pytest.mark.parametrize("kind,V0,R", [("square-well", 4.0, 1.0),
+                                       ("truncated-gaussian", 30.0, 1.2)])
+def test_fourier_vf_matches_scipy_simpson(kind, V0, R):
+    from scipy.integrate import simpson
+
+    sol = solve_scattering(RadialPotential(kind=kind, V0=V0, R=R))
+    s = np.concatenate([[0.0], np.geomspace(1e-3, 60.0, 300)])
+    mask = sol.r_grid <= R
+    r = sol.r_grid[mask]
+    w = sol.potential(r) * sol.u_profile[mask] * r
+    want = simpson(4.0 * np.pi * w[None, :] * np.sinc(s[:, None] * r[None, :] / np.pi),
+                   x=r, axis=1)
+    assert np.abs(fourier_Vf(sol, s) - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_periodize_phi_refuses_small_box():
