@@ -9,7 +9,10 @@ small momentum lattices.
 
 __version__ = "0.1.0"
 
-from .backend import BACKEND
+# every kernel is plain numpy; the name stays because benchmark tooling
+# records hyfermi.BACKEND in its environment block on every run
+BACKEND = "numpy"
+
 from .hyformula import (
     FermiParams,
     HYEnergyBreakdown,
@@ -25,7 +28,6 @@ from .potentials import (
     ScatteringSolution,
     born_length,
     bethe_goldstone_solve,
-    eta_eps,
     periodize_phi,
     solve_scattering,
 )
@@ -70,7 +72,6 @@ __all__ = [
     "build_corr_terms",
     "build_hamiltonian",
     "build_lattice",
-    "eta_eps",
     "f_aux",
     "gap_cutoff_study",
     "hy_energy",

@@ -49,7 +49,6 @@ _DEFAULTS = {
     "L": 2.0 * math.pi,
     "kmax": 1.01,
     "seed": 42,
-    "threads": None,
     "shells": [0.5, 0.5],
     "lambda_grid": [0.0, 0.25, 0.5, 0.75, 1.0],
     "x": 0.5,
@@ -74,7 +73,6 @@ _TOL_DEFAULTS = {
     "bg-solve": 1e-11,
 }
 
-_VERIFY_F_GRID = [0.25, 0.5, 1.0]
 _SINGULAR_GRID = [1e-3, 1e-2, 0.1, 0.5, 1.0]
 
 
@@ -105,7 +103,6 @@ def _build_parser():
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"))
         p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int)
         p.add_argument("--tol", type=float)
         if "cut" in groups:
             p.add_argument("--gamma", type=float)
@@ -241,12 +238,15 @@ def parse_config(argv):
         if key == "tol":
             params[key] = pick(key, _TOL_DEFAULTS.get(cmd))
         elif key == "x_grid":
-            fallback = _VERIFY_F_GRID if cmd == "verify-f" else _SINGULAR_GRID
-            params[key] = pick(key, fallback)
+            params[key] = pick(key, _SINGULAR_GRID)
         else:
             params[key] = pick(key, _DEFAULTS.get(key))
-    if cmd == "verify-f" and params.get("x") is not None:
-        params["x_grid"] = [params["x"]]
+    if cmd == "verify-f":
+        # --x is the one-point form of --x-grid; with neither, x = 0.5
+        grid = pick("x_grid", None)
+        if grid is not None and pick("x", None) is not None:
+            raise UsageError("x and x-grid exclude each other; give one")
+        params["x_grid"] = [params["x"]] if grid is None else grid
 
     out_path = args.out if args.out is not None else filecfg.get("out")
     fmt = pick("format", "json" if cmd in _JSON_DEFAULT_COMMANDS else "csv")
@@ -295,6 +295,10 @@ def _validate(config):
         if p["rho_count"] < 2:
             raise UsageError(f"rho-count must be at least 2 to fit a decay "
                              f"slope, got {p['rho_count']}")
+    if config.command == "verify-f":
+        for x in p["x_grid"]:
+            if not x > 0.0:
+                raise UsageError(f"x must be positive, got {x}")
     if config.command == "singular-bound":
         for x in p["x_grid"]:
             if not 0.0 < x <= 1.0:
@@ -306,10 +310,12 @@ def _validate(config):
     if config.command == "fock-demo":
         from . import fock
 
-        # closed-shell refusal is a config problem, not a runtime one
+        # closed-shell and mode-cap refusals are config problems, not
+        # runtime ones
         try:
-            fock.build_lattice(p["L"], p["kmax"], p["shells"][0],
-                               p["shells"][1])
+            fock.build_basis(fock.build_lattice(p["L"], p["kmax"],
+                                                p["shells"][0],
+                                                p["shells"][1]))
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
 
@@ -645,21 +651,8 @@ def _nonfinite(obj, skip, path):
     return None
 
 
-def _apply_threads(threads):
-    if threads is None:
-        return
-    if threads < 1:
-        raise UsageError(f"threads must be positive, got {threads}")
-    try:
-        import numba
-        numba.set_num_threads(min(threads, numba.config.NUMBA_NUM_THREADS))
-    except ImportError:
-        pass
-
-
 def run(config):
     """Execute a parsed RunConfig; returns the process exit code."""
-    _apply_threads(config.parameters.get("threads"))
     fn = _DISPATCH[config.command]
     t0 = time.perf_counter()
     try:

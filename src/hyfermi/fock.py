@@ -31,7 +31,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg
 from scipy.sparse.csgraph import connected_components
 
 from .potentials import fourier_V
@@ -39,8 +38,6 @@ from .potentials import fourier_V
 SPIN_UP = 0
 SPIN_DOWN = 1
 
-# dense linear algebra above this dimension is off the table
-_DENSE_LIMIT = 4096
 # 2^22 states is already ~34 MB per vector; beyond that nothing finishes
 _MAX_MODES = 22
 
@@ -196,20 +193,7 @@ class FockOperator:
     basis: FockBasis
     matrix: sp.csr_matrix
     hermitian: bool = False
-    antihermitian: bool = False
     number_conserving: bool = False
-
-    def dagger(self) -> "FockOperator":
-        return FockOperator(
-            basis=self.basis,
-            matrix=self.matrix.T.conj().tocsr(),
-            hermitian=self.hermitian,
-            antihermitian=self.antihermitian,
-            number_conserving=self.number_conserving,
-        )
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
 
     def expectation(self, vec: np.ndarray) -> float:
         """<vec, M vec>, summed over the stored entries of vec's nonzero rows."""
@@ -258,15 +242,13 @@ def _abs_max(m) -> float:
     return float(np.abs(m.data).max()) if m.nnz else 0.0
 
 
-def make_operator(basis, matrix, hermitian=False, antihermitian=False,
+def make_operator(basis, matrix, hermitian=False,
                   number_conserving=False) -> FockOperator:
     """Wrap a sparse matrix, checking every structural flag that is claimed."""
     matrix = matrix.tocsr()
     scale = 1.0 + _abs_max(matrix)
     if hermitian and _abs_max((matrix - matrix.T.conj()).tocoo()) > 1e-12 * scale:
         raise ValueError("operator claimed Hermitian is not")
-    if antihermitian and _abs_max((matrix + matrix.T.conj()).tocoo()) > 1e-12 * scale:
-        raise ValueError("operator claimed anti-Hermitian is not")
     if number_conserving and matrix.nnz:
         coo = matrix.tocoo()
         rows = np.bitwise_count(coo.row.astype(np.uint64))
@@ -277,7 +259,6 @@ def make_operator(basis, matrix, hermitian=False, antihermitian=False,
         basis=basis,
         matrix=matrix,
         hermitian=hermitian,
-        antihermitian=antihermitian,
         number_conserving=number_conserving,
     )
 
@@ -534,12 +515,6 @@ def ph_transform(lattice: LatticeConfig, basis: FockBasis) -> FockOperator:
         if _abs_max((img - want).tocoo()) > 1e-12:
             raise RuntimeError(f"particle-hole transform maps mode {j} incorrectly")
     return make_operator(basis, r)
-
-
-def particle_hole_conjugate(basis: FockBasis, lattice: LatticeConfig,
-                            o: FockOperator) -> FockOperator:
-    r = ph_transform(lattice, basis).matrix
-    return make_operator(basis, (r.T @ o.matrix @ r).tocsr(), hermitian=o.hermitian)
 
 
 def ffg_energy(lattice: LatticeConfig, basis: FockBasis, h: FockOperator) -> float:
@@ -988,19 +963,9 @@ def ground_energy(lattice: LatticeConfig, basis: FockBasis, h: FockOperator,
     sel = np.flatnonzero((cu == n_up) & (cd == n_down))
     if sel.size == 0:
         raise ValueError(f"no basis states carry ({n_up}, {n_down}) occupation")
-    block = h.matrix[sel][:, sel]
-    if sel.size <= _DENSE_LIMIT:
-        return float(
-            scipy.linalg.eigh(block.toarray(), eigvals_only=True,
-                              subset_by_index=[0, 0])[0]
-        )
-    try:
-        vals = scipy.sparse.linalg.eigsh(
-            block, k=1, which="SA", maxiter=5000,
-            v0=np.full(sel.size, 1.0 / math.sqrt(sel.size)),
-        )[0]
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        raise RuntimeError(
-            f"eigensolver stagnated; partial eigenvalues {exc.eigenvalues!r}"
-        ) from exc
-    return float(vals[0])
+    # the mode cap keeps every block small: lattices hold 1, 7, 19, ...
+    # momenta, so the largest is C(7, 3)^2 = 1225 states and dense eigh
+    # always applies
+    block = h.matrix[sel][:, sel].toarray()
+    return float(scipy.linalg.eigh(block, eigvals_only=True,
+                                   subset_by_index=[0, 0])[0])

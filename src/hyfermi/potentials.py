@@ -146,9 +146,6 @@ class ScatteringSolution:
             phi[0] = 1.0 - 1.0 / self.slope
         return phi
 
-    def u_at(self, r):
-        return np.interp(r, self.r_grid, self.u_profile)
-
 
 def _rk4_linear(q_half, u0, w0, h):
     """March (u, u') through u'' = q(r) u; q_half holds q at step midpoints
@@ -417,14 +414,6 @@ class EtaFunction:
     kF_up: float
     kF_down: float
 
-    def pauli_allowed(self, r, rp, p):
-        r = np.asarray(r, dtype=np.float64)
-        rp = np.asarray(rp, dtype=np.float64)
-        p = np.asarray(p, dtype=np.float64)
-        norm = lambda v: np.sqrt(np.sum(v * v, axis=-1))
-        return ((norm(r) <= self.kF_up) & (norm(r + p) > self.kF_up)
-                & (norm(rp) <= self.kF_down) & (norm(rp - p) > self.kF_down))
-
     def value(self, r, rp, p):
         """8*pi*a / (lambda_{r,p} + lambda_{r',-p} + 2*epsilon).
 
@@ -442,14 +431,11 @@ class EtaFunction:
         return 8.0 * np.pi * self.a / den
 
 
-def eta_eps(eta, r, rp, p):
-    return eta.value(r, rp, p)
-
-
 @dataclass(frozen=True)
 class BGSolution:
     """Discretized solution of the two-particle in-medium scattering
-    equation; phi = G over the pair dispersion where that is positive."""
+    equation; phi = G over the pair dispersion where that is positive.
+    mode is always "radial", the one case bethe_goldstone_solve solves."""
 
     mode: str
     nodes: np.ndarray
@@ -462,12 +448,6 @@ class BGSolution:
     condition_estimate: float
     kF_up: float
     kF_down: float
-
-
-def _fourier_V_table(potential, s_max):
-    s_tab = np.linspace(0.0, s_max, 8001)
-    v_tab = fourier_V(potential, s_tab)
-    return lambda s: np.interp(s, s_tab, v_tab)
 
 
 def _panels(edges, n):
@@ -517,75 +497,21 @@ def _bg_radial_matrix(potential, kf_floor, n_radial, q_max):
     return q, M, (4.0 * np.pi / q) * (S @ (wv * r))
 
 
-def _bg_generic_matrix(potential, kF_up, kF_down, r, rp,
-                       n_radial, q_max, n_theta, n_phi):
-    """Collocation matrix on a spherical product grid for general r, r'."""
-    cuts = sorted({0.0, q_max} | {
-        c for c in (kF_up - np.linalg.norm(r), kF_up + np.linalg.norm(r),
-                    kF_down - np.linalg.norm(rp), kF_down + np.linalg.norm(rp))
-        if 0.0 < c < q_max})
-    q_r, w_r = _panels(cuts, max(6, n_radial // (len(cuts) - 1)))
-
-    xmu, wmu = np.polynomial.legendre.leggauss(n_theta)
-    phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    w_phi = 2.0 * np.pi / n_phi
-
-    sin_t = np.sqrt(1.0 - xmu ** 2)
-    dirs = np.stack([
-        np.outer(sin_t, np.cos(phis)).ravel(),
-        np.outer(sin_t, np.sin(phis)).ravel(),
-        np.repeat(xmu, n_phi),
-    ], axis=-1)
-    w_dir = np.repeat(wmu, n_phi) * w_phi
-
-    nodes = q_r[:, None, None] * dirs[None, :, :]
-    nodes = nodes.reshape(-1, 3)
-    weights = (w_r[:, None] * w_dir[None, :] * q_r[:, None] ** 2).ravel()
-
-    lam = lambda_shift(r, nodes) + lambda_shift(rp, -nodes)
-    allowed = ((np.linalg.norm(r + nodes, axis=-1) >= kF_up)
-               & (np.linalg.norm(rp - nodes, axis=-1) >= kF_down)
-               & (lam > 1e-12))
-
-    if potential.kind == "square-well":
-        FV = lambda s: fourier_V(potential, s)
-    else:
-        FV = _fourier_V_table(potential, 2.0 * q_max + 1.0)
-
-    dist = np.linalg.norm(nodes[:, None, :] - nodes[None, :, :], axis=-1)
-    col = np.zeros(len(nodes))
-    col[allowed] = weights[allowed] / lam[allowed] / (2.0 * np.pi) ** 3
-    M = FV(dist) * col[None, :]
-    return nodes, M, FV(np.linalg.norm(nodes, axis=-1)), lam
-
-
-def bethe_goldstone_solve(potential, kF_up, kF_down, r=None, rp=None,
-                          n_radial=240, q_max=None,
-                          n_theta=8, n_phi=8, tol=1e-11, max_iter=200):
+def bethe_goldstone_solve(potential, kF_up, kF_down, n_radial=240,
+                          q_max=None, tol=1e-11, max_iter=200):
     """Solve the in-medium pair scattering equation on a momentum grid.
 
-    With r = r' = 0 the problem is spherically symmetric and collocated
-    on a radial grid; otherwise a full spherical product grid is used.
+    Only the radial case is solved: both hole momenta at the origin
+    (r = r' = 0), where the problem is spherically symmetric and is
+    collocated on a radial grid whose Pauli floor is max(kF_up, kF_down).
     Picard iteration runs first; on divergence the dense linear system is
     solved directly and a condition estimate is reported.
     """
-    r = np.zeros(3) if r is None else np.asarray(r, dtype=np.float64)
-    rp = np.zeros(3) if rp is None else np.asarray(rp, dtype=np.float64)
-    if np.linalg.norm(r) > kF_up or np.linalg.norm(rp) > kF_down:
-        raise ValueError("hole momenta must lie inside their Fermi balls")
     if q_max is None:
         q_max = 80.0 / potential.R
-
-    radial = np.linalg.norm(r) == 0.0 and np.linalg.norm(rp) == 0.0
-    if radial:
-        kf_floor = max(kF_up, kF_down)
-        nodes, M, FV_nodes = _bg_radial_matrix(
-            potential, kf_floor, n_radial, q_max)
-        lam_p = 2.0 * nodes ** 2
-    else:
-        nodes, M, FV_nodes, lam_p = _bg_generic_matrix(
-            potential, kF_up, kF_down, r, rp, n_radial, q_max,
-            n_theta, n_phi)
+    nodes, M, FV_nodes = _bg_radial_matrix(
+        potential, max(kF_up, kF_down), n_radial, q_max)
+    lam_p = 2.0 * nodes ** 2
 
     G = FV_nodes.copy()
     prev = np.inf
@@ -620,7 +546,7 @@ def bethe_goldstone_solve(potential, kF_up, kF_down, r=None, rp=None,
     residual = float(np.max(np.abs(G - (FV_nodes - M @ G))))
     with np.errstate(divide="ignore", invalid="ignore"):
         phi = np.where(lam_p > 0.0, G / lam_p, np.nan)
-    return BGSolution(mode="radial" if radial else "generic",
+    return BGSolution(mode="radial",
                       nodes=nodes, G=G, phi=phi, denominators=lam_p,
                       residual=residual, iterations=iterations,
                       used_direct_solve=used_direct,

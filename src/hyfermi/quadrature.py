@@ -25,7 +25,6 @@ import numpy as np
 
 from .cutoffs import CutoffConfig, FermiProjectors, fermi_momentum
 from .hyformula import F_closed, f_aux
-from .kernels import lattice_chi_sum
 
 _GAUSS_CACHE = {}
 
@@ -403,6 +402,24 @@ def gap_cutoff_study(params, cutoff, rho_grid, tol=1e-4):
                         or cc.c_lower <= max(ku, kd)),
         })
     return rows
+
+
+def lattice_chi_sum(nmax, fac, c1, c2):
+    """sum over nonzero n in the cube |n_i| <= nmax of chi^2/(2r^2), with
+    r = fac*|n| and chi the quintic step from 1 at c1 down to 0 at c2."""
+    n = np.arange(-nmax, nmax + 1)
+    plane = (n[:, None] ** 2 + n[None, :] ** 2).ravel()
+    acc = 0.0
+    # slab over the first index to keep memory flat at large nmax
+    for i in n:
+        n2 = (i * i + plane).astype(np.float64)
+        n2 = n2[n2 > 0]
+        r = fac * np.sqrt(n2)
+        r = r[r < c2]
+        u = np.clip((r - c1) / (c2 - c1), 0.0, 1.0)
+        chi = 1.0 - u ** 3 * (10.0 - 15.0 * u + 6.0 * u * u)
+        acc += float(np.sum(chi * chi / (2.0 * r * r)))
+    return acc
 
 
 def lattice_sum_convergence(L_grid, cutoff, params=None):

@@ -50,6 +50,15 @@ def test_parse_rejects_split_shell():
     assert "closed-shell" in str(err.value)
 
 
+def test_oversized_lattice_exits_two(capsys):
+    # kmax 1.42 keeps |n|^2 <= 2: 19 momenta, 38 modes
+    code, out, err = run_cli(["fock-demo", "--kmax", "1.42",
+                              "--shells", "0.5", "0.5"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "38 modes" in err and "practical limit is 22 modes" in err
+
+
 def test_config_file_precedence(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"V0": 20.0, "R": 0.5, "format": "json"}))
@@ -122,6 +131,55 @@ def test_verify_f_single_point(capsys):
     assert len(rows) == 1
     assert float(rows[0][3]) <= 5e-3
     assert meta["evaluations"] > 0
+
+
+def test_verify_f_defaults_to_one_point():
+    p = cli.parse_config(["verify-f"]).parameters
+    assert p["x_grid"] == [0.5]
+
+
+def test_verify_f_honours_x_grid(tmp_path, capsys):
+    code, out, _ = run_cli(["verify-f", "--x-grid", "0.3", "0.7"], capsys)
+    assert code == 0
+    _, rows, _ = parse_csv_output(out)
+    assert [float(r[0]) for r in rows] == [0.3, 0.7]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"x-grid": [0.25, 1]}))
+    p = cli.parse_config(["verify-f", "--config", str(cfg)]).parameters
+    assert p["x_grid"] == [0.25, 1.0]
+
+
+def test_verify_f_refuses_x_with_x_grid(tmp_path, capsys):
+    code, out, err = run_cli(["verify-f", "--x", "0.5", "--x-grid", "1.0"],
+                             capsys)
+    assert code == 2 and out == ""
+    assert "x-grid" in err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"x-grid": [1.0]}))
+    code, out, _ = run_cli(["verify-f", "--config", str(cfg), "--x", "0.5"],
+                           capsys)
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("argv", [["--x", "0"], ["--x", "-1"],
+                                  ["--x-grid", "-2"],
+                                  ["--x-grid", "0.5", "0"]])
+def test_verify_f_nonpositive_x_exits_two(argv, capsys):
+    code, out, err = run_cli(["verify-f", *argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert "x must be positive" in err
+
+
+def test_threads_is_no_longer_a_flag_or_config_key(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.parse_config(["scatter", "--threads", "2"])
+    assert err.value.code == 2
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"threads": 2}))
+    code, out, err = run_cli(["scatter", "--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert "'threads'" in err
 
 
 def test_quad_g_metadata(capsys):

@@ -14,7 +14,6 @@ from hyfermi.potentials import (
     _simpson_weights,
     bethe_goldstone_solve,
     born_length,
-    eta_eps,
     fourier_V,
     fourier_Vf,
     lambda_shift,
@@ -213,7 +212,7 @@ def test_eta_refuses_outside_pauli_region_at_zero_epsilon():
 
 def test_eta_epsilon_regularizes_everywhere():
     eta = EtaFunction(a=0.3, epsilon=0.05, kF_up=1.0, kF_down=1.0)
-    val = eta_eps(eta, np.zeros(3), np.zeros(3), np.array([0.5, 0.0, 0.0]))
+    val = eta.value(np.zeros(3), np.zeros(3), np.array([0.5, 0.0, 0.0]))
     assert math.isfinite(val) and val > 0.0
 
 
@@ -270,9 +269,3 @@ def test_bg_pauli_blocking_raises_amplitude():
     sol1 = bethe_goldstone_solve(pot, 0.9, 0.9)
     assert sol1.G[0] > sol0.G[0]
     assert sol1.residual < 1e-9
-
-
-def test_bg_rejects_holes_outside_ball():
-    pot = RadialPotential(kind="square-well", V0=4.0, R=1.0)
-    with pytest.raises(ValueError):
-        bethe_goldstone_solve(pot, 0.5, 0.5, r=np.array([1.0, 0.0, 0.0]))

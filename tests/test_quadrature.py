@@ -18,6 +18,7 @@ from hyfermi.quadrature import (
     g_pointwise,
     gap_cutoff_study,
     inner_pair,
+    lattice_chi_sum,
     lattice_sum_convergence,
     ode_check_f,
     p_integral_linear,
@@ -238,6 +239,49 @@ def test_gap_cutoff_study_needs_positive_densities():
     with pytest.raises(ValueError):
         gap_cutoff_study(FermiParams(rho_up=1e-3, rho_down=0.0), cutoff,
                          [1e-3])
+
+
+def lattice_chi_sum_loop(nmax, fac, c1, c2):
+    """lattice_chi_sum as a plain triple loop over the cube, one term at a
+    time: an independent reference for the vectorized slab sum."""
+    inv_w = 1.0 / (c2 - c1)
+    acc = 0.0
+    for ix in range(-nmax, nmax + 1):
+        for iy in range(-nmax, nmax + 1):
+            for iz in range(-nmax, nmax + 1):
+                n2 = ix * ix + iy * iy + iz * iz
+                if n2 == 0:
+                    continue
+                r = fac * np.sqrt(n2)
+                if r >= c2:
+                    continue
+                if r <= c1:
+                    chi = 1.0
+                else:
+                    u = (r - c1) * inv_w
+                    chi = 1.0 - u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
+                acc += chi * chi / (2.0 * r * r)
+    return acc
+
+
+def test_lattice_chi_sum_twins_agree():
+    for nmax, fac, c1, c2 in ((5, 0.3, 0.4, 1.2), (17, 0.05, 0.3, 0.8),
+                              (30, 0.02, 0.25, 0.55)):
+        a = lattice_chi_sum_loop(nmax, fac, c1, c2)
+        b = lattice_chi_sum(nmax, fac, c1, c2)
+        assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
+
+
+def test_lattice_chi_sum_counts_plateau():
+    # with chi == 1 on the whole window the sum is just sum 1/(2p^2)
+    nmax, fac = 4, 0.25
+    got = lattice_chi_sum(nmax, fac, 10.0, 11.0)
+    n = np.arange(-nmax, nmax + 1)
+    n2 = (n[:, None, None] ** 2 + n[None, :, None] ** 2
+          + n[None, None, :] ** 2).ravel()
+    n2 = n2[n2 > 0].astype(float)
+    want = float(np.sum(1.0 / (2.0 * fac * fac * n2)))
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_lattice_sum_approaches_integral():
