@@ -280,6 +280,12 @@ def _validate(config):
         raise UsageError(f"V0 must be nonnegative (V >= 0), got {p['V0']}")
     if p.get("R") is not None and not p["R"] > 0.0:
         raise UsageError(f"R must be positive, got {p['R']}")
+    if "kind" in p:
+        # a potential file is checked like a flag, before any work
+        try:
+            _potential(p)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     for key in ("rho_up", "rho_down"):
         if p.get(key) is not None and not p[key] >= 0.0:
             raise UsageError(f"{key.replace('_', '-')} must be "

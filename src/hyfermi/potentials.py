@@ -17,6 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .quadrature import _panels
+
 _KINDS = ("square-well", "truncated-gaussian", "tabulated")
 
 
@@ -26,7 +28,8 @@ class RadialPotential:
 
     kind 'square-well' is V0 on [0, R]; 'truncated-gaussian' is
     V0*exp(-(3r/R)^2) cut at R; 'tabulated' interpolates (radius, value)
-    samples linearly and vanishes beyond the last sample.
+    samples linearly, holds the first sample value below the first radius
+    and vanishes beyond the last sample. Every number must be finite.
     """
 
     kind: str
@@ -37,14 +40,15 @@ class RadialPotential:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown potential kind {self.kind!r}")
-        if self.R <= 0.0:
-            raise ValueError("range R must be positive")
+        if not 0.0 < self.R < math.inf:
+            raise ValueError(f"range R must be finite and positive, got {self.R}")
         if self.kind == "tabulated":
             if not self.samples:
                 raise ValueError("tabulated potential needs samples")
             pts = tuple((float(r), float(v)) for r, v in self.samples)
-            radii = np.array([p[0] for p in pts])
-            vals = np.array([p[1] for p in pts])
+            radii, vals = np.array(pts).T
+            if not np.all(np.isfinite(pts)):
+                raise ValueError("samples must be finite")
             if np.any(np.diff(radii) <= 0.0):
                 raise ValueError("sample radii must be strictly increasing")
             if radii[-1] > self.R:
@@ -53,27 +57,38 @@ class RadialPotential:
                 raise ValueError("samples must have r >= 0 and V >= 0")
             object.__setattr__(self, "samples", pts)
         else:
-            if self.V0 < 0.0:
-                raise ValueError("V0 must be nonnegative")
+            if not 0.0 <= self.V0 < math.inf:
+                raise ValueError(f"V0 must be finite and nonnegative, got {self.V0}")
 
     @classmethod
     def from_json(cls, source):
-        """Build from a JSON document (dict, JSON text, or path)."""
+        """Build from a JSON document (dict, JSON text, or path); an
+        unreadable file or a malformed document raises ValueError."""
         if isinstance(source, dict):
             doc = source
         else:
             text = str(source)
             if not text.lstrip().startswith("{"):
-                with open(text, "r", encoding="utf-8") as fh:
-                    text = fh.read()
+                try:
+                    with open(text, "r", encoding="utf-8") as fh:
+                        text = fh.read()
+                except OSError as exc:
+                    raise ValueError(f"cannot read potential file: {exc}") \
+                        from exc
             doc = json.loads(text)
+        if not isinstance(doc, dict) or "kind" not in doc:
+            raise ValueError("a potential document is a JSON object with a "
+                             "'kind' key")
         samples = doc.get("samples")
-        return cls(
-            kind=doc["kind"],
-            V0=float(doc.get("V0", 0.0)),
-            R=float(doc.get("R", 1.0)),
-            samples=tuple(tuple(s) for s in samples) if samples else None,
-        )
+        try:
+            return cls(
+                kind=doc["kind"],
+                V0=float(doc.get("V0", 0.0)),
+                R=float(doc.get("R", 1.0)),
+                samples=tuple(tuple(s) for s in samples) if samples else None,
+            )
+        except TypeError as exc:
+            raise ValueError(f"malformed potential document: {exc}") from exc
 
     def __call__(self, r):
         r = np.asarray(r, dtype=np.float64)
@@ -96,22 +111,13 @@ class RadialPotential:
         if self.kind == "truncated-gaussian":
             # the integrand is entire: 48 Gauss nodes on [0, R] are exact to
             # rounding for the powers used here
-            x48, w48 = np.polynomial.legendre.leggauss(48)
-            half = 0.5 * self.R
-            rr = half * (1.0 + x48)
-            return float(half * np.sum(w48 * self(rr) * rr ** power))
-        radii = np.array([p[0] for p in self.samples])
-        vals = np.array([p[1] for p in self.samples])
-        # 3-point Gauss per linear segment: exact for (linear V) * r^power, power <= 4
-        x3, w3 = np.polynomial.legendre.leggauss(3)
-        acc = 0.0
-        for i in range(len(radii) - 1):
-            lo, hi = radii[i], radii[i + 1]
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            rr = mid + half * x3
-            vv = vals[i] + (vals[i + 1] - vals[i]) * (rr - lo) / (hi - lo)
-            acc += half * np.sum(w3 * vv * rr ** power)
-        return acc
+            r, w = _panels([0.0, self.R], 48)
+        else:
+            # V is constant below the first sample and linear between
+            # samples: 3 Gauss nodes per piece are exact for V * r^power,
+            # power <= 4
+            r, w = _panels(np.union1d(0.0, [p[0] for p in self.samples]), 3)
+        return float(np.sum(w * self(r) * r ** power))
 
 
 def born_length(potential):
@@ -224,18 +230,16 @@ def solve_scattering(potential, n_steps=4000, matching_radius=None):
 
 def scattering_length_from_integral(solution):
     """a = (1/2) * integral of V(r) u(r) r dr, a quadrature cross-check."""
-    from scipy.integrate import simpson
-
     pot = solution.potential
     mask = solution.r_grid <= pot.R
     r = solution.r_grid[mask]
     w = pot(r) * solution.u_profile[mask] * r
-    return 0.5 * float(simpson(w, x=r))
+    return 0.5 * float(_simpson_weights(r) @ w)
 
 
 def _simpson_weights(x):
     """Composite Simpson weights on the nodes x, any spacing: sum(w * y) is
-    scipy.integrate.simpson(y, x=x) up to rounding. With an even number of
+    scipy's simpson(y, x=x) up to rounding. With an even number of
     nodes the last interval takes the parabola through the last three."""
     h = np.diff(x)
     pairs = (x.size - 1) // 2 * 2
@@ -253,23 +257,31 @@ def _simpson_weights(x):
     return w
 
 
+def _radial_transform(r, f, s):
+    """4*pi * integral of f(r) * sin(sr)/(sr) dr for each s of a 1D array.
+
+    Simpson's rule on the nodes r, as one weight vector, so each block of
+    256 values of s is one matrix-vector product.
+    """
+    w = 4.0 * np.pi * _simpson_weights(r) * f
+    out = np.empty(s.shape)
+    for lo in range(0, s.size, 256):
+        out[lo:lo + 256] = np.sinc(s[lo:lo + 256, None] * r[None, :] / np.pi) @ w
+    return out
+
+
 def fourier_Vf(solution, s):
     """Radial Fourier transform of V * (1 - phi) at |p| = s (vectorized).
 
     Equals 8*pi*a at s = 0 and decays like 1/s^2; phi-hat(p) is this
-    divided by 2|p|^2. Simpson's rule on the solution's grid inside R,
-    as one weight vector, so a batch of s is one matrix-vector product.
+    divided by 2|p|^2. Simpson's rule on the solution's grid inside R.
     """
     pot = solution.potential
     mask = solution.r_grid <= pot.R
     r = solution.r_grid[mask]
-    w = 4.0 * np.pi * _simpson_weights(r) * pot(r) * solution.u_profile[mask] * r
-    s = np.asarray(s, dtype=np.float64)
-    flat = np.atleast_1d(s).ravel()
-    out = np.empty(flat.shape)
-    for lo in range(0, flat.size, 256):
-        out[lo:lo + 256] = np.sinc(flat[lo:lo + 256, None] * r[None, :] / np.pi) @ w
-    return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
+    flat = np.atleast_1d(np.asarray(s, dtype=np.float64)).ravel()
+    out = _radial_transform(r, pot(r) * solution.u_profile[mask] * r, flat)
+    return float(out[0]) if np.ndim(s) == 0 else out.reshape(np.shape(s))
 
 
 # Below this sR the square-well closed form (sin x - x cos x)/x^3 cancels
@@ -294,16 +306,8 @@ def fourier_V(potential, s):
         series = np.polyval(_SW_SERIES, (flat * R) ** 2)
         out = np.where(small, 4.0 * np.pi * V0 * R ** 3 * series / 3.0, out)
     else:
-        from scipy.integrate import simpson
-
         r = np.linspace(0.0, potential.R, 4001)
-        w = potential(r) * r * r
-        out = np.empty(flat.shape)
-        for lo in range(0, flat.size, 256):
-            blk = flat[lo:lo + 256, None]
-            out[lo:lo + 256] = simpson(
-                4.0 * np.pi * w[None, :] * np.sinc(blk * r[None, :] / np.pi),
-                x=r, axis=1)
+        out = _radial_transform(r, potential(r) * r * r, flat)
     return float(out[0]) if np.ndim(s) == 0 else out.reshape(np.shape(s))
 
 
@@ -448,15 +452,6 @@ class BGSolution:
     condition_estimate: float
     kF_up: float
     kF_down: float
-
-
-def _panels(edges, n):
-    """Nodes and weights of n-point Gauss panels between sorted edges."""
-    xg, wg = np.polynomial.legendre.leggauss(n)
-    edges = np.asarray(edges, dtype=np.float64)
-    a, b = edges[:-1, None], edges[1:, None]
-    half = 0.5 * (b - a)
-    return (0.5 * (a + b) + half * xg).ravel(), (half * wg).ravel()
 
 
 def _radial_rule(potential, q_max):

@@ -17,6 +17,7 @@ dyadically into that corner. The ``evaluations`` a study reports count
 s-nodes, one closed-form t-integral each.
 """
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -26,13 +27,20 @@ import numpy as np
 from .cutoffs import CutoffConfig, FermiProjectors, fermi_momentum
 from .hyformula import F_closed, f_aux
 
-_GAUSS_CACHE = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _gauss(n):
-    if n not in _GAUSS_CACHE:
-        _GAUSS_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GAUSS_CACHE[n]
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], built once per n;
+    callers must not write to the shared arrays."""
+    return np.polynomial.legendre.leggauss(n)
+
+
+def _panels(edges, n):
+    """Nodes and weights of n-point Gauss panels between sorted edges."""
+    xg, wg = _gauss(n)
+    edges = np.asarray(edges, dtype=np.float64)
+    a, b = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (b - a)
+    return (0.5 * (a + b) + half * xg).ravel(), (half * wg).ravel()
 
 
 @dataclass(frozen=True)
@@ -58,7 +66,6 @@ def _axis(kf, p, n_gauss, n_levels):
     lo = max(-kf, -0.5 * p)
     hi = kf
     kink = kf - p
-    xg, wg = _gauss(n_gauss)
     if kink > lo:
         width = kink - lo
         edges = np.concatenate((
@@ -66,11 +73,8 @@ def _axis(kf, p, n_gauss, n_levels):
             np.linspace(kink, hi, 5)[1:]))
     else:
         edges = np.linspace(lo, hi, 9)
-    a, b = edges[:-1, None], edges[1:, None]
-    half = 0.5 * (b - a)
-    s = (0.5 * (a + b) + half * xg).ravel()
-    w = (half * wg).ravel() * slice_measure(s, kf, p)
-    return s, w
+    s, w = _panels(edges, n_gauss)
+    return s, w * slice_measure(s, kf, p)
 
 
 # a piece across which u grows by less than this share of u_a + u_b is
@@ -141,23 +145,17 @@ def inner_pair(p, kf1, kf2, two_eps=0.0, power=1, n_gauss=16, n_levels=18):
 
 def _composite_p(fn, edges, n_p):
     """Gauss panels over [edges]; wide segments are split geometrically."""
-    xg, wg = _gauss(n_p)
+    refined = [edges[0]]
+    for a, b in zip(edges[:-1], edges[1:]):
+        m = max(2, int(math.ceil(math.log2(b / a)))) \
+            if a > 0.0 and b / a > 4.0 else 1
+        refined += [a * (b / a) ** (i / m) for i in range(1, m)] + [b]
     total = 0.0
     evals = 0
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b <= a:
-            continue
-        if a > 0.0 and b / a > 4.0:
-            m = max(2, int(math.ceil(math.log2(b / a))))
-            sub = [a * (b / a) ** (i / m) for i in range(m + 1)]
-        else:
-            sub = [a, b]
-        for lo, hi in zip(sub[:-1], sub[1:]):
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            for xx, ww in zip(mid + half * xg, half * wg):
-                v, n = fn(xx)
-                total += ww * v
-                evals += n
+    for xx, ww in zip(*_panels(refined, n_p)):
+        v, n = fn(xx)
+        total += ww * v
+        evals += n
     return total, evals
 
 
@@ -169,8 +167,8 @@ def g_pointwise(x, p, tol=1e-6):
     """
     if not 0.0 < x <= 1.0:
         raise ValueError("x must lie in (0, 1]")
-    if p <= 0.0:
-        raise ValueError("p must be positive")
+    if not 0.0 < p < math.inf:
+        raise ValueError("p must be positive and finite")
     t0 = time.perf_counter()
     y = x ** (1.0 / 3.0)
     pref = 9.0 / (8.0 * math.pi ** 2)
@@ -179,13 +177,13 @@ def g_pointwise(x, p, tol=1e-6):
     err = pref * abs(v2 - v1)
     evals = n1 + n2
     value = pref * v2
-    flagged = err > tol * max(1.0, abs(value))
+    flagged = not err <= tol * max(1.0, abs(value))
     if flagged:
         v3, n3 = inner_pair(p, 1.0, y, 0.0, 1, 32, 26)
         err = pref * abs(v3 - v2)
         value = pref * v3
         evals += n3
-        flagged = err > tol * max(1.0, abs(value))
+        flagged = not err <= tol * max(1.0, abs(value))
     return QuadratureResult(value=value, error_estimate=err,
                             evaluations=evals,
                             elapsed=time.perf_counter() - t0,
@@ -208,8 +206,8 @@ def F_quadrature(x, tol=1e-3):
     the analytic tail from the large-p moments. Arguments beyond 1 are
     reflected through the symmetry law first.
     """
-    if x <= 0.0:
-        raise ValueError("x must be positive")
+    if not 0.0 < x < math.inf:
+        raise ValueError("x must be positive and finite")
     if x > 1.0:
         inner = F_quadrature(1.0 / x, tol)
         scale = x ** (7.0 / 3.0)
@@ -237,13 +235,13 @@ def F_quadrature(x, tol=1e-3):
     value = pref * (i2 + tail)
     err = pref * (abs(i2 - i1) + abs(c6) / p_cut ** 5)
     evals = e1 + e2
-    flagged = err > tol * max(1.0, abs(value))
+    flagged = not err <= tol * max(1.0, abs(value))
     if flagged:
         i3, e3 = _composite_p(make_fn(28, 24), edges, 56)
         value = pref * (i3 + tail)
         err = pref * (abs(i3 - i2) + abs(c6) / p_cut ** 5)
         evals += e3
-        flagged = err > tol * max(1.0, abs(value))
+        flagged = not err <= tol * max(1.0, abs(value))
     return QuadratureResult(value=value, error_estimate=err,
                             evaluations=evals,
                             elapsed=time.perf_counter() - t0, flagged=flagged)
@@ -338,8 +336,8 @@ def ode_check_f(x, h=1e-4, A=0.0):
     The gauge freedom A*(x^(7/3) - 1) is annihilated by the operator up
     to stencil error, so the residual is A-independent to O(h^2).
     """
-    if x <= 0.0:
-        raise ValueError("x must be positive")
+    if not 0.0 < x < math.inf:
+        raise ValueError("x must be positive and finite")
     if abs(x - 1.0) < 10.0 * h:
         raise ValueError("stencil straddles the removable point x = 1")
     f = lambda z: f_aux(z, A)
@@ -398,7 +396,7 @@ def gap_cutoff_study(params, cutoff, rho_grid, tol=1e-4):
             "error_estimate": err,
             "evaluations": e1 + e2,
             "elapsed": time.perf_counter() - t0,
-            "flagged": (err > tol * max(abs(i_reg), 1e-300)
+            "flagged": (not err <= tol * max(abs(i_reg), 1e-300)
                         or cc.c_lower <= max(ku, kd)),
         })
     return rows
@@ -430,10 +428,8 @@ def lattice_sum_convergence(L_grid, cutoff, params=None):
                                                rel_tol=1e-12):
         raise ValueError("params density disagrees with cutoff density")
     c1, c2 = cutoff.c_lower, cutoff.c_upper
-    xg, wg = _gauss(64)
-    mid, half = 0.5 * (c1 + c2), 0.5 * (c2 - c1)
-    rr = mid + half * xg
-    integral = (c1 + float(np.sum(half * wg * cutoff.chi_less(rr) ** 2))) \
+    rr, wr = _panels([c1, c2], 64)
+    integral = (c1 + float(np.sum(wr * cutoff.chi_less(rr) ** 2))) \
         / (4.0 * math.pi ** 2)
     rows = []
     for L in L_grid:
@@ -489,6 +485,6 @@ def singular_integral_bound(x_grid, tol=1e-3):
             "error_estimate": err,
             "evaluations": e1 + e2,
             "elapsed": time.perf_counter() - t0,
-            "flagged": err > tol * max(abs(value), 1e-300),
+            "flagged": not err <= tol * max(abs(value), 1e-300),
         })
     return rows

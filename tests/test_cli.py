@@ -400,3 +400,58 @@ def test_nan_by_design_is_not_a_failure(monkeypatch, capsys):
     assert code == 0
     header, rows, _ = parse_csv_output(out)
     assert rows[0][header.index("phi")] == "nan"
+
+
+@pytest.mark.parametrize("text, word", [
+    (None, "cannot read potential file"),
+    ('{"V0": 4.0, "R": 1.0}', "'kind' key"),
+    ("[4.0, 1.0]", "'kind' key"),
+    ('{"kind": "square-well", "V0": 4.0', "Expecting"),
+    ('{"kind": "square-well", "V0": -1.0}', "V0 must be"),
+    ('{"kind": "nope", "V0": 4.0}', "unknown potential kind"),
+    ('{"kind": "square-well", "V0": NaN}', "V0 must be"),
+    ('{"kind": "square-well", "V0": 4.0, "R": NaN}', "R must be"),
+    ('{"kind": "tabulated", "R": 1.0, "samples": [[0.2, NaN], [0.5, 1.0]]}',
+     "samples must be finite"),
+    ('{"kind": "tabulated", "R": 1.0, "samples": [null]}', "malformed"),
+], ids=["missing-file", "no-kind", "not-an-object", "not-json", "V0-negative",
+        "kind-unknown", "V0-NaN", "R-NaN", "sample-NaN", "sample-null"])
+def test_potential_file_problems_exit_two(text, word, tmp_path, capsys):
+    path = tmp_path / "pot.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run_cli(["scatter", "--potential-file", str(path)],
+                             capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: ") and word in err
+
+
+@pytest.mark.parametrize("command", ["hy-eval", "fock-demo", "bg-solve"])
+def test_every_potential_command_validates_its_file(command, tmp_path,
+                                                    capsys):
+    code, out, err = run_cli([command, "--potential-file",
+                              str(tmp_path / "missing.json")], capsys)
+    assert code == 2
+    assert out == ""
+    assert "cannot read potential file" in err
+
+
+def test_tabulated_kind_without_samples_exits_two(capsys):
+    code, out, err = run_cli(["scatter", "--kind", "tabulated"], capsys)
+    assert code == 2
+    assert "needs samples" in err
+
+
+def test_potential_file_runs(tmp_path, capsys):
+    # V = 2 on [0, 1]: the tabulated form holds 2 below its first radius
+    path = tmp_path / "pot.json"
+    path.write_text(json.dumps({"kind": "tabulated", "R": 1.0,
+                                "samples": [[0.6, 2.0], [1.0, 2.0]]}))
+    code, out, _ = run_cli(["scatter", "--potential-file", str(path)], capsys)
+    assert code == 0
+    payload, _ = parse_json_output(out)
+    assert payload["born"] == pytest.approx(1.0 / 3.0, rel=1e-14)
+    code, out, _ = run_cli(["scatter", "--V0", "2"], capsys)
+    assert payload["a"] == pytest.approx(parse_json_output(out)[0]["a"],
+                                         rel=1e-6)

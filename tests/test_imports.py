@@ -1,6 +1,8 @@
 """Import cost: the quick commands load numpy but no scipy module; the
-modules that do need scipy (fock, the Fourier transforms, the PV oracles,
-the Bethe-Goldstone direct solve) load it on first use."""
+code that does need scipy (fock, the PV oracles, the Bethe-Goldstone
+direct solve) loads it on first use. The quadrature rules of the
+potentials (moments, Fourier transforms) are numpy only, so a fock-demo
+process loads scipy.sparse but never scipy.integrate."""
 
 import json
 import math
@@ -62,6 +64,19 @@ def test_fock_demo_runs_and_loads_scipy_on_demand():
     got = probe('code = cli.main(["fock-demo", "--lambda-grid", "0", "1"])')
     assert got["code"] == 0
     assert "scipy.sparse" in got["scipy"]
+
+
+def test_fock_demo_loads_no_scipy_integrate():
+    got = probe('code = cli.main(["fock-demo", "--kind", "truncated-gaussian",'
+                ' "--V0", "7", "--lambda-grid", "0", "1"])')
+    assert got["code"] == 0
+    assert "scipy.sparse" in got["scipy"]
+    assert not [m for m in got["scipy"] if m.startswith("scipy.integrate")]
+    # positive control: the probe does see scipy.integrate when it loads
+    got = probe("from hyfermi.quadrature import pv_linear_epsilon\n"
+                "pv_linear_epsilon(1.5, 0.7, 1e-4)\n"
+                "code = 0")
+    assert "scipy.integrate" in got["scipy"]
 
 
 def test_fock_reexports_resolve():

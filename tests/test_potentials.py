@@ -269,3 +269,104 @@ def test_bg_pauli_blocking_raises_amplitude():
     sol1 = bethe_goldstone_solve(pot, 0.9, 0.9)
     assert sol1.G[0] > sol0.G[0]
     assert sol1.residual < 1e-9
+
+
+def _linear_moment(a, b, va, vb, power):
+    # integral of (linear V from va at a to vb at b) * r^power over [a, b]
+    beta = (vb - va) / (b - a)
+    alpha = va - beta * a
+    return (alpha * (b ** (power + 1) - a ** (power + 1)) / (power + 1)
+            + beta * (b ** (power + 2) - a ** (power + 2)) / (power + 2))
+
+
+@pytest.mark.parametrize("power", [0, 1, 2, 3, 4])
+def test_tabulated_radial_moment_starts_at_zero(power):
+    """Below the first sample V holds its first value, as every solver
+    sees it through __call__; the moment counts that core too."""
+    flat = RadialPotential(kind="tabulated", R=1.0,
+                           samples=((0.6, 2.0), (1.0, 2.0)))
+    assert float(flat(0.3)) == 2.0
+    assert flat.radial_moment(power) == pytest.approx(2.0 / (power + 1),
+                                                      rel=1e-14)
+    sloped = RadialPotential(kind="tabulated", R=1.2,
+                             samples=((0.3, 3.0), (0.7, 1.0), (0.9, 0.0)))
+    want = (_linear_moment(0.0, 0.3, 3.0, 3.0, power)
+            + _linear_moment(0.3, 0.7, 3.0, 1.0, power)
+            + _linear_moment(0.7, 0.9, 1.0, 0.0, power))
+    assert sloped.radial_moment(power) == pytest.approx(want, rel=1e-14)
+    from_zero = RadialPotential(kind="tabulated", R=1.0,
+                                samples=((0.0, 3.0), (0.7, 1.0), (0.9, 0.0)))
+    want = (_linear_moment(0.0, 0.7, 3.0, 1.0, power)
+            + _linear_moment(0.7, 0.9, 1.0, 0.0, power))
+    assert from_zero.radial_moment(power) == pytest.approx(want, rel=1e-14)
+
+
+def test_tabulated_born_length_counts_the_core():
+    pot = RadialPotential(kind="tabulated", R=1.0,
+                          samples=((0.6, 2.0), (1.0, 2.0)))
+    assert born_length(pot) == pytest.approx(1.0 / 3.0, rel=1e-14)
+
+
+_SCIPY_REFERENCE_POTENTIALS = [
+    RadialPotential(kind="truncated-gaussian", V0=30.0, R=1.2),
+    RadialPotential(kind="tabulated", R=1.1,
+                    samples=((0.2, 3.0), (0.5, 2.5), (0.8, 0.5), (1.0, 0.0))),
+]
+
+
+@pytest.mark.parametrize("pot", _SCIPY_REFERENCE_POTENTIALS,
+                         ids=lambda p: p.kind)
+def test_fourier_v_matches_scipy_simpson(pot):
+    from scipy.integrate import simpson
+
+    s = np.concatenate([[0.0], np.geomspace(1e-3, 60.0, 300)])
+    r = np.linspace(0.0, pot.R, 4001)
+    w = pot(r) * r * r
+    want = simpson(4.0 * np.pi * w[None, :] * np.sinc(s[:, None] * r[None, :] / np.pi),
+                   x=r, axis=1)
+    assert np.abs(fourier_V(pot, s) - want).max() <= 1e-14 * np.abs(want).max()
+    assert abs(fourier_V(pot, 0.0) - want[0]) <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("pot", [RadialPotential(kind="square-well", V0=4.0,
+                                                 R=1.0),
+                                 *_SCIPY_REFERENCE_POTENTIALS],
+                         ids=lambda p: p.kind)
+def test_scattering_length_from_integral_matches_scipy_simpson(pot):
+    from scipy.integrate import simpson
+
+    sol = solve_scattering(pot)
+    mask = sol.r_grid <= pot.R
+    r = sol.r_grid[mask]
+    w = pot(r) * sol.u_profile[mask] * r
+    want = 0.5 * simpson(w, x=r)
+    assert abs(scattering_length_from_integral(sol) - want) \
+        <= 1e-14 * 0.5 * np.abs(w).max() * pot.R
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"kind": "square-well", "V0": float("nan")},
+    {"kind": "square-well", "V0": float("inf")},
+    {"kind": "truncated-gaussian", "V0": 1.0, "R": float("nan")},
+    {"kind": "square-well", "V0": 1.0, "R": float("inf")},
+    {"kind": "tabulated", "samples": ((0.2, float("nan")), (0.5, 1.0))},
+    {"kind": "tabulated", "samples": ((float("nan"), 1.0), (0.5, 1.0))},
+], ids=["V0-nan", "V0-inf", "R-nan", "R-inf", "sample-V-nan", "sample-r-nan"])
+def test_potential_validation_refuses_non_finite(kwargs):
+    with pytest.raises(ValueError):
+        RadialPotential(**kwargs)
+
+
+@pytest.mark.parametrize("source", [
+    "/nonexistent/potential.json",
+    '{"V0": 4.0, "R": 1.0}',
+    '{"kind": "square-well", "V0": 4.0',
+    '{"kind": "square-well", "V0": null}',
+    '{"kind": "tabulated", "samples": [null, [0.5, 1.0]]}',
+    '{"kind": "tabulated", "samples": [[0.2, 1.0, 3.0]]}',
+    '{"kind": "square-well", "V0": NaN}',
+], ids=["missing-file", "no-kind", "truncated", "V0-null",
+        "sample-null", "sample-triple", "V0-NaN"])
+def test_from_json_refusals_are_value_errors(source):
+    with pytest.raises(ValueError):
+        RadialPotential.from_json(source)

@@ -311,3 +311,37 @@ def test_singular_bound_finite_and_ordered():
 def test_singular_bound_domain():
     with pytest.raises(ValueError):
         singular_integral_bound([1.5])
+
+
+# ------------------------------------------------------------ non-finite input
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda bad: F_quadrature(bad),
+    lambda bad: g_pointwise(0.5, bad),
+    lambda bad: g_pointwise(bad, 1.0),
+    lambda bad: ode_check_f(bad),
+    lambda bad: singular_integral_bound([bad]),
+], ids=["F_quadrature-x", "g_pointwise-p", "g_pointwise-x", "ode_check_f-x",
+        "singular_integral_bound-x"])
+def test_oracles_refuse_non_finite_arguments(call, bad):
+    with pytest.raises(ValueError):
+        call(bad)
+
+
+def test_nan_tolerance_flags_every_oracle():
+    nan = math.nan
+    assert g_pointwise(0.5, 1.0, tol=nan).flagged is True
+    assert F_quadrature(0.5, tol=nan).flagged is True
+    assert F_quadrature(2.0, tol=nan).flagged is True
+    assert singular_integral_bound([0.5], tol=nan)[0]["flagged"] is True
+    params = FermiParams(rho_up=1e-3, rho_down=1e-3)
+    rows = gap_cutoff_study(params, CutoffConfig(rho=1e-3), [1e-3], tol=nan)
+    assert rows[0]["flagged"] is True
+
+
+def test_flagged_is_a_python_bool():
+    assert F_quadrature(0.5).flagged is False
+    assert g_pointwise(0.5, 1.0).flagged is False
+    assert singular_integral_bound([0.5])[0]["flagged"] is False
