@@ -440,22 +440,36 @@ def _cmd_hy_table(config):
     return 0, header, rows, payload, {}, summary
 
 
+def _ladder_meta(tol, values, errors, rungs):
+    """Metadata of the ladder oracles: the highest rung reached and the
+    largest error_estimate / (tol*|value|), null where tol*|value| is not
+    positive."""
+    scales = [tol * abs(v) for v in values]
+    worst = (max(e / s for e, s in zip(errors, scales))
+             if all(s > 0.0 for s in scales) else None)
+    return {"rung": max(rungs), "err_to_tol": worst}
+
+
 def _cmd_verify_f(config):
     p = config.parameters
     tol = p["tol"]
     header = ("x", "F_quadrature", "F_closed", "rel_diff",
               "error_estimate", "evaluations")
     rows = []
+    rungs = []
     failed = False
     for x in p["x_grid"]:
-        res = quadrature.F_quadrature(float(x))
+        res = quadrature.F_quadrature(float(x), tol=tol)
         fc = F_closed(float(x))
         rel = abs(res.value - fc) / abs(fc)
         failed = failed or res.flagged or rel > tol
         rows.append((float(x), res.value, fc, rel, res.error_estimate,
                      res.evaluations))
+        rungs.append(res.rung)
     payload = {"rows": [dict(zip(header, r)) for r in rows]}
-    extra = {"evaluations": int(sum(r[5] for r in rows))}
+    extra = {"evaluations": int(sum(r[5] for r in rows)),
+             **_ladder_meta(tol, [r[1] for r in rows], [r[4] for r in rows],
+                            rungs)}
     worst = max(r[3] for r in rows)
     summary = f"worst rel_diff = {worst:.3g} against tolerance {tol:g}"
     return (1 if failed else 0), header, rows, payload, extra, summary
@@ -494,7 +508,10 @@ def _cmd_gap_study(config):
     payload = {"rows": [dict(zip(header, r)) for r in rows],
                "slope": slope}
     extra = {"evaluations": int(sum(r["evaluations"] for r in result)),
-             "elapsed": float(sum(r["elapsed"] for r in result))}
+             "elapsed": float(sum(r["elapsed"] for r in result)),
+             **_ladder_meta(p["tol"], [r["i_regularized"] for r in result],
+                            [r["error_estimate"] for r in result],
+                            [r["rung"] for r in result])}
     failed = any(r["flagged"] for r in result)
     summary = f"observed decay slope = {slope:.4f} over {len(rows)} densities"
     return (1 if failed else 0), header, rows, payload, extra, summary
@@ -521,7 +538,10 @@ def _cmd_singular_bound(config):
     rows = [tuple(r[k] for k in header) for r in result]
     payload = {"rows": [dict(zip(header, r)) for r in rows]}
     extra = {"evaluations": int(sum(r["evaluations"] for r in result)),
-             "elapsed": float(sum(r["elapsed"] for r in result))}
+             "elapsed": float(sum(r["elapsed"] for r in result)),
+             **_ladder_meta(p["tol"], [r["value"] for r in result],
+                            [r["error_estimate"] for r in result],
+                            [r["rung"] for r in result])}
     failed = any(r["flagged"] for r in result)
     summary = (f"bound stays finite: {rows[0][1]:.6g} at x = {rows[0][0]:g} "
                f"up to {rows[-1][1]:.6g} at x = {rows[-1][0]:g}")

@@ -11,10 +11,17 @@ the annulus slice measure
 The slice measure is a polynomial on each of at most two pieces, so the
 t-integral of (2p^2 + 2p(s+t) + 2*eps)^-power is done in closed form
 (t_integral) and only s is left to quadrature: one Gauss sum per p-node,
-O(n) in the axis length. The denominator vanishes only at the corner
-s = t = -p/2, reachable when p <= 2*min(kF, kF'); the s panels are graded
-dyadically into that corner. The ``evaluations`` a study reports count
-s-nodes, one closed-form t-integral each.
+O(n) in the axis length, taken for all nodes of a Gauss p-panel in one
+inner_pair call on a (p, s) array. The denominator vanishes only at the
+corner s = t = -p/2, reachable when p <= 2*min(kF, kF'); the s panels are
+graded dyadically into that corner.
+
+The p-integrated oracles (F_quadrature, singular_integral_bound,
+gap_cutoff_study) climb one ladder of rules, _RUNGS, from coarse to
+fine and stop at the first rung whose difference to the one below, plus
+the tail term, meets tol; that sum is the error estimate and the rung
+is reported. The ``evaluations`` they report count (p, s) node pairs
+over every rung climbed, one closed-form t-integral each.
 """
 
 import functools
@@ -35,12 +42,15 @@ def _gauss(n):
 
 
 def _panels(edges, n):
-    """Nodes and weights of n-point Gauss panels between sorted edges."""
+    """Nodes and weights of n-point Gauss panels between sorted edges; a
+    2-D edges array gives one row of nodes per row of edges."""
     xg, wg = _gauss(n)
     edges = np.asarray(edges, dtype=np.float64)
-    a, b = edges[:-1, None], edges[1:, None]
+    a, b = edges[..., :-1, None], edges[..., 1:, None]
     half = 0.5 * (b - a)
-    return (0.5 * (a + b) + half * xg).ravel(), (half * wg).ravel()
+    shape = edges.shape[:-1] + (-1,)
+    return ((0.5 * (a + b) + half * xg).reshape(shape),
+            (half * wg).reshape(shape))
 
 
 @dataclass(frozen=True)
@@ -50,6 +60,8 @@ class QuadratureResult:
     evaluations: int
     elapsed: float
     flagged: bool = False
+    # the ladder rung the value comes from; None for a fixed-rule oracle
+    rung: int | None = None
 
 
 def slice_measure(s, kf, p):
@@ -60,26 +72,77 @@ def slice_measure(s, kf, p):
                                               2.0 * p * s + p * p))
 
 
+def _support(kf, p):
+    """Lower end and kink of the axial support, and whether the kink lies
+    inside it (p < 2*kf): then the slice measure has two pieces and the
+    corner s = t = -p/2 is reachable."""
+    lo = np.maximum(-kf, -0.5 * p)
+    kink = kf - p
+    return lo, kink, kink > lo
+
+
+# the edges of eight even panels on [0, 1]
+_EVEN = np.arange(9) / 8.0
+
+
 def _axis(kf, p, n_gauss, n_levels):
     """Quadrature nodes/weights on the axial support, slice measure
-    folded into the weights."""
-    lo = max(-kf, -0.5 * p)
-    hi = kf
-    kink = kf - p
-    if kink > lo:
-        width = kink - lo
-        edges = np.concatenate((
-            [lo], lo + width * 2.0 ** -np.arange(n_levels, 0, -1.0), [kink],
-            np.linspace(kink, hi, 5)[1:]))
+    folded into the weights.
+
+    p is a scalar, or a 1-D array all on one side of 2*kf; row i of the
+    (P, S) result then belongs to p[i]. Below 2*kf the panels are graded
+    dyadically into the corner, above it they are even.
+    """
+    scalar = np.ndim(p) == 0
+    p = np.atleast_1d(np.asarray(p, dtype=np.float64))[:, None]
+    lo, kink, two = _support(kf, p)
+    if two.all():
+        graded = np.concatenate(([0.0], 2.0 ** -np.arange(n_levels, 0, -1.0)))
+        edges = np.concatenate((lo + (kink - lo) * graded,
+                                kink + (kf - kink) * _EVEN[::2]), axis=1)
+    elif not two.any():
+        edges = lo + (kf - lo) * _EVEN
     else:
-        edges = np.linspace(lo, hi, 9)
+        raise ValueError("p must lie on one side of 2*kf")
     s, w = _panels(edges, n_gauss)
-    return s, w * slice_measure(s, kf, p)
+    w = w * slice_measure(s, kf, p)
+    return (s[0], w[0]) if scalar else (s, w)
 
 
 # a piece across which u grows by less than this share of u_a + u_b is
 # summed by Gauss: the closed form would cancel there, the integrand not
 _FLAT = 0.25
+
+
+def _t_piece(beta, p, kf, ta, tb, linear, power):
+    """One polynomial piece [ta, tb] of t_integral; beta is (R, S), p, ta
+    and tb are (R, 1)."""
+    ua = beta + p * (p + 2.0 * ta)
+    ub = beta + p * (p + 2.0 * tb)
+    du = 2.0 * p * (tb - ta)
+    log_ratio = np.log1p(du / ua)
+    if linear:
+        # ua == beta: the slice area vanishes at the lower end
+        closed = (math.pi / (2.0 * p)) * (
+            du - beta * log_ratio if power == 1 else log_ratio - du / ub)
+    else:
+        um = beta + p * (p - 2.0 * kf)
+        closed = (math.pi / (8.0 * p ** 3)) * (
+            du * (ub + um - 0.5 * (ub + ua)) - ub * um * log_ratio
+            if power == 1 else
+            (ub + um) * log_ratio - du - um * du / ua)
+    flat = du < _FLAT * (ua + ub)
+    if flat.any():
+        xg, wg = _gauss(12)
+        half = 0.5 * (tb - ta)
+        t = 0.5 * (ta + tb) + half * xg
+        area = math.pi * (p * (p + 2.0 * t) if linear else kf * kf - t * t)
+        row = np.nonzero(flat)[0]
+        inv = 1.0 / (beta[flat][:, None] + (p * (p + 2.0 * t))[row])
+        if power == 2:
+            inv *= inv
+        closed[flat] = np.einsum("fk,fk->f", inv, (half * wg * area)[row])
+    return closed
 
 
 def t_integral(beta, p, kf, power):
@@ -95,38 +158,26 @@ def t_integral(beta, p, kf, power):
     beta = 0. On a piece where u changes by less than _FLAT of its size the
     closed form cancels instead; there the nearest pole, u = 0, lies at
     least four half-widths away and 12 Gauss nodes are exact to rounding.
+
+    p is a scalar, or a 1-D array with one value per row of a 2-D beta;
+    whether the first piece exists (p < 2*kf) is decided per row.
     """
     shape = np.shape(beta)
-    beta = np.atleast_1d(np.asarray(beta, dtype=np.float64))
-    lo = max(-kf, -0.5 * p)
-    kink = kf - p
-    pieces = ((lo, kink, True), (kink, kf, False)) if kink > lo else \
-        ((lo, kf, False),)
-    xg, wg = _gauss(12)
-    total = np.zeros(beta.shape)
-    for ta, tb, linear in pieces:
-        ua = beta + p * (p + 2.0 * ta)
-        ub = beta + p * (p + 2.0 * tb)
-        du = 2.0 * p * (tb - ta)
-        log_ratio = np.log1p(du / ua)
-        if linear:
-            # ua == beta: the slice area vanishes at the lower end
-            closed = (math.pi / (2.0 * p)) * (
-                du - beta * log_ratio if power == 1 else log_ratio - du / ub)
-        else:
-            um = beta + p * (p - 2.0 * kf)
-            closed = (math.pi / (8.0 * p ** 3)) * (
-                du * (ub + um - 0.5 * (ub + ua)) - ub * um * log_ratio
-                if power == 1 else
-                (ub + um) * log_ratio - du - um * du / ua)
-        flat = du < _FLAT * (ua + ub)
-        if flat.any():
-            t = 0.5 * (ta + tb) + 0.5 * (tb - ta) * xg
-            area = math.pi * (p * (p + 2.0 * t) if linear else kf * kf - t * t)
-            den = beta[flat][:, None] + p * (p + 2.0 * t)
-            closed[flat] = 0.5 * (tb - ta) * (den ** -power @ (wg * area))
-        total += closed
-    return total.reshape(shape) if shape else float(total[0])
+    p = np.asarray(p, dtype=np.float64).reshape(-1, 1)
+    beta = np.asarray(beta, dtype=np.float64).reshape(len(p), -1)
+    lo, kink, two = _support(kf, p)
+    two = two[:, 0]
+    total = _t_piece(beta, p, kf, np.where(two[:, None], kink, lo),
+                     np.full_like(p, kf), False, power)
+    if two.any():
+        total[two] += _t_piece(beta[two], p[two], kf, lo[two], kink[two],
+                               True, power)
+    return total.reshape(shape) if shape else float(total[0, 0])
+
+
+# (p, s) node pairs per block of inner_pair: keeps each 12-node temporary
+# of the flat t-pieces near 1.5 MB
+_BLOCK = 1 << 14
 
 
 def inner_pair(p, kf1, kf2, two_eps=0.0, power=1, n_gauss=16, n_levels=18):
@@ -134,29 +185,80 @@ def inner_pair(p, kf1, kf2, two_eps=0.0, power=1, n_gauss=16, n_levels=18):
     the two slice measures; the core of every study below.
 
     s runs over the graded Gauss axis of the kf1 shell, the t-integral over
-    the kf2 shell is exact. Returns (value, number of s-nodes).
+    the kf2 shell is exact. p is a scalar or a 1-D array (one Gauss
+    p-panel); returns the value (a float, or one per p) and the number of
+    s-nodes summed over all p. The axis branch (p < 2*kf1) and the t-split
+    (p < 2*kf2) are taken per p, so 2*kf need not be a panel edge.
     """
-    if p <= 0.0 or kf1 <= 0.0 or kf2 <= 0.0:
-        return 0.0, 0
-    s, ws = _axis(kf1, p, n_gauss, n_levels)
-    beta = two_eps + p * (p + 2.0 * s)
-    return float(ws @ t_integral(beta, p, kf2, power)), len(s)
+    scalar = np.ndim(p) == 0
+    p = np.atleast_1d(np.asarray(p, dtype=np.float64))
+    out = np.zeros(p.shape)
+    evals = 0
+    if kf1 > 0.0 and kf2 > 0.0:
+        # p <= 0 contributes nothing; a NaN p stays NaN
+        live = ~(p <= 0.0)
+        two = _support(kf1, p)[2]
+        for rows in (np.flatnonzero(live & two), np.flatnonzero(live & ~two)):
+            if not rows.size:
+                continue
+            s, ws = _axis(kf1, p[rows], n_gauss, n_levels)
+            evals += s.size
+            step = max(1, _BLOCK // s.shape[1])
+            for i in range(0, rows.size, step):
+                r = rows[i:i + step]
+                pr = p[r, None]
+                beta = two_eps + pr * (pr + 2.0 * s[i:i + step])
+                out[r] = np.einsum("ij,ij->i", ws[i:i + step],
+                                   t_integral(beta, p[r], kf2, power))
+    return (float(out[0]), evals) if scalar else (out, evals)
 
 
 def _composite_p(fn, edges, n_p):
-    """Gauss panels over [edges]; wide segments are split geometrically."""
+    """Gauss panels over [edges]; wide segments are split geometrically.
+    fn takes the n_p nodes of one panel at once."""
     refined = [edges[0]]
     for a, b in zip(edges[:-1], edges[1:]):
         m = max(2, int(math.ceil(math.log2(b / a)))) \
             if a > 0.0 and b / a > 4.0 else 1
         refined += [a * (b / a) ** (i / m) for i in range(1, m)] + [b]
+    nodes, weights = _panels(refined, n_p)
     total = 0.0
     evals = 0
-    for xx, ww in zip(*_panels(refined, n_p)):
+    for xx, ww in zip(nodes.reshape(-1, n_p), weights.reshape(-1, n_p)):
         v, n = fn(xx)
-        total += ww * v
+        total += float(ww @ v)
         evals += n
     return total, evals
+
+
+# the rule ladder of the p-integrated oracles, coarse to fine: Gauss nodes
+# per s-panel, dyadic levels into the corner, Gauss nodes per p-panel
+_RUNGS = ((6, 6, 8), (8, 8, 12), (12, 12, 18), (16, 16, 28), (22, 20, 40),
+          (28, 24, 56))
+
+
+def _ladder(make_fn, edges, tol, scale, shift=0.0, tail_err=0.0,
+            floor=1e-300):
+    """scale * (p-integral of make_fn(n_gauss, n_levels)) + shift, climbing
+    _RUNGS until the estimate meets tol.
+
+    The estimate at rung k >= 1 is scale * |I_k - I_(k-1)| + tail_err; the
+    climb stops at the first rung where it is at most tol*max(floor,
+    |value|), or at the top. A NaN tol never stops it. Returns (value,
+    estimate, evaluations, rung, met).
+    """
+    evals = 0
+    for rung, (n_g, n_l, n_p) in enumerate(_RUNGS):
+        cur, n = _composite_p(make_fn(n_g, n_l), edges, n_p)
+        evals += n
+        if rung:
+            value = scale * cur + shift
+            err = scale * abs(cur - prev) + tail_err
+            met = err <= tol * max(floor, abs(value))
+            if met:
+                break
+        prev = cur
+    return value, err, evals, rung, met
 
 
 def g_pointwise(x, p, tol=1e-6):
@@ -214,7 +316,8 @@ def F_quadrature(x, tol=1e-3):
         return QuadratureResult(value=scale * inner.value,
                                 error_estimate=scale * inner.error_estimate,
                                 evaluations=inner.evaluations,
-                                elapsed=inner.elapsed, flagged=inner.flagged)
+                                elapsed=inner.elapsed, flagged=inner.flagged,
+                                rung=inner.rung)
     t0 = time.perf_counter()
     y = x ** (1.0 / 3.0)
     p_cut = 50.0
@@ -227,24 +330,16 @@ def F_quadrature(x, tol=1e-3):
         return fn
 
     edges = sorted({0.0, 2.0 * y, 2.0, 6.0, p_cut})
-    i1, e1 = _composite_p(make_fn(14, 16), edges, 24)
-    i2, e2 = _composite_p(make_fn(20, 20), edges, 40)
     c4, c6 = _g_tail_coeffs(x)
     tail = -(c4 / p_cut + c6 / (3.0 * p_cut ** 3))
     pref = (4.0 / math.pi) * (6.0 * math.pi ** 2) ** (1.0 / 3.0) * 4.0 * math.pi
-    value = pref * (i2 + tail)
-    err = pref * (abs(i2 - i1) + abs(c6) / p_cut ** 5)
-    evals = e1 + e2
-    flagged = not err <= tol * max(1.0, abs(value))
-    if flagged:
-        i3, e3 = _composite_p(make_fn(28, 24), edges, 56)
-        value = pref * (i3 + tail)
-        err = pref * (abs(i3 - i2) + abs(c6) / p_cut ** 5)
-        evals += e3
-        flagged = not err <= tol * max(1.0, abs(value))
+    value, err, evals, rung, met = _ladder(
+        make_fn, edges, tol, pref, pref * tail, pref * abs(c6) / p_cut ** 5,
+        floor=1.0)
     return QuadratureResult(value=value, error_estimate=err,
                             evaluations=evals,
-                            elapsed=time.perf_counter() - t0, flagged=flagged)
+                            elapsed=time.perf_counter() - t0,
+                            flagged=not met, rung=rung)
 
 
 def p_integral_quadratic(a_coef, b_coef):
@@ -377,16 +472,14 @@ def gap_cutoff_study(params, cutoff, rho_grid, tol=1e-4):
         def make_fn(n_g, n_l):
             def fn(p):
                 v, n = inner_pair(p, ku, kd, two_eps, 1, n_g, n_l)
-                chi2 = float(cc.chi_less(p)) ** 2
+                chi2 = cc.chi_less(p) ** 2
                 return p * p * chi2 * (v - vol_pair / (2.0 * p * p)), n
             return fn
 
         edges = sorted({0.0, 2.0 * kd, 2.0 * ku, cc.c_lower, cc.c_upper})
         edges = [e for e in edges if e <= cc.c_upper]
-        i1, e1 = _composite_p(make_fn(14, 18), edges, 32)
-        i2, e2 = _composite_p(make_fn(20, 22), edges, 48)
-        i_reg = 4.0 * math.pi * i2
-        err = 4.0 * math.pi * abs(i2 - i1)
+        i_reg, err, evals, rung, met = _ladder(make_fn, edges, tol,
+                                               4.0 * math.pi)
         i_lim = -8.0 * math.pi ** 7 * rho_up ** (7.0 / 3.0) * F_closed(x)
         rows.append({
             "rho": rho,
@@ -394,10 +487,10 @@ def gap_cutoff_study(params, cutoff, rho_grid, tol=1e-4):
             "i_limit": i_lim,
             "diff": abs(i_reg - i_lim),
             "error_estimate": err,
-            "evaluations": e1 + e2,
+            "evaluations": evals,
+            "rung": rung,
             "elapsed": time.perf_counter() - t0,
-            "flagged": (not err <= tol * max(abs(i_reg), 1e-300)
-                        or cc.c_lower <= max(ku, kd)),
+            "flagged": not met or cc.c_lower <= max(ku, kd),
         })
     return rows
 
@@ -468,8 +561,6 @@ def singular_integral_bound(x_grid, tol=1e-3):
             return fn
 
         edges = sorted({0.0, 2.0 * x, 2.0, 6.0, p_cut})
-        i1, e1 = _composite_p(make_fn(14, 18), edges, 24)
-        i2, e2 = _composite_p(make_fn(20, 22), edges, 40)
         m0 = lambda kf: (4.0 * math.pi / 3.0) * kf ** 3
         m2 = lambda kf: (4.0 * math.pi / 15.0) * kf ** 5
         m4 = lambda kf: (4.0 * math.pi / 35.0) * kf ** 7
@@ -477,14 +568,15 @@ def singular_integral_bound(x_grid, tol=1e-3):
                           + (m2(1.0) * m0(x) + m0(1.0) * m2(x)) / p_cut ** 3)
         tail_err = math.pi * (m4(1.0) * m0(x) + m0(1.0) * m4(x)
                               + 6.0 * m2(1.0) * m2(x)) / p_cut ** 5
-        value = 4.0 * math.pi * i2 + tail
-        err = 4.0 * math.pi * abs(i2 - i1) + tail_err
+        value, err, evals, rung, met = _ladder(make_fn, edges, tol,
+                                               4.0 * math.pi, tail, tail_err)
         rows.append({
             "x": x,
             "value": value,
             "error_estimate": err,
-            "evaluations": e1 + e2,
+            "evaluations": evals,
+            "rung": rung,
             "elapsed": time.perf_counter() - t0,
-            "flagged": not err <= tol * max(abs(value), 1e-300),
+            "flagged": not met,
         })
     return rows

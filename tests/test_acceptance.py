@@ -87,7 +87,7 @@ def test_criterion_04_oracle_agreement():
         assert not res.flagged
         assert rel <= 5e-3
     elapsed = time.perf_counter() - t0
-    report(4, 5.0, elapsed, f"quadrature vs closed form, worst {worst:.2e}")
+    report(4, 0.3, elapsed, f"quadrature vs closed form, worst {worst:.2e}")
 
 
 def test_criterion_05_ode_and_principal_value():
@@ -206,7 +206,7 @@ def test_criterion_09_gap_scaling_slope():
     floor = 7.0 / 3.0 + min(cutoff.gamma, cutoff.delta) - 0.2
     assert slope >= floor
     elapsed = time.perf_counter() - t0
-    report(9, 5.0, elapsed, f"decay slope {slope:.4f} >= {floor:.4f}")
+    report(9, 0.3, elapsed, f"decay slope {slope:.4f} >= {floor:.4f}")
 
 
 def test_criterion_10_singular_boundedness():
@@ -218,6 +218,6 @@ def test_criterion_10_singular_boundedness():
         assert not row["flagged"]
     assert rows[0]["value"] < rows[-1]["value"]
     elapsed = time.perf_counter() - t0
-    report(10, 5.0, elapsed,
+    report(10, 0.6, elapsed,
            f"bound finite on grid, S(1e-3) = {rows[0]['value']:.4g} < "
            f"S(1) = {rows[-1]['value']:.4g}")

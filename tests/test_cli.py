@@ -133,6 +133,30 @@ def test_verify_f_single_point(capsys):
     assert meta["evaluations"] > 0
 
 
+def test_verify_f_tol_reaches_the_oracle(capsys):
+    evals = {}
+    for tol in ("1e-9", "1e-2"):
+        _, out, _ = run_cli(["verify-f", "--x", "0.5", "--tol", tol], capsys)
+        evals[tol] = parse_csv_output(out)[2]["evaluations"]
+    assert evals["1e-9"] > evals["1e-2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-f", "--x-grid", "0.3", "0.7"],
+    ["singular-bound", "--x-grid", "0.01", "1.0"],
+    ["gap-study", "--rho-count", "2"],
+])
+def test_ladder_metadata(argv, capsys):
+    """The highest rung and the worst error / (tol |value|) ride in the
+    metadata line; the CSV columns stay as they were."""
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    header, rows, meta = parse_csv_output(out)
+    assert "rung" not in header
+    assert meta["rung"] >= 1
+    assert 0.0 < meta["err_to_tol"] <= 1.0
+
+
 def test_verify_f_defaults_to_one_point():
     p = cli.parse_config(["verify-f"]).parameters
     assert p["x_grid"] == [0.5]
@@ -377,7 +401,7 @@ def test_non_finite_result_exits_one(monkeypatch, capsys):
     def nan_rows(params, cutoff, grid, tol):
         return [{"rho": rho, "i_regularized": float("nan"), "i_limit": -1.0,
                  "diff": 1.0, "error_estimate": 0.0, "evaluations": 1,
-                 "elapsed": 0.0, "flagged": False} for rho in grid]
+                 "rung": 1, "elapsed": 0.0, "flagged": False} for rho in grid]
 
     monkeypatch.setattr(cli.quadrature, "gap_cutoff_study", nan_rows)
     code, out, err = run_cli(["gap-study", "--rho-count", "2"], capsys)

@@ -1,8 +1,8 @@
 """Import cost: the quick commands load numpy but no scipy module; the
-code that does need scipy (fock, the PV oracles, the Bethe-Goldstone
-direct solve) loads it on first use. The quadrature rules of the
-potentials (moments, Fourier transforms) are numpy only, so a fock-demo
-process loads scipy.sparse but never scipy.integrate."""
+code that does need scipy (fock, the PV oracles) loads it on first use.
+The quadrature rules of the potentials (moments, Fourier transforms) and
+the Bethe-Goldstone solver, its direct solve included, are numpy only, so
+a fock-demo process loads scipy.sparse but never scipy.integrate."""
 
 import json
 import math
@@ -77,6 +77,16 @@ def test_fock_demo_loads_no_scipy_integrate():
                 "pv_linear_epsilon(1.5, 0.7, 1e-4)\n"
                 "code = 0")
     assert "scipy.integrate" in got["scipy"]
+
+
+def test_bg_direct_solve_loads_no_scipy():
+    # V0 = 30 makes Picard diverge, so the dense fallback runs
+    got = probe("from hyfermi.potentials import RadialPotential, "
+                "bethe_goldstone_solve\n"
+                "sol = bethe_goldstone_solve(RadialPotential("
+                "kind='square-well', V0=30.0, R=1.0), 0.1, 0.1)\n"
+                "code = int(not sol.used_direct_solve)")
+    assert got == {"code": 0, "scipy": []}
 
 
 def test_fock_reexports_resolve():

@@ -271,6 +271,24 @@ def test_bg_pauli_blocking_raises_amplitude():
     assert sol1.residual < 1e-9
 
 
+def test_bg_direct_solve_matches_lu_with_exact_condition():
+    """V0 = 30 makes Picard diverge; the numpy solve gives the G of an LU
+    solve and the exact 1-norm condition number of I + M."""
+    from scipy.linalg import lu_factor, lu_solve
+
+    pot = RadialPotential(kind="square-well", V0=30.0, R=1.0)
+    sol = bethe_goldstone_solve(pot, 0.1, 0.1)
+    assert sol.used_direct_solve
+    _, M, FV = _bg_radial_matrix(pot, 0.1, 240, 80.0)
+    A = np.eye(len(FV)) + M
+    want = lu_solve(lu_factor(A), FV)
+    assert np.max(np.abs(sol.G - want)) <= 1e-12 * np.max(np.abs(want))
+    cond = sol.condition_estimate
+    assert math.isfinite(cond) and cond >= 1.0
+    exact = np.linalg.norm(A, 1) * np.linalg.norm(np.linalg.inv(A), 1)
+    assert cond == pytest.approx(exact, rel=1e-10)
+
+
 def _linear_moment(a, b, va, vb, power):
     # integral of (linear V from va at a to vb at b) * r^power over [a, b]
     beta = (vb - va) / (b - a)

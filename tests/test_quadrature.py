@@ -13,6 +13,7 @@ from scipy.integrate import quad
 from hyfermi.cutoffs import CutoffConfig
 from hyfermi.hyformula import F_closed, FermiParams
 from hyfermi.quadrature import (
+    _RUNGS,
     F_quadrature,
     _axis,
     g_pointwise,
@@ -124,6 +125,12 @@ def test_t_integral_array_matches_scalars():
     got = t_integral(beta, 0.7, 0.6, 2)
     want = [t_integral(b, 0.7, 0.6, 2) for b in beta]
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+    # one p per row of a 2-D beta, on both sides of 2*kf
+    p = np.array([0.3, 0.9, 1.2, 1.5, 4.0])
+    beta = 1e-3 + np.outer(p, [0.2, 1.0, 3.0])
+    got = t_integral(beta, p, 0.6, 2)
+    want = [[t_integral(b, pi, 0.6, 2) for b in row] for pi, row in zip(p, beta)]
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("power", [1, 2])
@@ -137,6 +144,26 @@ def test_inner_pair_matches_2d_sum(power, two_eps):
             got, n = inner_pair(p, 1.0, kf2, two_eps, power)
             assert got == pytest.approx(want, rel=1e-12)
             assert n == len(_axis(1.0, p, 16, 18)[0])
+
+
+@pytest.mark.parametrize("power", [1, 2])
+@pytest.mark.parametrize("two_eps", [0.0, 1e-3])
+@pytest.mark.parametrize("kf1, kf2", [(1.0, 0.6), (0.5, 1.0)])
+def test_inner_pair_array_matches_scalar_loop(power, two_eps, kf1, kf2):
+    """One call on a p-array that straddles 2*kf1 and 2*kf2, long enough
+    to be cut into blocks, against one call per p."""
+    p = np.concatenate((np.linspace(0.01, 3.0, 101),
+                        [2.0 * kf1, 2.0 * kf2, 0.0]))
+    got, n = inner_pair(p, kf1, kf2, two_eps, power)
+    want = [inner_pair(pi, kf1, kf2, two_eps, power) for pi in p]
+    np.testing.assert_allclose(got, [v for v, _ in want], rtol=1e-13, atol=0.0)
+    assert n == sum(k for _, k in want)
+    assert got[-1] == 0.0
+
+
+def test_axis_refuses_p_on_both_sides_of_2kf():
+    with pytest.raises(ValueError):
+        _axis(1.0, np.array([1.0, 3.0]), 8, 8)
 
 
 # ------------------------------------------------------------- g and F
@@ -161,6 +188,49 @@ def test_f_quadrature_against_closed_form():
         res = F_quadrature(x)
         assert not res.flagged
         assert abs(res.value - F_closed(x)) <= 5e-3 * F_closed(x)
+
+
+HONESTY_X = [*np.geomspace(0.02, 8.0, 40), 1.0 - 5e-5, 1.0 + 5e-5]
+
+
+@pytest.mark.parametrize("tol", [5e-3, 1e-6, 1e-9])
+def test_f_quadrature_error_estimate_is_honest(tol):
+    """Wherever the ladder stops, F_closed lies within the estimate."""
+    for x in map(float, HONESTY_X):
+        res = F_quadrature(x, tol)
+        assert abs(res.value - F_closed(x)) <= res.error_estimate, x
+
+
+def test_ladder_stops_at_tol():
+    coarse, fine = F_quadrature(0.5, 5e-3), F_quadrature(0.5, 1e-8)
+    assert coarse.rung == 1 and not coarse.flagged
+    assert fine.rung > coarse.rung
+    assert fine.evaluations > coarse.evaluations
+    assert not fine.flagged and fine.error_estimate <= 1e-8 * fine.value
+    top = F_quadrature(0.5, math.nan)
+    assert top.rung == len(_RUNGS) - 1 and top.flagged
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-6])
+def test_singular_error_estimate_is_honest(tol):
+    grid = [1e-3, 1e-2, 0.1, 0.5, 0.9, 1.0]
+    top = singular_integral_bound(grid, tol=0.0)
+    for row, ref in zip(singular_integral_bound(grid, tol=tol), top):
+        assert ref["rung"] == len(_RUNGS) - 1
+        assert abs(row["value"] - ref["value"]) <= row["error_estimate"]
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-7])
+@pytest.mark.parametrize("rho_up, rho_down, rho", [
+    (1e-3, 1e-3, 1e-3), (1e-4, 1e-2, 1e-2), (1e-2, 3e-4, 1e-4)])
+def test_gap_error_estimate_is_honest(tol, rho_up, rho_down, rho):
+    params = FermiParams(rho_up=rho_up, rho_down=rho_down)
+    cutoff = CutoffConfig(rho=rho)
+    (ref,) = gap_cutoff_study(params, cutoff, [rho], tol=0.0)
+    (row,) = gap_cutoff_study(params, cutoff, [rho], tol=tol)
+    assert ref["rung"] == len(_RUNGS) - 1
+    assert abs(row["i_regularized"] - ref["i_regularized"]) \
+        <= row["error_estimate"]
 
 
 def test_f_quadrature_monotone():
