@@ -39,7 +39,7 @@ from .quadrature import (
     singular_integral_bound,
 )
 
-# fock needs scipy.sparse; load it on first access (PEP 562) so that the
+# fock needs scipy.linalg; load it on first access (PEP 562) so that the
 # closed forms and the quick CLI commands start on numpy alone
 _FOCK_NAMES = ("build_basis", "build_corr_terms", "build_hamiltonian",
                "build_lattice", "trial_state")

@@ -9,6 +9,7 @@ seed and tolerances that produced it.
 """
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -263,6 +264,9 @@ def _validate(config):
             if isinstance(v, float) and not math.isfinite(v):
                 raise UsageError(f"{key.replace('_', '-')} must be finite, "
                                  f"got {v}")
+    if p.get("tol") is not None and not p["tol"] > 0.0:
+        # a tolerance of zero or below can never be met
+        raise UsageError(f"tol must be positive, got {p['tol']}")
     gamma, delta = p.get("gamma"), p.get("delta")
     if gamma is not None:
         if not 0.0 < gamma < 1.0 / 3.0:
@@ -316,8 +320,8 @@ def _validate(config):
     if config.command == "fock-demo":
         from . import fock
 
-        # closed-shell and mode-cap refusals are config problems, not
-        # runtime ones
+        # closed-shell and size refusals are config problems, not runtime
+        # ones; the size is counted, nothing is enumerated
         try:
             fock.build_basis(fock.build_lattice(p["L"], p["kmax"],
                                                 p["shells"][0],
@@ -390,6 +394,20 @@ def _meta(config, wall_ms, tolerances, extra=None):
     if extra:
         meta.update(extra)
     return meta
+
+
+@contextlib.contextmanager
+def _stage(stages, name):
+    """Add the wall time of the with-block to stages[name], in ms.
+
+    The times go to the metadata line under "stages"; like wall_time_ms
+    they are outside the byte-identical-rerun guarantee.
+    """
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        stages[name] = stages.get(name, 0.0) + (time.perf_counter() - t0) * 1000.0
 
 
 def _cmd_scatter(config):
@@ -560,38 +578,56 @@ def _cmd_fock_demo(config):
 
     p = config.parameters
     tol = p["tol"]
-    lat = fock.build_lattice(p["L"], p["kmax"], p["shells"][0],
-                             p["shells"][1])
-    basis = fock.build_basis(lat)
-    pot = _potential(p)
-    vhat = fock.vhat_from_potential(lat, pot)
-    h = fock.build_hamiltonian(lat, basis, vhat)
-    terms = fock.build_corr_terms(lat, basis, vhat)
-    e_ffg = fock.ffg_energy(lat, basis, h)
-    report = fock.corr_identity_report(lat, basis, h, terms)
-    sol = solve_scattering(pot)
-    cutoff = CutoffConfig(rho=_demo_crossover_density(lat, p["gamma"]),
-                          gamma=p["gamma"], delta=p["delta"])
-    psf = periodize_phi(sol, lat.L, cutoff=cutoff)
-    eta = EtaFunction(a=sol.a, epsilon=cutoff.epsilon, kF_up=lat.kF_up,
-                      kF_down=lat.kF_down)
-    b1 = fock.build_generator(lat, basis, "B1", phi=psf, cutoff=cutoff)
-    b2 = fock.build_generator(lat, basis, "B2", eta=eta, cutoff=cutoff)
-    trial = []
-    for l1 in p["lambda_grid"]:
-        for l2 in p["lambda_grid"]:
-            e = e_ffg + fock.trial_energy(lat, basis, terms, b1, b2, l1, l2)
-            trial.append((float(l1), float(l2), e))
-    e_ground = fock.ground_energy(lat, basis, h, lat.N_up, lat.N_down)
+    stages = {}
+    with _stage(stages, "lattice"):
+        lat = fock.build_lattice(p["L"], p["kmax"], p["shells"][0],
+                                 p["shells"][1])
+        pot = _potential(p)
+        vhat = fock.vhat_from_potential(lat, pot)
+    with _stage(stages, "sector"):
+        basis = fock.build_basis(lat)
+        physics = fock.sector(basis, lat.N_up, lat.N_down)
+        ph = fock.ph_sector(lat, basis, 0, 0)
+    with _stage(stages, "H"):
+        h = fock.build_hamiltonian(lat, basis, vhat)
+    with _stage(stages, "corr-terms"):
+        terms = fock.build_corr_terms(lat, basis, vhat)
+    with _stage(stages, "PH"):
+        e_ffg = fock.ffg_energy(lat, basis, h)
+    with _stage(stages, "identity"):
+        report = fock.corr_identity_report(lat, basis, h, terms)
+    with _stage(stages, "generators"):
+        sol = solve_scattering(pot)
+        cutoff = CutoffConfig(rho=_demo_crossover_density(lat, p["gamma"]),
+                              gamma=p["gamma"], delta=p["delta"])
+        psf = periodize_phi(sol, lat.L, cutoff=cutoff)
+        eta = EtaFunction(a=sol.a, epsilon=cutoff.epsilon, kF_up=lat.kF_up,
+                          kF_down=lat.kF_down)
+        b1 = fock.build_generator(lat, basis, "B1", phi=psf, cutoff=cutoff)
+        b2 = fock.build_generator(lat, basis, "B2", eta=eta, cutoff=cutoff)
+    with _stage(stages, "trial"):
+        trial = []
+        for l1 in p["lambda_grid"]:
+            for l2 in p["lambda_grid"]:
+                e = e_ffg + fock.trial_energy(lat, basis, terms, b1, b2, l1, l2)
+                trial.append((float(l1), float(l2), e))
+    with _stage(stages, "ground"):
+        e_ground = fock.ground_energy(lat, basis, h, lat.N_up, lat.N_down)
     payload = {
         "E_ffg": e_ffg,
         "E_ground": e_ground,
         "trial_energies": [list(t) for t in trial],
         "identity_residuals": report,
     }
+    # H on the physics sector; the terms and generators on its
+    # particle-hole image
+    nnz = np.count_nonzero(h.on(physics)) + sum(
+        np.count_nonzero(o.on(ph)) for o in (*terms.values(), b1, b2))
     counters = {
+        "sector_states": int(physics.size),
         "trial_block": int(fock.trial_block(b1, b2).size),
-        "nnz": int(sum(o.matrix.nnz for o in (h, *terms.values(), b1, b2))),
+        "nnz": int(nnz),
+        "stages": {k: round(v, 3) for k, v in stages.items()},
     }
     header = ("lambda1", "lambda2", "energy")
     best = min(trial, key=lambda t: t[2])

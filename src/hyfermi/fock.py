@@ -1,45 +1,53 @@
 """Exact Fock-space realization of the pairing constructions on tiny momentum grids.
 
-Everything here is desk scale by design: a lattice of a handful of momenta, an
-occupation basis of at most a few million states, and operators assembled term
-by term as sparse matrices. The point is not scale but exactness. Canonical
-anticommutation relations, the particle-hole transformation, the correlation
-Hamiltonian split and the quasi-bosonic generators all hold as matrix
-identities that tests can check to near machine precision.
+Everything here is desk scale by design: a lattice of a handful of momenta,
+operators kept as sums of reduced ladder strings, and each operator
+materialized as a small dense matrix on the few basis states a computation
+needs. The point is not scale but exactness. Canonical anticommutation
+relations, the particle-hole transformation, the correlation Hamiltonian
+split and the quasi-bosonic generators all hold as matrix identities that
+tests can check to near machine precision.
 
 Momenta are integer triples n standing for k = (2*pi/L) n. All interaction
 coefficients used here are real (radial potentials), so every matrix is real
 and Hermitian conjugation is plain transposition.
 
-The trial states never see the full space. B - B* maps each weakly connected
-component of B's sparsity graph to itself, so an exponential acting on a
-vector only touches the components that meet its support, and the energy
-only needs the operator rows of the states the vector occupies. Under the
-22-mode cap the only lattices with nonzero generators have 7 momenta and
-one particle per spin, and the vacuum reaches 7 states there; one particle
-per spin on 19 momenta would give at most 1 + 18^2 = 325. So the
-exponentials are dense matrix exponentials of the reached block, with no
-size switch.
+A basis state is an int64 whose bit j is the occupation of mode j. Nothing
+is built on all 2^n of them. H conserves the particle number of each spin;
+the correlation terms and the generators conserve, per spin, the
+particle-hole charge (particles outside the Fermi ball) - (holes inside).
+A sector is the sorted array of the states with fixed per-spin charges, and
+the particle-hole transform is a signed permutation from a particle-hole
+sector onto an occupation sector. Sizes are refused before anything is
+enumerated: more than 62 modes (the bits of an int64 below its sign) or a
+sector above C(7, 3)^2 = 1225 states, the largest sector of a 7-momentum
+lattice. One particle per spin on 19 momenta gives 361 states.
+
+The trial states act on less still. B - B* maps each connected component of
+B's graph to itself, so each exponential is a dense matrix exponential of
+the component that holds the current vector: 7 states on the demo lattice.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .potentials import fourier_V
 
 SPIN_UP = 0
 SPIN_DOWN = 1
 
-# 2^22 states is already ~34 MB per vector; beyond that nothing finishes
-_MAX_MODES = 22
+# mode j is bit j of an int64 state; bit 63 is the sign, and numpy's
+# bitwise_count counts the bits of |x|
+_STATE_BITS = 62
+# dense sector matrices stay below ~12 MB
+_MAX_SECTOR = 1225
 
 _SHELL_TOL = 1e-9
 
@@ -155,7 +163,8 @@ class FockBasis:
 
     Mode j occupies bit j of the basis-state integer; all fermionic signs are
     parities of occupied lower bits. The order is momentum-major with spin up
-    before spin down, and the vacuum is index 0.
+    before spin down, so the mode of momentum n and spin s is
+    2 * lattice.index[n] + s, and the vacuum is the state 0.
     """
 
     mode_order: tuple[tuple[Triple, int], ...]
@@ -177,95 +186,150 @@ class FockBasis:
 
 
 def build_basis(lattice: LatticeConfig) -> FockBasis:
+    """The basis of the lattice's modes, refused by size before anything is
+    enumerated: more than 62 modes, or a physics sector (N_up, N_down)
+    above 1225 states."""
     modes = tuple((n, s) for n in lattice.momenta for s in (SPIN_UP, SPIN_DOWN))
-    if len(modes) > _MAX_MODES:
+    if len(modes) > _STATE_BITS:
         raise ValueError(
-            f"{len(modes)} modes would need a state space of 2^{len(modes)}; "
-            f"the practical limit is {_MAX_MODES} modes"
+            f"{len(modes)} modes do not fit the {_STATE_BITS} bits of an int64 basis state"
         )
-    return FockBasis(mode_order=modes, dimension=1 << len(modes))
+    basis = FockBasis(mode_order=modes, dimension=1 << len(modes))
+    _sector_size(basis, (lattice.N_up, lattice.N_down), (0, 0))
+    return basis
 
 
-@dataclass(frozen=True)
+def _spin_bits(basis: FockBasis, spin: int) -> list[int]:
+    return [1 << j for j, (_, s) in enumerate(basis.mode_order) if s == spin]
+
+
+def _ball_masks(lattice: LatticeConfig, basis: FockBasis) -> tuple[int, int]:
+    """Per spin, the bits of the modes inside the Fermi ball."""
+    masks = [0, 0]
+    for j, (n, s) in enumerate(basis.mode_order):
+        if lattice.in_ball(n, s):
+            masks[s] |= 1 << j
+    return masks[0], masks[1]
+
+
+def _sector_size(basis: FockBasis, charges, minus) -> int:
+    """Size of _sector(basis, charges, minus), counted without enumerating
+    it (Vandermonde: sum_h C(in, h) C(out, h + q) = C(in + out, in + q));
+    an empty or oversized sector raises."""
+    size = 1
+    for spin, q in enumerate(charges):
+        n = len(_spin_bits(basis, spin))
+        k = minus[spin].bit_count() + q
+        size *= math.comb(n, k) if 0 <= k <= n else 0
+    if size == 0:
+        raise ValueError(f"no basis states carry per-spin charges {tuple(charges)}")
+    if size > _MAX_SECTOR:
+        raise ValueError(
+            f"the sector of per-spin charges {tuple(charges)} holds {size} states; "
+            f"the limit is {_MAX_SECTOR} (C(7, 3)^2)"
+        )
+    return size
+
+
+def _sector(basis: FockBasis, charges, minus) -> np.ndarray:
+    """Sorted basis states whose charge in each spin, the set bits outside
+    minus[spin] less the set bits inside it, equals charges[spin]."""
+    _sector_size(basis, charges, minus)
+    per_spin = []
+    for spin, q in enumerate(charges):
+        bits = _spin_bits(basis, spin)
+        inside = [b for b in bits if b & minus[spin]]
+        outside = [b for b in bits if not b & minus[spin]]
+        per_spin.append(np.array(
+            [sum(h) + sum(p)
+             for r in range(max(0, -q), min(len(inside), len(outside) - q) + 1)
+             for h in itertools.combinations(inside, r)
+             for p in itertools.combinations(outside, r + q)],
+            dtype=np.int64))
+    return np.sort((per_spin[0][:, None] | per_spin[1][None, :]).ravel())
+
+
+def sector(basis: FockBasis, n_up: int, n_down: int) -> np.ndarray:
+    """Sorted basis states holding n_up spin-up and n_down spin-down particles."""
+    return _sector(basis, (n_up, n_down), (0, 0))
+
+
+def ph_sector(lattice: LatticeConfig, basis: FockBasis, q_up: int, q_down: int) -> np.ndarray:
+    """Sorted particle-hole-frame basis states whose charge (particles outside
+    the ball) - (holes inside) is q_up and q_down. ph_transform maps them
+    onto sector(basis, N_up + q_up, N_down + q_down)."""
+    return _sector(basis, (q_up, q_down), _ball_masks(lattice, basis))
+
+
+# (form, state) pairs tested per pass of FockOperator._images: large enough
+# to amortize numpy's per-call cost, small enough for a few MB of temporaries
+_CHUNK = 1 << 16
+
+
+@dataclass(frozen=True, eq=False)
 class FockOperator:
-    """Sparse operator on a FockBasis with verified structural flags."""
+    """Sum of reduced ladder strings on a FockBasis, with verified structural flags.
+
+    Column f of `forms` is one merged string (fixed, need, final, flip) as
+    _reduce returns it, and coef[f] its coefficient. `on` materializes the
+    operator as a dense matrix between any two lists of basis states.
+    """
 
     basis: FockBasis
-    matrix: sp.csr_matrix
+    coef: np.ndarray
+    forms: np.ndarray
     hermitian: bool = False
     number_conserving: bool = False
+    # _component's results, by the bytes of the states they start from
+    _memo: dict = field(default_factory=dict, repr=False)
 
-    def expectation(self, vec: np.ndarray) -> float:
-        """<vec, M vec>, summed over the stored entries of vec's nonzero rows."""
-        rows = np.flatnonzero(vec != 0.0)
-        at, cols, vals = _gather_rows(self.matrix, rows)
-        return float(np.real(np.sum(np.conj(vec[rows])[at] * vals * vec[cols])))
+    def _images(self, src: np.ndarray, adjoint: bool = False):
+        """Every nonzero action on the states src: (position in src, image
+        state, value). The adjoint swaps each string's need and final bits."""
+        fixed, need, final, flip = self.forms
+        if adjoint:
+            need, final = final, need
+        step = max(1, _CHUNK // max(src.size, 1))
+        cols, images, vals = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
+        for lo in range(0, self.coef.size, step):
+            f, j = np.nonzero((src & fixed[lo:lo + step, None]) == need[lo:lo + step, None])
+            f += lo
+            x = src[j]
+            parity = np.bitwise_count(x & flip[f]) & 1
+            cols.append(j)
+            images.append(x ^ need[f] ^ final[f])
+            vals.append(self.coef[f] * (1.0 - 2.0 * parity))
+        return np.concatenate(cols), np.concatenate(images), np.concatenate(vals)
 
-    @cached_property
-    def blocks(self) -> np.ndarray:
-        """Weakly connected component label of every basis state.
+    def on(self, src, dst=None) -> np.ndarray:
+        """Dense matrix [i, j] = <dst_i| M |src_j> between int64 state arrays;
+        dst (default src) must be sorted, and images outside it are dropped."""
+        src = np.asarray(src, dtype=np.int64)
+        dst = src if dst is None else np.asarray(dst, dtype=np.int64)
+        j, y, val = self._images(src)
+        i = np.minimum(np.searchsorted(dst, y), dst.size - 1)
+        keep = dst[i] == y
+        flat = np.bincount(i[keep] * src.size + j[keep], weights=val[keep],
+                           minlength=dst.size * src.size)
+        return flat.reshape(dst.size, src.size)
 
-        Each component is closed under the matrix and its transpose, so
-        these are the invariant blocks of M - M* and of M + M*.
-        """
-        return connected_components(self.matrix, directed=True, connection="weak")[1]
-
-    @cached_property
-    def _block_members(self) -> tuple[np.ndarray, np.ndarray]:
-        # component c holds states order[indptr[c]:indptr[c + 1]], as in CSR
-        order = np.argsort(self.blocks, kind="stable")
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(self.blocks))))
-        return order, indptr
-
-    def reach(self, states: np.ndarray) -> np.ndarray:
-        """Sorted union of the blocks that hold any of the given states."""
-        order, indptr = self._block_members
-        _, pos = _row_positions(indptr, np.unique(self.blocks[states]))
-        return np.sort(order[pos])
-
-
-def _row_positions(indptr: np.ndarray, rows: np.ndarray):
-    """Entries of `rows` in a CSR index: which of `rows` each is, and where."""
-    start = indptr[rows]
-    counts = indptr[rows + 1] - start
-    at = np.repeat(np.arange(rows.size), counts)
-    return at, start[at] + np.arange(at.size) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
-def _gather_rows(m: sp.csr_matrix, rows: np.ndarray):
-    """Stored entries of the CSR rows `rows`: (position in rows, column, value)."""
-    at, pos = _row_positions(m.indptr, rows)
-    return at, m.indices[pos], m.data[pos]
-
-
-def _abs_max(m) -> float:
-    return float(np.abs(m.data).max()) if m.nnz else 0.0
-
-
-def make_operator(basis, matrix, hermitian=False,
-                  number_conserving=False) -> FockOperator:
-    """Wrap a sparse matrix, checking every structural flag that is claimed."""
-    matrix = matrix.tocsr()
-    scale = 1.0 + _abs_max(matrix)
-    if hermitian and _abs_max((matrix - matrix.T.conj()).tocoo()) > 1e-12 * scale:
-        raise ValueError("operator claimed Hermitian is not")
-    if number_conserving and matrix.nnz:
-        coo = matrix.tocoo()
-        rows = np.bitwise_count(coo.row.astype(np.uint64))
-        cols = np.bitwise_count(coo.col.astype(np.uint64))
-        if np.any(rows != cols):
-            raise ValueError("operator claimed number conserving is not")
-    return FockOperator(
-        basis=basis,
-        matrix=matrix,
-        hermitian=hermitian,
-        number_conserving=number_conserving,
-    )
-
-
-# entries generated per assembly block: large enough to amortize the sparse
-# addition, small enough that no block dominates peak memory
-_BLOCK = 1 << 16
+    def _component(self, states: np.ndarray):
+        """The sorted union of the connected components of M's graph that
+        hold `states`, and M - M* on it; remembered, because every trial
+        state asks for the same few."""
+        key = states.tobytes()
+        if key not in self._memo:
+            block = states
+            while True:
+                _, down, _ = self._images(block)
+                _, up, _ = self._images(block, adjoint=True)
+                grown = np.union1d(block, np.concatenate((down, up)))
+                if grown.size == block.size:
+                    break
+                block = grown
+            m = self.on(block)
+            self._memo[key] = block, m - m.T
+        return self._memo[key]
 
 
 def _reduce(ops):
@@ -278,7 +342,7 @@ def _reduce(ops):
     factor sign * (-1)^popcount(x & flip), where flip collects the untouched
     modes lying below an odd number of factors. Returns
     ((fixed, need, final, flip), sign), or None when the string vanishes on
-    every state.
+    every state. Its adjoint is (fixed, final, need, flip) with the same sign.
     """
     fixed = need = cur = 0
     for mode, dag in reversed(ops):
@@ -301,18 +365,8 @@ def _reduce(ops):
     return (fixed, need, cur, flip & ~fixed), -1.0 if odd else 1.0
 
 
-def _assemble(basis: FockBasis, terms) -> sp.csr_matrix:
-    """Sum coefficient * opstring over a term list into one sparse matrix.
-
-    Each string is reduced symbolically first, and strings with the same
-    reduced form are merged. Only the source states that satisfy a string's
-    fixed bits are generated, by inserting zero bits at the fixed positions
-    into a counter over the free ones. Strings with equally many fixed modes
-    share one vectorized pass, in blocks of about _BLOCK entries that are
-    added into the result as soon as they exist. Strings that leave every
-    state in place (number-like ones) sum into a dense diagonal instead.
-    """
-    dim, n_modes = basis.dimension, basis.n_modes
+def _merge(terms) -> dict:
+    """Reduce every (coefficient, ops) term and sum the equal forms."""
     merged: dict[tuple[int, int, int, int], float] = {}
     for coef, ops in terms:
         if coef == 0.0:
@@ -321,65 +375,54 @@ def _assemble(basis: FockBasis, terms) -> sp.csr_matrix:
         if red is not None:
             form, sign = red
             merged[form] = merged.get(form, 0.0) + sign * coef
-    groups: dict[tuple[int, bool], list] = {}
+    return merged
+
+
+def _plus_adjoint(merged: dict) -> dict:
+    """The forms of M + M*."""
+    out = dict(merged)
     for (fixed, need, final, flip), coef in merged.items():
-        if coef != 0.0:
-            groups.setdefault((fixed.bit_count(), need == final), []).append(
-                (coef, fixed, need, final, flip))
-    diag = np.zeros(dim)
-    acc = sp.csr_matrix((dim, dim), dtype=np.float64)
-    for (m, diagonal), group in groups.items():
-        free = np.arange(1 << (n_modes - m), dtype=np.int64)
-        per_block = max(1, _BLOCK >> (n_modes - m))
-        for lo in range(0, len(group), per_block):
-            coef, fixed, need, final, flip = (
-                np.array(col) for col in zip(*group[lo:lo + per_block])
-            )
-            x = np.broadcast_to(free, (coef.size, free.size))
-            for p in _fixed_positions(fixed, m, n_modes).T:
-                p = p[:, None]
-                x = ((x >> p) << (p + 1)) | (x & ((1 << p) - 1))
-            parity = np.bitwise_count(x & flip[:, None]) & 1
-            vals = (coef[:, None] * (1.0 - 2.0 * parity)).ravel()
-            src = (x | need[:, None]).ravel()
-            if diagonal:
-                diag += np.bincount(src, weights=vals, minlength=dim)
-            else:
-                dst = (x | final[:, None]).ravel()
-                acc = acc + sp.csr_matrix((vals, (dst, src)), shape=(dim, dim))
-    if diag.any():
-        acc = acc + sp.diags(diag, format="csr")
-    acc.eliminate_zeros()
-    return acc
+        key = (fixed, final, need, flip)
+        out[key] = out.get(key, 0.0) + coef
+    return out
 
 
-def _fixed_positions(fixed: np.ndarray, m: int, n_modes: int) -> np.ndarray:
-    """Set-bit positions of each mask, ascending, as a (len(fixed), m) array."""
-    bits = (fixed[:, None] >> np.arange(n_modes)) & 1
-    return np.nonzero(bits)[1].reshape(fixed.size, m)
+def _operator(basis, merged: dict, hermitian=False, number_conserving=False) -> FockOperator:
+    """Wrap merged forms, checking every structural flag that is claimed."""
+    merged = {form: c for form, c in merged.items() if c != 0.0}
+    forms = np.array(list(merged), dtype=np.int64).reshape(-1, 4).T
+    coef = np.array(list(merged.values()), dtype=np.float64)
+    scale = 1.0 + (float(np.abs(coef).max()) if coef.size else 0.0)
+    if hermitian:
+        for (fixed, need, final, flip), c in merged.items():
+            if abs(merged.get((fixed, final, need, flip), 0.0) - c) > 1e-12 * scale:
+                raise ValueError("operator claimed Hermitian is not")
+    if number_conserving and np.any(np.bitwise_count(forms[1]) != np.bitwise_count(forms[2])):
+        raise ValueError("operator claimed number conserving is not")
+    return FockOperator(basis=basis, coef=coef, forms=forms, hermitian=hermitian,
+                        number_conserving=number_conserving)
 
 
-def _diagonal(basis: FockBasis, per_mode: np.ndarray) -> sp.csr_matrix:
-    states = np.arange(basis.dimension, dtype=np.int64)
-    d = np.zeros(basis.dimension)
-    for j in range(basis.n_modes):
-        d += per_mode[j] * ((states >> j) & 1)
-    return sp.diags(d).tocsr()
+def make_operator(basis, terms, hermitian=False,
+                  number_conserving=False) -> FockOperator:
+    """Sum (coefficient, ops) ladder strings, checking every claimed flag."""
+    return _operator(basis, _merge(terms), hermitian, number_conserving)
+
+
+def _number_terms(per_mode) -> list:
+    return [(c, [(j, True), (j, False)]) for j, c in enumerate(per_mode)]
 
 
 def mode_operator(basis: FockBasis, momentum, spin: int, kind: str) -> FockOperator:
     if kind not in ("create", "annihilate"):
         raise ValueError(f"kind must be 'create' or 'annihilate', got {kind!r}")
     j = basis.mode(momentum, spin)
-    m = _assemble(basis, [(1.0, [(j, kind == "create")])])
-    return make_operator(basis, m)
+    return make_operator(basis, [(1.0, [(j, kind == "create")])])
 
 
 def number_operator(basis: FockBasis, spin=None) -> FockOperator:
-    per_mode = np.array(
-        [1.0 if spin is None or s == spin else 0.0 for _, s in basis.mode_order]
-    )
-    return make_operator(basis, _diagonal(basis, per_mode), hermitian=True,
+    per_mode = [1.0 if spin is None or s == spin else 0.0 for _, s in basis.mode_order]
+    return make_operator(basis, _number_terms(per_mode), hermitian=True,
                          number_conserving=True)
 
 
@@ -420,11 +463,9 @@ def build_hamiltonian(lattice: LatticeConfig, basis: FockBasis, vhat) -> FockOpe
     finite model all identity checks refer to.
     """
     _validate_vhat(vhat)
-    per_mode = np.array([lattice.k_norm(n) ** 2 for n, _ in basis.mode_order])
-    kin = _diagonal(basis, per_mode)
     idx = lattice.index
     pref = 1.0 / (2.0 * lattice.L ** 3)
-    terms = []
+    terms = _number_terms([lattice.k_norm(n) ** 2 for n, _ in basis.mode_order])
     for nk, val in vhat.items():
         if val == 0.0:
             continue
@@ -439,88 +480,50 @@ def build_hamiltonian(lattice: LatticeConfig, basis: FockBasis, vhat) -> FockOpe
                 for s1 in (SPIN_UP, SPIN_DOWN):
                     for s2 in (SPIN_UP, SPIN_DOWN):
                         ops = [
-                            (basis.mode(pk, s1), True),
-                            (basis.mode(qk, s2), True),
-                            (basis.mode(q, s2), False),
-                            (basis.mode(p, s1), False),
+                            (2 * idx[pk] + s1, True),
+                            (2 * idx[qk] + s2, True),
+                            (2 * idx[q] + s2, False),
+                            (2 * idx[p] + s1, False),
                         ]
                         terms.append((pref * val, ops))
-    m = kin + _assemble(basis, terms)
-    return make_operator(basis, m, hermitian=True, number_conserving=True)
+    return make_operator(basis, terms, hermitian=True, number_conserving=True)
 
 
 def ffg_index(lattice: LatticeConfig, basis: FockBasis) -> int:
-    """Basis index of the filled-Fermi-ball determinant."""
-    x = 0
-    for j, (n, s) in enumerate(basis.mode_order):
-        if lattice.in_ball(n, s):
-            x |= 1 << j
-    return x
+    """Basis state of the filled-Fermi-ball determinant."""
+    up, down = _ball_masks(lattice, basis)
+    return up | down
 
 
-# bounded, so that a process sweeping lattices does not grow without limit
-@lru_cache(maxsize=4)
-def ph_transform(lattice: LatticeConfig, basis: FockBasis) -> FockOperator:
-    """Unitary R with R* a_k R = a_k outside the Fermi ball and a*_{-k} inside.
+def ph_transform(lattice: LatticeConfig, basis: FockBasis, states):
+    """The unitary R with R* a_k R = a_k outside the Fermi ball and a*_{-k}
+    inside, on particle-hole-frame basis states: R|x> = sign |image>,
+    returned as the arrays (image, sign).
 
-    Built as a product of commuting two-mode factors, one per +-k hole pair,
-    with a parity-dressed factor for each k = 0 hole mode. The result is a
-    real signed permutation; the sign is fixed by making the overlap of R
-    applied to the vacuum with the filled-determinant state positive. Every
-    per-mode image and unitarity itself are verified before the matrix is
-    returned, so a cached transform can be trusted blindly.
+    |x> = a*_{j1} ... a*_{jm} |0> with j1 < ... < jm, so R|x> is
+    c_{j1} ... c_{jm} applied to R|0> = |FFG>, where c_j = a*_j outside the
+    ball and a_{-j} inside. The factors touch distinct modes that the
+    determinant leaves empty (outside) or filled (inside), so R is a signed
+    permutation from ph_sector(q) onto sector(N + q), with the overlap of
+    R|0> and the determinant +1.
     """
-    dim = basis.dimension
-    eye = sp.identity(dim, format="csr", dtype=np.float64)
-    states = np.arange(dim, dtype=np.int64)
-
-    def ladder(j, dag):
-        m = _assemble(basis, [(1.0, [(j, dag)])])
-        return m
-
-    r = eye
-    for spin in (SPIN_UP, SPIN_DOWN):
-        done = set()
-        for n in lattice.ball(spin):
-            if n == (0, 0, 0) or n in done:
-                continue
-            done.add(n)
-            done.add(_neg(n))
-            jh = basis.mode(n, spin)
-            jb = basis.mode(_neg(n), spin)
-            a_h = ladder(jh, False)
-            a_b = ladder(jb, False)
-            g = a_h.T @ a_b.T - a_b @ a_h
-            u = eye + g + g @ g
-            flip = sp.diags(1.0 - 2.0 * ((states >> jh) & 1)).tocsr()
-            r = r @ (u @ flip)
-    for spin in (SPIN_UP, SPIN_DOWN):
-        if (0, 0, 0) in lattice.index and lattice.in_ball((0, 0, 0), spin):
-            j0 = basis.mode((0, 0, 0), spin)
-            a0 = ladder(j0, False)
-            parity = sp.diags(1.0 - 2.0 * (np.bitwise_count(states.astype(np.uint64)) & 1)).tocsr()
-            flip = sp.diags(1.0 - 2.0 * ((states >> j0) & 1)).tocsr()
-            r = r @ ((a0 + a0.T) @ parity @ flip)
-
-    col = r.getcol(0).toarray().ravel()
-    if col[ffg_index(lattice, basis)] < 0.0:
-        r = -r
-
-    if _abs_max((r.T @ r - eye).tocoo()) > 1e-12:
-        raise RuntimeError("particle-hole transform failed the unitarity check")
-    for j, (n, spin) in enumerate(basis.mode_order):
-        a_j = ladder(j, False)
-        img = (r.T @ a_j @ r).tocoo()
-        want = ladder(basis.mode(_neg(n), spin), True) if lattice.in_ball(n, spin) else a_j
-        if _abs_max((img - want).tocoo()) > 1e-12:
-            raise RuntimeError(f"particle-hole transform maps mode {j} incorrectly")
-    return make_operator(basis, r)
+    states = np.asarray(states, dtype=np.int64)
+    idx = lattice.index
+    image = np.full(states.shape, ffg_index(lattice, basis), dtype=np.int64)
+    negative = np.zeros(states.shape, dtype=bool)
+    for j in reversed(range(basis.n_modes)):
+        n, s = basis.mode_order[j]
+        t = 2 * idx[_neg(n)] + s if lattice.in_ball(n, s) else j
+        hit = (states >> j) & 1 == 1
+        negative ^= hit & (np.bitwise_count(image & ((1 << t) - 1)) & 1 == 1)
+        image = np.where(hit, image ^ (1 << t), image)
+    return image, np.where(negative, -1.0, 1.0)
 
 
 def ffg_energy(lattice: LatticeConfig, basis: FockBasis, h: FockOperator) -> float:
-    """Energy of the filled-determinant state, straight from the matrices."""
-    v = ph_transform(lattice, basis).matrix.getcol(0).toarray().ravel()
-    return float(v @ (h.matrix @ v))
+    """Energy of the filled-determinant state R|0>, straight from the forms."""
+    image, _ = ph_transform(lattice, basis, np.zeros(1, dtype=np.int64))
+    return float(h.on(image)[0, 0])
 
 
 def ffg_energy_wick(lattice: LatticeConfig, vhat) -> float:
@@ -550,9 +553,9 @@ def build_corr_terms(lattice: LatticeConfig, basis: FockBasis, vhat) -> dict:
     Conjugating the Hamiltonian by the particle-hole transform and normal
     ordering sorts it into a constant (the determinant energy), a quadratic
     part (H0 and X) and quartic blocks Q1..Q4 classified by how many
-    excitations they create. The identity holds exactly on the subspace where
+    excitations they create. The identity holds exactly on the sector where
     particle and hole numbers balance within each spin; the leftover on the
-    rest is the diagonal kF^2-weighted imbalance that corr_identity_report
+    other sectors is the kF^2-weighted imbalance that corr_identity_report
     measures.
     """
     _validate_vhat(vhat)
@@ -563,11 +566,11 @@ def build_corr_terms(lattice: LatticeConfig, basis: FockBasis, vhat) -> dict:
     v = {SPIN_UP: v_up, SPIN_DOWN: v_dn}
     vol = lattice.L ** 3
 
-    per_mode_h0 = np.array(
-        [abs(lattice.k_norm(n) ** 2 - lattice.kF(s) ** 2) for n, s in basis.mode_order]
-    )
-    h0 = make_operator(basis, _diagonal(basis, per_mode_h0), hermitian=True,
-                       number_conserving=True)
+    h0 = make_operator(
+        basis,
+        _number_terms([abs(lattice.k_norm(n) ** 2 - lattice.kF(s) ** 2)
+                       for n, s in basis.mode_order]),
+        hermitian=True, number_conserving=True)
 
     # X dresses each mode with the mean field of the filled balls: direct
     # coupling to the total density minus the same-spin exchange fold. The
@@ -579,14 +582,11 @@ def build_corr_terms(lattice: LatticeConfig, basis: FockBasis, vhat) -> dict:
         ball = lattice.ball(s)
         what[s] = {t: sum(vhat[_sub(t, m)] for m in ball) / vol for t in mom}
     hartree = (lattice.N_up + lattice.N_down) * vhat[(0, 0, 0)] / vol
-    per_mode_x = np.array(
-        [
-            (hartree - what[s][n]) * (u[s][idx[n]] - v[s][idx[n]])
-            for n, s in basis.mode_order
-        ]
-    )
-    x = make_operator(basis, _diagonal(basis, per_mode_x), hermitian=True,
-                      number_conserving=True)
+    x = make_operator(
+        basis,
+        _number_terms([(hartree - what[s][n]) * (u[s][idx[n]] - v[s][idx[n]])
+                       for n, s in basis.mode_order]),
+        hermitian=True, number_conserving=True)
 
     spins = (SPIN_UP, SPIN_DOWN)
 
@@ -607,10 +607,10 @@ def build_corr_terms(lattice: LatticeConfig, basis: FockBasis, vhat) -> dict:
                         if k4 not in idx or u[s2][idx[k4]] == 0.0:
                             continue
                         ops = [
-                            (basis.mode(k1, s1), True),
-                            (basis.mode(k2, s1), True),
-                            (basis.mode(k3, s2), False),
-                            (basis.mode(k4, s2), False),
+                            (2 * idx[k1] + s1, True),
+                            (2 * idx[k2] + s1, True),
+                            (2 * idx[k3] + s2, False),
+                            (2 * idx[k4] + s2, False),
                         ]
                         q1_terms.append((vhat[_add(k1, k2)] / vol, ops))
     for s1 in spins:
@@ -631,14 +631,13 @@ def build_corr_terms(lattice: LatticeConfig, basis: FockBasis, vhat) -> dict:
                         if coef == 0.0:
                             continue
                         ops = [
-                            (basis.mode(k1, s1), True),
-                            (basis.mode(k2, s2), True),
-                            (basis.mode(k3, s2), False),
-                            (basis.mode(k4, s1), False),
+                            (2 * idx[k1] + s1, True),
+                            (2 * idx[k2] + s2, True),
+                            (2 * idx[k3] + s2, False),
+                            (2 * idx[k4] + s1, False),
                         ]
                         q1_terms.append((coef * vhat[_sub(k1, k4)] / vol, ops))
-    q1 = make_operator(basis, _assemble(basis, q1_terms), hermitian=True,
-                       number_conserving=True)
+    q1 = make_operator(basis, q1_terms, hermitian=True, number_conserving=True)
 
     q2_terms = {True: [], False: []}
     for s1 in spins:
@@ -656,16 +655,14 @@ def build_corr_terms(lattice: LatticeConfig, basis: FockBasis, vhat) -> dict:
                         if k4 not in idx or v[s1][idx[k4]] == 0.0:
                             continue
                         ops = [
-                            (basis.mode(k1, s1), True),
-                            (basis.mode(k2, s2), True),
-                            (basis.mode(k3, s2), True),
-                            (basis.mode(k4, s1), True),
+                            (2 * idx[k1] + s1, True),
+                            (2 * idx[k2] + s2, True),
+                            (2 * idx[k3] + s2, True),
+                            (2 * idx[k4] + s1, True),
                         ]
                         q2_terms[s1 == s2].append((0.5 * vhat[_add(k1, k4)] / vol, ops))
-    half_par = _assemble(basis, q2_terms[True])
-    half_ud = _assemble(basis, q2_terms[False])
-    q2_par = make_operator(basis, half_par + half_par.T, hermitian=True)
-    q2_ud = make_operator(basis, half_ud + half_ud.T, hermitian=True)
+    q2_par = _operator(basis, _plus_adjoint(_merge(q2_terms[True])), hermitian=True)
+    q2_ud = _operator(basis, _plus_adjoint(_merge(q2_terms[False])), hermitian=True)
 
     q3_terms = []
     for s1 in spins:
@@ -688,14 +685,13 @@ def build_corr_terms(lattice: LatticeConfig, basis: FockBasis, vhat) -> dict:
                         if coef == 0.0:
                             continue
                         ops = [
-                            (basis.mode(k1, s1), True),
-                            (basis.mode(k2, s2), True),
-                            (basis.mode(k3, s1), True),
-                            (basis.mode(k4, s2), False),
+                            (2 * idx[k1] + s1, True),
+                            (2 * idx[k2] + s2, True),
+                            (2 * idx[k3] + s1, True),
+                            (2 * idx[k4] + s2, False),
                         ]
                         q3_terms.append((coef * vhat[_add(k1, k3)] / vol, ops))
-    half_q3 = _assemble(basis, q3_terms)
-    q3 = make_operator(basis, half_q3 + half_q3.T, hermitian=True)
+    q3 = _operator(basis, _plus_adjoint(_merge(q3_terms)), hermitian=True)
 
     q4_terms = []
     for s1 in spins:
@@ -713,14 +709,13 @@ def build_corr_terms(lattice: LatticeConfig, basis: FockBasis, vhat) -> dict:
                         if k3 not in idx or u[s2][idx[k3]] == 0.0:
                             continue
                         ops = [
-                            (basis.mode(k1, s1), True),
-                            (basis.mode(k2, s2), True),
-                            (basis.mode(k3, s2), False),
-                            (basis.mode(k4, s1), False),
+                            (2 * idx[k1] + s1, True),
+                            (2 * idx[k2] + s2, True),
+                            (2 * idx[k3] + s2, False),
+                            (2 * idx[k4] + s1, False),
                         ]
                         q4_terms.append((0.5 * vhat[_sub(k1, k4)] / vol, ops))
-    q4 = make_operator(basis, _assemble(basis, q4_terms), hermitian=True,
-                       number_conserving=True)
+    q4 = make_operator(basis, q4_terms, hermitian=True, number_conserving=True)
 
     return {
         "H0": h0,
@@ -734,89 +729,91 @@ def build_corr_terms(lattice: LatticeConfig, basis: FockBasis, vhat) -> dict:
 
 
 def corr_hamiltonian(terms: dict) -> FockOperator:
-    basis = next(iter(terms.values())).basis
-    total = sum(t.matrix for t in terms.values())
-    return make_operator(basis, total, hermitian=True)
+    """The sum of the correlation terms; each was checked Hermitian when built."""
+    ops = list(terms.values())
+    return FockOperator(basis=ops[0].basis,
+                        coef=np.concatenate([t.coef for t in ops]),
+                        forms=np.concatenate([t.forms for t in ops], axis=1),
+                        hermitian=True)
 
 
-def excitation_counts(lattice: LatticeConfig, basis: FockBasis):
-    """Per basis state: particles and holes of each spin, as four arrays."""
-    states = np.arange(basis.dimension, dtype=np.uint64)
-    masks = {(s, inside): 0 for s in (SPIN_UP, SPIN_DOWN) for inside in (False, True)}
-    for j, (n, s) in enumerate(basis.mode_order):
-        masks[(s, lattice.in_ball(n, s))] |= 1 << j
-    count = lambda m: np.bitwise_count(states & np.uint64(m)).astype(np.int64)
-    return (
-        count(masks[(SPIN_UP, False)]),
-        count(masks[(SPIN_UP, True)]),
-        count(masks[(SPIN_DOWN, False)]),
-        count(masks[(SPIN_DOWN, True)]),
-    )
+def excitation_counts(lattice: LatticeConfig, basis: FockBasis, states):
+    """Per particle-hole-frame state: particles and holes of each spin, as
+    four arrays (up particles, up holes, down particles, down holes)."""
+    states = np.asarray(states, dtype=np.int64)
+    out = []
+    for spin, ball in enumerate(_ball_masks(lattice, basis)):
+        every = sum(_spin_bits(basis, spin))
+        out.append(np.bitwise_count(states & (every & ~ball)).astype(np.int64))
+        out.append(np.bitwise_count(states & ball).astype(np.int64))
+    return tuple(out)
 
 
-def balanced_mask(lattice: LatticeConfig, basis: FockBasis) -> np.ndarray:
-    pu, hu, pd, hd = excitation_counts(lattice, basis)
-    return (pu == hu) & (pd == hd)
+def _identity_residuals(lattice: LatticeConfig, basis: FockBasis, h: FockOperator,
+                        terms: dict, charges) -> dict:
+    """Residuals of R*HR = E_ffg + sum of the terms + sum_s kF_s^2 q_s on the
+    particle-hole sectors of the given per-spin charges q."""
+    total = corr_hamiltonian(terms)
+    e_ffg = ffg_energy(lattice, basis, h)
+    off = balanced = fit = 0.0
+    for q in charges:
+        src = ph_sector(lattice, basis, *q)
+        image, sign = ph_transform(lattice, basis, src)
+        order = np.argsort(image)
+        pos = np.empty_like(order)
+        pos[order] = np.arange(order.size)
+        conj = np.outer(sign, sign) * h.on(image[order])[np.ix_(pos, pos)]
+        diff = conj - total.on(src)
+        diag = diff.diagonal() - e_ffg
+        np.fill_diagonal(diff, 0.0)
+        off = max(off, float(np.abs(diff).max()))
+        if q[0] == q[1] == 0:
+            balanced = max(balanced, float(np.abs(diag).max()))
+        expected = lattice.kF_up ** 2 * q[0] + lattice.kF_down ** 2 * q[1]
+        fit = max(fit, float(np.abs(diag - expected).max()))
+    return {"offdiagonal": off, "balanced_diagonal": balanced, "imbalance_fit": fit}
 
 
 def corr_identity_report(lattice: LatticeConfig, basis: FockBasis,
                          h: FockOperator, terms: dict) -> dict:
-    """Residuals of R*HR = E_ffg + correlation terms, split by subspace.
+    """Residuals of R*HR = E_ffg + correlation terms, split by sector.
 
-    The difference is diagonal; on spin-balanced states it vanishes, and on
-    the rest it equals sum_sigma kF_sigma^2 (particles - holes). The report
-    carries the off-diagonal maximum, the balanced-diagonal maximum and the
-    worst deviation from that imbalance formula.
+    The difference is diagonal; on the spin-balanced sector (the image of
+    the physics sector) it vanishes, and on a sector of per-spin charges q
+    it equals sum_sigma kF_sigma^2 q_sigma. The report carries the
+    off-diagonal maximum, the balanced-diagonal maximum and the worst
+    deviation from that imbalance formula, over the physics sector and the
+    three sectors with one particle fewer in either spin or both.
     """
-    r = ph_transform(lattice, basis).matrix
-    conj = (r.T @ h.matrix @ r).tocsr()
-    e_ffg = ffg_energy(lattice, basis, h)
-    total = corr_hamiltonian(terms).matrix
-    dim = basis.dimension
-    diff = (conj - total - sp.identity(dim, format="csr") * e_ffg).tocsr()
-    diag = diff.diagonal()
-    off = diff - sp.diags(diag)
-    pu, hu, pd, hd = excitation_counts(lattice, basis)
-    expected = lattice.kF_up ** 2 * (pu - hu) + lattice.kF_down ** 2 * (pd - hd)
-    balanced = balanced_mask(lattice, basis)
-    return {
-        "offdiagonal": _abs_max(off.tocoo()),
-        "balanced_diagonal": float(np.abs(diag[balanced]).max()),
-        "imbalance_fit": float(np.abs(diag - expected).max()),
-    }
+    return _identity_residuals(lattice, basis, h, terms,
+                               ((0, 0), (-1, 0), (0, -1), (-1, -1)))
 
 
-def pair_annihilator(lattice: LatticeConfig, basis: FockBasis, p: Triple,
-                     spin: int) -> FockOperator:
-    """Quasi-bosonic operator b_{p,sigma}: all particle-hole pair removals at transfer p."""
+def _pair_terms(lattice: LatticeConfig, p: Triple, spin: int) -> list:
+    """The strings of the quasi-bosonic b_{p,sigma}: all particle-hole pair
+    removals at transfer p."""
     idx = lattice.index
     terms = []
     for k in lattice.ball(spin):
         pk = _add(p, k)
         if pk not in idx or lattice.in_ball(pk, spin):
             continue
-        ops = [(basis.mode(pk, spin), False), (basis.mode(_neg(k), spin), False)]
-        terms.append((1.0, ops))
-    return make_operator(basis, _assemble(basis, terms))
+        terms.append((1.0, [(2 * idx[pk] + spin, False), (2 * idx[_neg(k)] + spin, False)]))
+    return terms
 
 
 def q2_ud_from_pairs(lattice: LatticeConfig, basis: FockBasis, vhat) -> FockOperator:
-    """Opposite-spin Q2 rebuilt from pair operators, for cross-checking."""
+    """Opposite-spin Q2 rebuilt from products of pair operators, for cross-checking."""
     _validate_vhat(vhat)
     vol = lattice.L ** 3
-    dim = basis.dimension
-    acc = sp.csr_matrix((dim, dim), dtype=np.float64)
+    terms = []
     for p, val in vhat.items():
         if val == 0.0:
             continue
-        bu = pair_annihilator(lattice, basis, p, SPIN_UP).matrix
-        if bu.nnz == 0:
-            continue
-        bd = pair_annihilator(lattice, basis, _neg(p), SPIN_DOWN).matrix
-        if bd.nnz == 0:
-            continue
-        acc = acc + (val / vol) * (bu @ bd)
-    return make_operator(basis, acc + acc.T, hermitian=True)
+        up = _pair_terms(lattice, p, SPIN_UP)
+        down = _pair_terms(lattice, _neg(p), SPIN_DOWN) if up else []
+        terms += [(val / vol, ou + od) for _, ou in up for _, od in down]
+    return _operator(basis, _plus_adjoint(_merge(terms)), hermitian=True)
 
 
 def build_generator(lattice: LatticeConfig, basis: FockBasis, which: str, *,
@@ -857,10 +854,10 @@ def build_generator(lattice: LatticeConfig, basis: FockBasis, which: str, *,
                     if pkp not in out_down:
                         continue
                     ops = [
-                        (basis.mode(pk, SPIN_UP), False),
-                        (basis.mode(_neg(k), SPIN_UP), False),
-                        (basis.mode(pkp, SPIN_DOWN), False),
-                        (basis.mode(_neg(kp), SPIN_DOWN), False),
+                        (2 * idx[pk] + SPIN_UP, False),
+                        (2 * idx[_neg(k)] + SPIN_UP, False),
+                        (2 * idx[pkp] + SPIN_DOWN, False),
+                        (2 * idx[_neg(kp)] + SPIN_DOWN, False),
                     ]
                     terms.append((c / vol, ops))
     elif which == "B2":
@@ -882,90 +879,65 @@ def build_generator(lattice: LatticeConfig, basis: FockBasis, which: str, *,
                         eta.value(lattice.k_vec(r), lattice.k_vec(rp), lattice.k_vec(p))
                     )
                     ops = [
-                        (basis.mode(m, SPIN_UP), False),
-                        (basis.mode(_neg(r), SPIN_UP), False),
-                        (basis.mode(mp, SPIN_DOWN), False),
-                        (basis.mode(_neg(rp), SPIN_DOWN), False),
+                        (2 * idx[m] + SPIN_UP, False),
+                        (2 * idx[_neg(r)] + SPIN_UP, False),
+                        (2 * idx[mp] + SPIN_DOWN, False),
+                        (2 * idx[_neg(rp)] + SPIN_DOWN, False),
                     ]
                     terms.append((w * val / vol, ops))
     else:
         raise ValueError(f"which must be 'B1' or 'B2', got {which!r}")
-    return make_operator(basis, _assemble(basis, terms))
+    return make_operator(basis, terms)
+
+
+_VACUUM = np.zeros(1, dtype=np.int64)
 
 
 def trial_state(basis: FockBasis, b1: FockOperator, b2: FockOperator,
-                lambda1: float, lambda2: float) -> np.ndarray:
-    """exp(l1 (B1 - B1*)) exp(l2 (B2 - B2*)) applied to the vacuum.
+                lambda1: float, lambda2: float):
+    """exp(l1 (B1 - B1*)) exp(l2 (B2 - B2*)) applied to the vacuum of the
+    particle-hole frame, as (states, amplitudes): the sorted basis states
+    the vector may occupy and its amplitudes on them.
 
-    Each exponential acts only on the blocks of its generator that hold the
-    current vector (FockOperator.reach), as a dense scipy.linalg.expm of
-    that block. The block is tiny: 7 states on every lattice the mode cap
-    admits with nonzero generators, and at most 1 + 18^2 = 325 states with
-    one particle per spin on 19 momenta. A dense exponential of that size
-    costs well under a millisecond, so no switch to a sparse method is
-    needed.
+    Each exponential is a dense scipy.linalg.expm of the connected component
+    of its generator's graph that holds the current vector, found once per
+    generator and start. It is tiny: 7 states on the demo lattice, and at
+    most 1 + 18^2 = 325 with one particle per spin on 19 momenta.
     """
-    sel = np.zeros(1, dtype=np.int64)
+    sel = _VACUUM
     amp = np.ones(1)
     for b, lam in ((b2, lambda2), (b1, lambda1)):
         if lam == 0.0:
             continue
         if b.basis is not basis and b.basis != basis:
             raise ValueError("generator built on a different basis")
-        grown = b.reach(sel)
-        # the block is closed, so every stored column of its rows lies in it
-        at, cols, vals = _gather_rows(b.matrix, grown)
-        blk = np.zeros((grown.size, grown.size))
-        np.add.at(blk, (at, np.searchsorted(grown, cols)), vals)
+        grown, k = b._component(sel)
         start = np.zeros(grown.size)
         start[np.searchsorted(grown, sel)] = amp
-        sel, amp = grown, scipy.linalg.expm(lam * (blk - blk.T)) @ start
-    vec = np.zeros(basis.dimension)
-    vec[sel] = amp
-    return vec
+        sel, amp = grown, scipy.linalg.expm(lam * k) @ start
+    return sel, amp
 
 
 def trial_block(b1: FockOperator, b2: FockOperator) -> np.ndarray:
-    """The states trial_state's exponentials can act on: the blocks of B1
-    meeting the block of B2 that holds the vacuum."""
-    return b1.reach(b2.reach(np.zeros(1, dtype=np.int64)))
+    """The states trial_state's exponentials can act on: the components of
+    B1 meeting the component of B2 that holds the vacuum."""
+    return b1._component(b2._component(_VACUUM)[0])[0]
 
 
 def trial_energy(lattice: LatticeConfig, basis: FockBasis, corr_terms: dict,
                  b1: FockOperator, b2: FockOperator,
                  lambda1: float, lambda2: float) -> float:
     """Correlation energy of the trial state: the sum of the terms'
-    expectations, each taken over the rows of the state's support only
-    (the trial block, 7 rows on the demo lattice, out of 2^14)."""
-    # every term was checked Hermitian when built, so their sum needs no recheck
-    vec = trial_state(basis, b1, b2, lambda1, lambda2)
-    return sum(t.expectation(vec) for t in corr_terms.values())
-
-
-def _spin_counts(basis: FockBasis):
-    states = np.arange(basis.dimension, dtype=np.uint64)
-    up_mask = 0
-    down_mask = 0
-    for j, (_, s) in enumerate(basis.mode_order):
-        if s == SPIN_UP:
-            up_mask |= 1 << j
-        else:
-            down_mask |= 1 << j
-    n_up = np.bitwise_count(states & np.uint64(up_mask)).astype(np.int64)
-    n_down = np.bitwise_count(states & np.uint64(down_mask)).astype(np.int64)
-    return n_up, n_down
+    expectations, each on the states the trial state may occupy (the trial
+    block, 7 states on the demo lattice)."""
+    states, amp = trial_state(basis, b1, b2, lambda1, lambda2)
+    return sum(float(amp @ t.on(states) @ amp) for t in corr_terms.values())
 
 
 def ground_energy(lattice: LatticeConfig, basis: FockBasis, h: FockOperator,
                   n_up: int, n_down: int) -> float:
-    """Lowest eigenvalue of h in the fixed (n_up, n_down) occupation block."""
-    cu, cd = _spin_counts(basis)
-    sel = np.flatnonzero((cu == n_up) & (cd == n_down))
-    if sel.size == 0:
-        raise ValueError(f"no basis states carry ({n_up}, {n_down}) occupation")
-    # the mode cap keeps every block small: lattices hold 1, 7, 19, ...
-    # momenta, so the largest is C(7, 3)^2 = 1225 states and dense eigh
-    # always applies
-    block = h.matrix[sel][:, sel].toarray()
+    """Lowest eigenvalue of h in the (n_up, n_down) occupation sector, by
+    dense eigh: sectors hold at most 1225 states."""
+    block = h.on(sector(basis, n_up, n_down))
     return float(scipy.linalg.eigh(block, eigvals_only=True,
                                    subset_by_index=[0, 0])[0])

@@ -7,7 +7,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from hyfermi import fock
 from hyfermi.cutoffs import CutoffConfig
@@ -155,15 +154,26 @@ def test_criterion_08_fock_exactness():
     h = fock.build_hamiltonian(lat, basis, vhat)
     terms = fock.build_corr_terms(lat, basis, vhat)
 
-    eye = sp.identity(basis.dimension, format="csr")
+    # CAR on the physics sector: {a_j, a*_j} = 1 through the sectors with
+    # one particle fewer and one more of the mode's spin
+    src = fock.sector(basis, lat.N_up, lat.N_down)
     car = 0.0
     for momentum, spin in basis.mode_order:
+        counts = [lat.N_up, lat.N_down]
+        counts[spin] -= 1
+        lower = fock.sector(basis, *counts)
+        counts[spin] += 2
+        upper = fock.sector(basis, *counts)
         a_op = fock.mode_operator(basis, momentum, spin, "annihilate")
         c_op = fock.mode_operator(basis, momentum, spin, "create")
-        anti = a_op.matrix @ c_op.matrix + c_op.matrix @ a_op.matrix - eye
-        car = max(car, fock._abs_max(anti.tocoo()))
-    r_op = fock.ph_transform(lat, basis)
-    unitarity = fock._abs_max((r_op.matrix.T @ r_op.matrix - eye).tocoo())
+        anti = (a_op.on(upper, src) @ c_op.on(src, upper)
+                + c_op.on(lower, src) @ a_op.on(src, lower) - np.eye(src.size))
+        car = max(car, float(np.abs(anti).max()))
+    # the particle-hole transform: a signed permutation onto the sector
+    image, sign = fock.ph_transform(lat, basis, fock.ph_sector(lat, basis, 0, 0))
+    r = np.zeros((src.size, src.size))
+    r[np.searchsorted(src, image), np.arange(src.size)] = sign
+    unitarity = float(np.abs(r.T @ r - np.eye(src.size)).max())
     rep = fock.corr_identity_report(lat, basis, h, terms)
     identity = max(rep.values())
     assert car <= 1e-10 and unitarity <= 1e-10 and identity <= 1e-10
@@ -177,8 +187,8 @@ def test_criterion_08_fock_exactness():
                                               kF_up=lat.kF_up,
                                               kF_down=lat.kF_down),
                               cutoff=cut)
-    vec = fock.trial_state(basis, b1, b2, 0.4, 0.3)
-    sector = max(abs(float(vec @ (terms[k].matrix @ vec)))
+    states, amp = fock.trial_state(basis, b1, b2, 0.4, 0.3)
+    sector = max(abs(float(amp @ terms[k].on(states) @ amp))
                  for k in ("Q2_par", "Q3"))
     assert sector <= 1e-12
 

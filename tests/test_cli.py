@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import time
 
 import pytest
 
@@ -51,12 +52,48 @@ def test_parse_rejects_split_shell():
 
 
 def test_oversized_lattice_exits_two(capsys):
-    # kmax 1.42 keeps |n|^2 <= 2: 19 momenta, 38 modes
+    # kmax 1.42 keeps |n|^2 <= 2: 19 momenta; shells of 1.2 fill seven of
+    # them per spin, a sector of C(19, 7)^2 ~ 2.5e9 states, refused by
+    # count before any work
+    t0 = time.perf_counter()
     code, out, err = run_cli(["fock-demo", "--kmax", "1.42",
-                              "--shells", "0.5", "0.5"], capsys)
+                              "--shells", "1.2", "1.2"], capsys)
+    assert time.perf_counter() - t0 < 1.0
     assert code == 2
     assert out == ""
-    assert "38 modes" in err and "practical limit is 22 modes" in err
+    assert "2538950544 states" in err and "limit is 1225" in err
+
+
+def test_fock_demo_on_nineteen_momenta(capsys):
+    """One particle per spin on 19 momenta: a 361-state physics sector,
+    beyond the 2^n layout's reach."""
+    code, out, _ = run_cli(["fock-demo", "--kmax", "1.42", "--shells", "0.5", "0.5",
+                            "--lambda-grid", "0", "0.5", "1"], capsys)
+    assert code == 0
+    payload, meta = parse_json_output(out)
+    assert meta["sector_states"] == 361
+    from hyfermi import fock
+    from hyfermi.potentials import RadialPotential
+
+    lat = fock.build_lattice(2.0 * math.pi, 1.42, 0.5, 0.5)
+    vhat = fock.vhat_from_potential(lat, RadialPotential(kind="square-well", V0=4.0, R=1.0))
+    wick = fock.ffg_energy_wick(lat, vhat)
+    assert abs(payload["E_ffg"] - wick) <= 1e-12 * abs(wick)
+    assert all(v <= 1e-10 for v in payload["identity_residuals"].values())
+    assert all(t[2] >= payload["E_ground"] for t in payload["trial_energies"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["singular-bound", "--x-grid", "0.5", "--tol", "-1"],
+    ["quad-g", "--tol", "0"],
+])
+def test_nonpositive_tol_exits_two(argv, capsys):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert "tol must be positive" in err
 
 
 def test_config_file_precedence(tmp_path):
@@ -257,7 +294,11 @@ def test_fock_demo_contract(capsys):
                                capsys)
         assert code == 0
         payload, meta = parse_json_output(out)
-        metas.append({k: meta[k] for k in ("trial_block", "nnz")})
+        metas.append({k: meta[k] for k in ("sector_states", "trial_block", "nnz")})
+        # per-stage wall times, outside the byte-identical-rerun guarantee
+        assert set(meta["stages"]) == {"lattice", "sector", "H", "corr-terms", "PH",
+                                       "identity", "generators", "trial", "ground"}
+        assert all(v >= 0.0 for v in meta["stages"].values())
     assert set(payload) == {"E_ffg", "E_ground", "trial_energies",
                             "identity_residuals"}
     assert len(payload["trial_energies"]) == 4
@@ -268,6 +309,7 @@ def test_fock_demo_contract(capsys):
     # work counters: positive ints that a rerun repeats exactly
     assert all(type(v) is int and v > 0 for v in metas[0].values())
     assert metas[0]["trial_block"] == 7
+    assert metas[0]["sector_states"] == 49
     assert metas[0] == metas[1]
 
 

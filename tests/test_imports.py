@@ -1,8 +1,9 @@
 """Import cost: the quick commands load numpy but no scipy module; the
 code that does need scipy (fock, the PV oracles) loads it on first use.
 The quadrature rules of the potentials (moments, Fourier transforms) and
-the Bethe-Goldstone solver, its direct solve included, are numpy only, so
-a fock-demo process loads scipy.sparse but never scipy.integrate."""
+the Bethe-Goldstone solver, its direct solve included, are numpy only. The
+Fock layer builds dense matrices on particle-number sectors, so a fock-demo
+process loads scipy.linalg but neither scipy.sparse nor scipy.integrate."""
 
 import json
 import math
@@ -60,18 +61,22 @@ def test_quick_commands_load_no_scipy(argv):
 
 
 def test_fock_demo_runs_and_loads_scipy_on_demand():
-    # also the positive control: the probe does see scipy when it loads
     got = probe('code = cli.main(["fock-demo", "--lambda-grid", "0", "1"])')
     assert got["code"] == 0
-    assert "scipy.sparse" in got["scipy"]
+    assert not [m for m in got["scipy"] if m.startswith("scipy.sparse")]
+    # positive control: the probe does see scipy when it loads
+    assert "scipy.linalg" in got["scipy"]
+    got = probe("import scipy.sparse.csgraph\ncode = 0")
+    assert {"scipy.sparse", "scipy.sparse.csgraph"} <= set(got["scipy"])
 
 
 def test_fock_demo_loads_no_scipy_integrate():
     got = probe('code = cli.main(["fock-demo", "--kind", "truncated-gaussian",'
                 ' "--V0", "7", "--lambda-grid", "0", "1"])')
     assert got["code"] == 0
-    assert "scipy.sparse" in got["scipy"]
-    assert not [m for m in got["scipy"] if m.startswith("scipy.integrate")]
+    assert "scipy.linalg" in got["scipy"]
+    assert not [m for m in got["scipy"]
+                if m.startswith(("scipy.integrate", "scipy.sparse"))]
     # positive control: the probe does see scipy.integrate when it loads
     got = probe("from hyfermi.quadrature import pv_linear_epsilon\n"
                 "pv_linear_epsilon(1.5, 0.7, 1e-4)\n"
