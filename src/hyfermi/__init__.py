@@ -38,20 +38,13 @@ from .quadrature import (
     lattice_sum_convergence,
     singular_integral_bound,
 )
-
-# fock needs scipy.linalg; load it on first access (PEP 562) so that the
-# closed forms and the quick CLI commands start on numpy alone
-_FOCK_NAMES = ("build_basis", "build_corr_terms", "build_hamiltonian",
-               "build_lattice", "trial_state")
-
-
-def __getattr__(name):
-    if name in _FOCK_NAMES:
-        from . import fock
-
-        return getattr(fock, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+from .fock import (
+    build_basis,
+    build_corr_terms,
+    build_hamiltonian,
+    build_lattice,
+    trial_state,
+)
 
 __all__ = [
     "BACKEND",

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__ as VERSION
-from . import quadrature
+from . import fock, quadrature
 from .cutoffs import CutoffConfig, fermi_momentum
 from .hyformula import F_closed, F_from_f, FermiParams, hy_energy
 from .potentials import (
@@ -318,8 +318,6 @@ def _validate(config):
             if not L > 0.0:
                 raise UsageError(f"L values must be positive, got {L}")
     if config.command == "fock-demo":
-        from . import fock
-
         # closed-shell and size refusals are config problems, not runtime
         # ones; the size is counted, nothing is enumerated
         try:
@@ -504,7 +502,8 @@ def _cmd_quad_g(config):
     rows = [(p["x"], p["p"], res.value, res.error_estimate,
              res.evaluations)]
     payload = dict(zip(header, rows[0]))
-    extra = {"evaluations": res.evaluations, "elapsed": res.elapsed}
+    extra = {"evaluations": res.evaluations, "elapsed": res.elapsed,
+             "rung": res.rung}
     summary = (f"g({p['x']:g}, {p['p']:g}) = {res.value:.12g} "
                f"+- {res.error_estimate:.3g}")
     return (1 if res.flagged else 0), header, rows, payload, extra, summary
@@ -574,8 +573,6 @@ def _demo_crossover_density(lattice, gamma):
 
 
 def _cmd_fock_demo(config):
-    from . import fock
-
     p = config.parameters
     tol = p["tol"]
     stages = {}
@@ -652,14 +649,11 @@ def _cmd_bg_solve(config):
         "kF_up": sol.kF_up,
         "kF_down": sol.kF_down,
         "residual": sol.residual,
-        "iterations": sol.iterations,
-        "condition_estimate": sol.condition_estimate,
         "nodes": sol.nodes,
         "G": sol.G,
         "phi": sol.phi,
     }
-    summary = (f"mode = {sol.mode}, residual = {sol.residual:.3g}, "
-               f"iterations = {sol.iterations}")
+    summary = f"mode = {sol.mode}, residual = {sol.residual:.3g}"
     return 0, header, rows, payload, {}, summary
 
 

@@ -24,8 +24,10 @@ sector above C(7, 3)^2 = 1225 states, the largest sector of a 7-momentum
 lattice. One particle per spin on 19 momenta gives 361 states.
 
 The trial states act on less still. B - B* maps each connected component of
-B's graph to itself, so each exponential is a dense matrix exponential of
-the component that holds the current vector: 7 states on the demo lattice.
+B's graph to itself, so each exponential acts on the component that holds
+the current vector: 7 states on the demo lattice. There B - B* is real
+antisymmetric, so i(B - B*) is Hermitian, and one eigendecomposition of it
+gives exp(lam (B - B*)) for every lam.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .potentials import fourier_V
 
@@ -315,8 +316,9 @@ class FockOperator:
 
     def _component(self, states: np.ndarray):
         """The sorted union of the connected components of M's graph that
-        hold `states`, and M - M* on it; remembered, because every trial
-        state asks for the same few."""
+        hold `states`, with the eigenvalues w and eigenvectors v of
+        i(M - M*) on it; remembered, because every trial state asks for the
+        same few."""
         key = states.tobytes()
         if key not in self._memo:
             block = states
@@ -328,7 +330,8 @@ class FockOperator:
                     break
                 block = grown
             m = self.on(block)
-            self._memo[key] = block, m - m.T
+            w, v = np.linalg.eigh(1j * (m - m.T))
+            self._memo[key] = block, w, v
         return self._memo[key]
 
 
@@ -899,10 +902,12 @@ def trial_state(basis: FockBasis, b1: FockOperator, b2: FockOperator,
     particle-hole frame, as (states, amplitudes): the sorted basis states
     the vector may occupy and its amplitudes on them.
 
-    Each exponential is a dense scipy.linalg.expm of the connected component
-    of its generator's graph that holds the current vector, found once per
-    generator and start. It is tiny: 7 states on the demo lattice, and at
-    most 1 + 18^2 = 325 with one particle per spin on 19 momenta.
+    Each exponential acts on the connected component of its generator's
+    graph that holds the current vector, found once per generator and start
+    together with the eigendecomposition i(B - B*) = v diag(w) v*, so that
+    exp(lam (B - B*)) = v diag(exp(-i lam w)) v*. The component is tiny:
+    7 states on the demo lattice, and at most 1 + 18^2 = 325 with one
+    particle per spin on 19 momenta.
     """
     sel = _VACUUM
     amp = np.ones(1)
@@ -911,10 +916,10 @@ def trial_state(basis: FockBasis, b1: FockOperator, b2: FockOperator,
             continue
         if b.basis is not basis and b.basis != basis:
             raise ValueError("generator built on a different basis")
-        grown, k = b._component(sel)
+        grown, w, v = b._component(sel)
         start = np.zeros(grown.size)
         start[np.searchsorted(grown, sel)] = amp
-        sel, amp = grown, scipy.linalg.expm(lam * k) @ start
+        sel, amp = grown, (v @ (np.exp(-1j * lam * w) * (v.conj().T @ start))).real
     return sel, amp
 
 
@@ -937,7 +942,5 @@ def trial_energy(lattice: LatticeConfig, basis: FockBasis, corr_terms: dict,
 def ground_energy(lattice: LatticeConfig, basis: FockBasis, h: FockOperator,
                   n_up: int, n_down: int) -> float:
     """Lowest eigenvalue of h in the (n_up, n_down) occupation sector, by
-    dense eigh: sectors hold at most 1225 states."""
-    block = h.on(sector(basis, n_up, n_down))
-    return float(scipy.linalg.eigh(block, eigvals_only=True,
-                                   subset_by_index=[0, 0])[0])
+    dense eigvalsh: sectors hold at most 1225 states."""
+    return float(np.linalg.eigvalsh(h.on(sector(basis, n_up, n_down)))[0])

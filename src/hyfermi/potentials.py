@@ -90,6 +90,12 @@ class RadialPotential:
         except TypeError as exc:
             raise ValueError(f"malformed potential document: {exc}") from exc
 
+    @property
+    def support(self) -> float:
+        """The radius beyond which V vanishes: R, or for a tabulated
+        potential its last sample radius, where V may jump to 0."""
+        return self.samples[-1][0] if self.kind == "tabulated" else self.R
+
     def __call__(self, r):
         r = np.asarray(r, dtype=np.float64)
         inside = r <= self.R
@@ -171,35 +177,34 @@ def _rk4_linear(q_half, u0, w0, h):
     return u, w
 
 
-def solve_scattering(potential, n_steps=4000, matching_radius=None):
+# RK4 steps across the support of V
+_N_STEPS = 4000
+
+
+def solve_scattering(potential):
     """Integrate u'' = (V/2) u, u(0) = 0, u'(0) = 1 and extract a.
 
-    The grid is split at R so the integrator never straddles the edge of
-    the support. Raises if the discrete residual of the second-order
-    equation is out of line with the step size.
+    The grid is split at the edge of the support, so the integrator never
+    straddles a jump of V there; beyond it u is continued linearly to the
+    matching radius 1.5 R. Raises if the discrete residual of the
+    second-order equation is out of line with the step size.
     """
-    R = potential.R
-    rm = 1.5 * R if matching_radius is None else float(matching_radius)
-    if rm < R:
-        raise ValueError("matching_radius must not be inside the support")
+    edge = potential.support
+    rm = 1.5 * potential.R
 
-    h_in = R / n_steps
-    r_in = np.linspace(0.0, R, n_steps + 1)
-    r_half = np.linspace(0.0, R, 2 * n_steps + 1)
+    h_in = edge / _N_STEPS
+    r_in = np.linspace(0.0, edge, _N_STEPS + 1)
+    r_half = np.linspace(0.0, edge, 2 * _N_STEPS + 1)
     q_in = 0.5 * potential(r_half)
     # a strong well overflows u to inf; the finiteness check on a below
     # reports that once, so numpy's warnings along the way are muted
     with np.errstate(over="ignore", invalid="ignore"):
         u_in, w_end = _rk4_linear(q_in, 0.0, 1.0, h_in)
-        if rm > R:
-            # exterior: u'' = 0, the continuation is exactly linear
-            n_out = max(16, n_steps // 8)
-            r_out = np.linspace(R, rm, n_out + 1)
-            u_out = u_in[-1] + w_end * (r_out - R)
-            r_grid = np.concatenate([r_in, r_out[1:]])
-            u_raw = np.concatenate([u_in, u_out[1:]])
-        else:
-            r_grid, u_raw = r_in, u_in
+        # exterior: u'' = 0, the continuation is exactly linear
+        r_out = np.linspace(edge, rm, _N_STEPS // 8 + 1)
+        u_out = u_in[-1] + w_end * (r_out - edge)
+        r_grid = np.concatenate([r_in, r_out[1:]])
+        u_raw = np.concatenate([u_in, u_out[1:]])
 
         c = w_end
         if not c > 0.0:
@@ -211,17 +216,13 @@ def solve_scattering(potential, n_steps=4000, matching_radius=None):
             f"scattering length {a} is not finite: u overflowed inside the "
             f"support; potential too strong for the zero-energy reduction")
 
-    # centered-difference consistency check on the interior of [0, R]
-    if n_steps >= 4:
-        lap = (u_in[2:] - 2.0 * u_in[1:-1] + u_in[:-2]) / h_in ** 2
-        rhs = q_in[2:-2:2] * u_in[1:-1]
-        scale = 1.0 + np.max(np.abs(rhs))
-        residual = float(np.max(np.abs(lap - rhs)) / scale)
-    else:
-        residual = 0.0
+    # centered-difference consistency check on the interior of the support
+    lap = (u_in[2:] - 2.0 * u_in[1:-1] + u_in[:-2]) / h_in ** 2
+    rhs = q_in[2:-2:2] * u_in[1:-1]
+    scale = 1.0 + np.max(np.abs(rhs))
+    residual = float(np.max(np.abs(lap - rhs)) / scale)
     if not residual <= 1e-3:
-        raise RuntimeError(
-            f"integration residual {residual:.3e} too large; raise n_steps")
+        raise RuntimeError(f"integration residual {residual:.3e} too large")
 
     return ScatteringSolution(a=a, r_grid=r_grid, u_profile=u_raw / c,
                               matching_radius=rm, slope=c, residual=residual,
@@ -231,7 +232,7 @@ def solve_scattering(potential, n_steps=4000, matching_radius=None):
 def scattering_length_from_integral(solution):
     """a = (1/2) * integral of V(r) u(r) r dr, a quadrature cross-check."""
     pot = solution.potential
-    mask = solution.r_grid <= pot.R
+    mask = solution.r_grid <= pot.support
     r = solution.r_grid[mask]
     w = pot(r) * solution.u_profile[mask] * r
     return 0.5 * float(_simpson_weights(r) @ w)
@@ -274,10 +275,10 @@ def fourier_Vf(solution, s):
     """Radial Fourier transform of V * (1 - phi) at |p| = s (vectorized).
 
     Equals 8*pi*a at s = 0 and decays like 1/s^2; phi-hat(p) is this
-    divided by 2|p|^2. Simpson's rule on the solution's grid inside R.
+    divided by 2|p|^2. Simpson's rule on the solution's grid on the support.
     """
     pot = solution.potential
-    mask = solution.r_grid <= pot.R
+    mask = solution.r_grid <= pot.support
     r = solution.r_grid[mask]
     flat = np.atleast_1d(np.asarray(s, dtype=np.float64)).ravel()
     out = _radial_transform(r, pot(r) * solution.u_profile[mask] * r, flat)
@@ -447,9 +448,6 @@ class BGSolution:
     phi: np.ndarray
     denominators: np.ndarray
     residual: float
-    iterations: int
-    used_direct_solve: bool
-    condition_estimate: float
     kF_up: float
     kF_down: float
 
@@ -492,53 +490,31 @@ def _bg_radial_matrix(potential, kf_floor, n_radial, q_max):
     return q, M, (4.0 * np.pi / q) * (S @ (wv * r))
 
 
-def bethe_goldstone_solve(potential, kF_up, kF_down, n_radial=240,
-                          q_max=None, tol=1e-11, max_iter=200):
+# momentum nodes of the Bethe-Goldstone grid, which reaches 80 / R
+_BG_NODES = 240
+
+
+def bethe_goldstone_solve(potential, kF_up, kF_down, tol=1e-11):
     """Solve the in-medium pair scattering equation on a momentum grid.
 
     Only the radial case is solved: both hole momenta at the origin
     (r = r' = 0), where the problem is spherically symmetric and is
     collocated on a radial grid whose Pauli floor is max(kF_up, kF_down).
-    Picard iteration runs first; on divergence the dense linear system is
-    solved directly and its exact 1-norm condition number is reported.
+    The dense system (I + M) G = FV is solved directly; a residual above
+    tol * max(1, max|G|) raises.
     """
-    if q_max is None:
-        q_max = 80.0 / potential.R
     nodes, M, FV_nodes = _bg_radial_matrix(
-        potential, max(kF_up, kF_down), n_radial, q_max)
+        potential, max(kF_up, kF_down), _BG_NODES, 80.0 / potential.R)
     lam_p = 2.0 * nodes ** 2
-
-    G = FV_nodes.copy()
-    prev = np.inf
-    iterations = 0
-    diverging = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        G_new = FV_nodes - M @ G
-        delta = float(np.max(np.abs(G_new - G)))
-        G = G_new
-        if delta <= tol * max(1.0, float(np.max(np.abs(G)))):
-            converged = True
-            break
-        diverging = diverging + 1 if delta > prev else 0
-        prev = delta
-        if diverging >= 3:
-            break
-
-    used_direct = False
-    cond = None
-    if not converged:
-        A = np.eye(len(FV_nodes)) + M
-        G = np.linalg.solve(A, FV_nodes)
-        cond = float(np.linalg.cond(A, 1))
-        used_direct = True
-
+    G = np.linalg.solve(np.eye(len(FV_nodes)) + M, FV_nodes)
     residual = float(np.max(np.abs(G - (FV_nodes - M @ G))))
+    bound = tol * max(1.0, float(np.max(np.abs(G))))
+    if not residual <= bound:
+        raise RuntimeError(f"Bethe-Goldstone residual {residual:.3e} above "
+                           f"tol * max(1, max|G|) = {bound:.3e}")
     with np.errstate(divide="ignore", invalid="ignore"):
         phi = np.where(lam_p > 0.0, G / lam_p, np.nan)
     return BGSolution(mode="radial",
                       nodes=nodes, G=G, phi=phi, denominators=lam_p,
-                      residual=residual, iterations=iterations,
-                      used_direct_solve=used_direct,
-                      condition_estimate=cond,
+                      residual=residual,
                       kF_up=float(kF_up), kF_down=float(kF_down))

@@ -16,12 +16,13 @@ inner_pair call on a (p, s) array. The denominator vanishes only at the
 corner s = t = -p/2, reachable when p <= 2*min(kF, kF'); the s panels are
 graded dyadically into that corner.
 
-The p-integrated oracles (F_quadrature, singular_integral_bound,
-gap_cutoff_study) climb one ladder of rules, _RUNGS, from coarse to
-fine and stop at the first rung whose difference to the one below, plus
-the tail term, meets tol; that sum is the error estimate and the rung
-is reported. The ``evaluations`` they report count (p, s) node pairs
-over every rung climbed, one closed-form t-integral each.
+The oracles (g_pointwise and the p-integrated F_quadrature,
+singular_integral_bound and gap_cutoff_study) climb one ladder of
+rules, _RUNGS, from coarse to fine and stop at the first rung whose
+difference to the one below, plus the tail term, meets tol; that sum is
+the error estimate and the rung is reported. The ``evaluations`` they
+report count (p, s) node pairs over every rung climbed, one closed-form
+t-integral each.
 """
 
 import functools
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cutoffs import CutoffConfig, FermiProjectors, fermi_momentum
+from .cutoffs import CutoffConfig, fermi_momentum
 from .hyformula import F_closed, f_aux
 
 @functools.lru_cache(maxsize=None)
@@ -60,7 +61,7 @@ class QuadratureResult:
     evaluations: int
     elapsed: float
     flagged: bool = False
-    # the ladder rung the value comes from; None for a fixed-rule oracle
+    # the ladder rung the value comes from
     rung: int | None = None
 
 
@@ -237,10 +238,9 @@ _RUNGS = ((6, 6, 8), (8, 8, 12), (12, 12, 18), (16, 16, 28), (22, 20, 40),
           (28, 24, 56))
 
 
-def _ladder(make_fn, edges, tol, scale, shift=0.0, tail_err=0.0,
-            floor=1e-300):
-    """scale * (p-integral of make_fn(n_gauss, n_levels)) + shift, climbing
-    _RUNGS until the estimate meets tol.
+def _ladder(rule, tol, scale, shift=0.0, tail_err=0.0, floor=1e-300):
+    """scale * I + shift, with I = rule(n_gauss, n_levels, n_p) climbing
+    _RUNGS until the estimate meets tol; rule returns (I, evaluations).
 
     The estimate at rung k >= 1 is scale * |I_k - I_(k-1)| + tail_err; the
     climb stops at the first rung where it is at most tol*max(floor,
@@ -249,7 +249,7 @@ def _ladder(make_fn, edges, tol, scale, shift=0.0, tail_err=0.0,
     """
     evals = 0
     for rung, (n_g, n_l, n_p) in enumerate(_RUNGS):
-        cur, n = _composite_p(make_fn(n_g, n_l), edges, n_p)
+        cur, n = rule(n_g, n_l, n_p)
         evals += n
         if rung:
             value = scale * cur + shift
@@ -265,7 +265,8 @@ def g_pointwise(x, p, tol=1e-6):
     """Normalized pair excitation integrand g(x, p).
 
     Behaves like x/p^2 at large p; the full p-integral of x - p^2 g
-    rebuilds F(x) up to constants.
+    rebuilds F(x) up to constants. The s-rule climbs _RUNGS like the
+    p-integrated oracles, against tol * max(1, |g|).
     """
     if not 0.0 < x <= 1.0:
         raise ValueError("x must lie in (0, 1]")
@@ -273,23 +274,13 @@ def g_pointwise(x, p, tol=1e-6):
         raise ValueError("p must be positive and finite")
     t0 = time.perf_counter()
     y = x ** (1.0 / 3.0)
-    pref = 9.0 / (8.0 * math.pi ** 2)
-    v1, n1 = inner_pair(p, 1.0, y, 0.0, 1, 16, 18)
-    v2, n2 = inner_pair(p, 1.0, y, 0.0, 1, 24, 22)
-    err = pref * abs(v2 - v1)
-    evals = n1 + n2
-    value = pref * v2
-    flagged = not err <= tol * max(1.0, abs(value))
-    if flagged:
-        v3, n3 = inner_pair(p, 1.0, y, 0.0, 1, 32, 26)
-        err = pref * abs(v3 - v2)
-        value = pref * v3
-        evals += n3
-        flagged = not err <= tol * max(1.0, abs(value))
+    value, err, evals, rung, met = _ladder(
+        lambda n_g, n_l, n_p: inner_pair(p, 1.0, y, 0.0, 1, n_g, n_l),
+        tol, 9.0 / (8.0 * math.pi ** 2), floor=1.0)
     return QuadratureResult(value=value, error_estimate=err,
                             evaluations=evals,
                             elapsed=time.perf_counter() - t0,
-                            flagged=flagged)
+                            flagged=not met, rung=rung)
 
 
 def _g_tail_coeffs(x):
@@ -323,19 +314,19 @@ def F_quadrature(x, tol=1e-3):
     p_cut = 50.0
     gpref = 9.0 / (8.0 * math.pi ** 2)
 
-    def make_fn(n_g, n_l):
+    edges = sorted({0.0, 2.0 * y, 2.0, 6.0, p_cut})
+
+    def rule(n_g, n_l, n_p):
         def fn(p):
             v, n = inner_pair(p, 1.0, y, 0.0, 1, n_g, n_l)
             return x - p * p * gpref * v, n
-        return fn
+        return _composite_p(fn, edges, n_p)
 
-    edges = sorted({0.0, 2.0 * y, 2.0, 6.0, p_cut})
     c4, c6 = _g_tail_coeffs(x)
     tail = -(c4 / p_cut + c6 / (3.0 * p_cut ** 3))
     pref = (4.0 / math.pi) * (6.0 * math.pi ** 2) ** (1.0 / 3.0) * 4.0 * math.pi
     value, err, evals, rung, met = _ladder(
-        make_fn, edges, tol, pref, pref * tail, pref * abs(c6) / p_cut ** 5,
-        floor=1.0)
+        rule, tol, pref, pref * tail, pref * abs(c6) / p_cut ** 5, floor=1.0)
     return QuadratureResult(value=value, error_estimate=err,
                             evaluations=evals,
                             elapsed=time.perf_counter() - t0,
@@ -469,17 +460,17 @@ def gap_cutoff_study(params, cutoff, rho_grid, tol=1e-4):
         vol_pair = (4.0 * math.pi / 3.0) ** 2 * (ku * kd) ** 3
         two_eps = 2.0 * cc.epsilon
 
-        def make_fn(n_g, n_l):
+        edges = sorted({0.0, 2.0 * kd, 2.0 * ku, cc.c_lower, cc.c_upper})
+        edges = [e for e in edges if e <= cc.c_upper]
+
+        def rule(n_g, n_l, n_p):
             def fn(p):
                 v, n = inner_pair(p, ku, kd, two_eps, 1, n_g, n_l)
                 chi2 = cc.chi_less(p) ** 2
                 return p * p * chi2 * (v - vol_pair / (2.0 * p * p)), n
-            return fn
+            return _composite_p(fn, edges, n_p)
 
-        edges = sorted({0.0, 2.0 * kd, 2.0 * ku, cc.c_lower, cc.c_upper})
-        edges = [e for e in edges if e <= cc.c_upper]
-        i_reg, err, evals, rung, met = _ladder(make_fn, edges, tol,
-                                               4.0 * math.pi)
+        i_reg, err, evals, rung, met = _ladder(rule, tol, 4.0 * math.pi)
         i_lim = -8.0 * math.pi ** 7 * rho_up ** (7.0 / 3.0) * F_closed(x)
         rows.append({
             "rho": rho,
@@ -554,13 +545,14 @@ def singular_integral_bound(x_grid, tol=1e-3):
             raise ValueError("x must lie in (0, 1]")
         t0 = time.perf_counter()
 
-        def make_fn(n_g, n_l):
+        edges = sorted({0.0, 2.0 * x, 2.0, 6.0, p_cut})
+
+        def rule(n_g, n_l, n_p):
             def fn(p):
                 v, n = inner_pair(p, 1.0, x, 0.0, 2, n_g, n_l)
                 return p * p * v, n
-            return fn
+            return _composite_p(fn, edges, n_p)
 
-        edges = sorted({0.0, 2.0 * x, 2.0, 6.0, p_cut})
         m0 = lambda kf: (4.0 * math.pi / 3.0) * kf ** 3
         m2 = lambda kf: (4.0 * math.pi / 15.0) * kf ** 5
         m4 = lambda kf: (4.0 * math.pi / 35.0) * kf ** 7
@@ -568,8 +560,8 @@ def singular_integral_bound(x_grid, tol=1e-3):
                           + (m2(1.0) * m0(x) + m0(1.0) * m2(x)) / p_cut ** 3)
         tail_err = math.pi * (m4(1.0) * m0(x) + m0(1.0) * m4(x)
                               + 6.0 * m2(1.0) * m2(x)) / p_cut ** 5
-        value, err, evals, rung, met = _ladder(make_fn, edges, tol,
-                                               4.0 * math.pi, tail, tail_err)
+        value, err, evals, rung, met = _ladder(rule, tol, 4.0 * math.pi,
+                                               tail, tail_err)
         rows.append({
             "x": x,
             "value": value,

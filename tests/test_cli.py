@@ -250,6 +250,7 @@ def test_quad_g_metadata(capsys):
     assert float(rows[0][2]) > 0.0
     assert {"version", "seed", "tolerances", "wall_time_ms",
             "evaluations", "elapsed"} <= set(meta)
+    assert meta["rung"] == 1
 
 
 def test_gap_study_slope(capsys):
@@ -285,6 +286,13 @@ def test_bg_solve_csv(capsys):
     header, rows, _ = parse_csv_output(out)
     assert header == ["q", "G", "phi", "denominator"]
     assert len(rows) > 100
+
+
+def test_bg_solve_unmet_tolerance_exits_one(capsys):
+    code, out, err = run_cli(["bg-solve", "--tol", "1e-30"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "residual" in err
 
 
 def test_fock_demo_contract(capsys):

@@ -485,7 +485,8 @@ def test_exponential_is_unitary(demo, generators, ph_zero, l1, l2):
 
 def test_invariant_support_is_closed(demo, generators, ph_zero):
     """The component a generator finds from some start states holds them
-    and is closed under B and B*, and its cached M - M* is B - B* there."""
+    and is closed under B and B*, and its cached eigendecomposition is
+    that of i(B - B*) there."""
     _, basis, _, _, _ = demo
     rng = np.random.default_rng(7)
     for b in generators:
@@ -493,14 +494,16 @@ def test_invariant_support_is_closed(demo, generators, ph_zero):
         excited = ph_zero[np.flatnonzero(m[0] != 0.0)[0]]
         for start in ([0], [excited], rng.choice(ph_zero, 5, replace=False)):
             start = np.sort(np.asarray(start, dtype=np.int64))
-            block, k = b._component(start)
+            block, w, v = b._component(start)
             assert np.all(np.diff(block) > 0)
             inside = np.isin(ph_zero, block)
             assert np.isin(start, block).all()
             assert not m[~inside][:, inside].any()
             assert not m[inside][:, ~inside].any()
             sub = m[np.ix_(inside, inside)]
-            assert np.array_equal(k, sub - sub.T)
+            assert np.abs(v.conj().T @ v - np.eye(block.size)).max() <= 1e-13
+            scale = 1.0 + np.abs(sub).max()
+            assert np.abs((v * w) @ v.conj().T - 1j * (sub - sub.T)).max() <= 1e-13 * scale
 
 
 def test_trial_block_is_seven_states(demo, generators):

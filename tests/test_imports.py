@@ -1,9 +1,7 @@
-"""Import cost: the quick commands load numpy but no scipy module; the
-code that does need scipy (fock, the PV oracles) loads it on first use.
-The quadrature rules of the potentials (moments, Fourier transforms) and
-the Bethe-Goldstone solver, its direct solve included, are numpy only. The
-Fock layer builds dense matrices on particle-number sectors, so a fock-demo
-process loads scipy.linalg but neither scipy.sparse nor scipy.integrate."""
+"""Import cost: no hyfermi command loads scipy. The Fock layer, the
+Bethe-Goldstone solve and the quadrature rules of the potentials are numpy
+only; the principal-value oracles (pv_*_epsilon), the test references,
+are the only code that loads scipy, and only when called."""
 
 import json
 import math
@@ -54,44 +52,26 @@ def test_import_cli_loads_no_scipy():
     ["hy-table", "--x-count", "5"],
     ["lattice-sum", "--L-grid", "16", "32"],
     ["quad-g", "--x", "0.5", "--p", "1.0"],
+    ["fock-demo", "--lambda-grid", "0", "1"],
+    ["fock-demo", "--kind", "truncated-gaussian", "--V0", "7",
+     "--lambda-grid", "0", "1"],
+    ["verify-f", "--x", "0.5"],
+    ["gap-study", "--rho-count", "2"],
+    ["singular-bound", "--x-grid", "0.5"],
+    ["bg-solve", "--V0", "30"],
 ])
 def test_quick_commands_load_no_scipy(argv):
+    """Every command, at small arguments, runs on numpy alone."""
     got = probe(f"code = cli.main({argv!r})")
     assert got == {"code": 0, "scipy": []}
 
 
-def test_fock_demo_runs_and_loads_scipy_on_demand():
-    got = probe('code = cli.main(["fock-demo", "--lambda-grid", "0", "1"])')
-    assert got["code"] == 0
-    assert not [m for m in got["scipy"] if m.startswith("scipy.sparse")]
+def test_pv_oracle_loads_scipy_integrate():
     # positive control: the probe does see scipy when it loads
-    assert "scipy.linalg" in got["scipy"]
-    got = probe("import scipy.sparse.csgraph\ncode = 0")
-    assert {"scipy.sparse", "scipy.sparse.csgraph"} <= set(got["scipy"])
-
-
-def test_fock_demo_loads_no_scipy_integrate():
-    got = probe('code = cli.main(["fock-demo", "--kind", "truncated-gaussian",'
-                ' "--V0", "7", "--lambda-grid", "0", "1"])')
-    assert got["code"] == 0
-    assert "scipy.linalg" in got["scipy"]
-    assert not [m for m in got["scipy"]
-                if m.startswith(("scipy.integrate", "scipy.sparse"))]
-    # positive control: the probe does see scipy.integrate when it loads
     got = probe("from hyfermi.quadrature import pv_linear_epsilon\n"
                 "pv_linear_epsilon(1.5, 0.7, 1e-4)\n"
                 "code = 0")
     assert "scipy.integrate" in got["scipy"]
-
-
-def test_bg_direct_solve_loads_no_scipy():
-    # V0 = 30 makes Picard diverge, so the dense fallback runs
-    got = probe("from hyfermi.potentials import RadialPotential, "
-                "bethe_goldstone_solve\n"
-                "sol = bethe_goldstone_solve(RadialPotential("
-                "kind='square-well', V0=30.0, R=1.0), 0.1, 0.1)\n"
-                "code = int(not sol.used_direct_solve)")
-    assert got == {"code": 0, "scipy": []}
 
 
 def test_fock_reexports_resolve():
