@@ -31,7 +31,7 @@ from .potentials import (
     periodize_phi,
     solve_scattering,
 )
-from .cutoffs import CutoffConfig, FermiProjectors
+from .cutoffs import CutoffConfig
 from .quadrature import (
     F_quadrature,
     gap_cutoff_study,
@@ -51,7 +51,6 @@ __all__ = [
     "CutoffConfig",
     "EtaFunction",
     "FermiParams",
-    "FermiProjectors",
     "F_closed",
     "F_from_f",
     "F_quadrature",

@@ -1,4 +1,4 @@
-"""Momentum-space partition of unity and sharp Fermi projectors.
+"""Momentum-space partition of unity and the Fermi momentum.
 
 The low/high splitting chi_less + chi_greater = 1 interpolates with a
 quintic smoothstep between the plateau radii 4*rho^(1/3-gamma) (value 1)
@@ -57,34 +57,6 @@ class CutoffConfig:
 
     def chi_greater(self, p):
         return 1.0 - self.chi_less(p)
-
-
-@dataclass(frozen=True)
-class FermiProjectors:
-    """Sharp occupation projectors at the two Fermi radii.
-
-    u_hat is the outside-ball indicator (0 on |k| <= kF, 1 beyond);
-    v_hat = 1 - u_hat. The boundary |k| = kF belongs to v_hat.
-    """
-
-    kF_up: float
-    kF_down: float
-
-    @staticmethod
-    def _u(kabs, kf):
-        return (np.asarray(kabs, dtype=np.float64) > kf).astype(np.float64)
-
-    def u_up(self, kabs):
-        return self._u(kabs, self.kF_up)
-
-    def u_down(self, kabs):
-        return self._u(kabs, self.kF_down)
-
-    def v_up(self, kabs):
-        return 1.0 - self.u_up(kabs)
-
-    def v_down(self, kabs):
-        return 1.0 - self.u_down(kabs)
 
 
 def fermi_momentum(rho_sigma):

@@ -8,6 +8,14 @@ relations, the particle-hole transformation, the correlation Hamiltonian
 split and the quasi-bosonic generators all hold as matrix identities that
 tests can check to near machine precision.
 
+H, the quartic correlation blocks Q1..Q4 and the generators B1, B2 are
+momentum-conserving sums of four ladder operators. Each is assembled as
+arrays of ladder strings from one enumeration of the momentum quartets
+(_quartets): per block an occupation mask over the four slots, a
+coefficient array and a spin pattern. One batched symbolic pass
+(_reduce) turns the strings into reduced forms, and equal forms are
+merged.
+
 Momenta are integer triples n standing for k = (2*pi/L) n. All interaction
 coefficients used here are real (radial potentials), so every matrix is real
 and Hermitian conjugation is plain transposition.
@@ -287,9 +295,7 @@ class FockOperator:
     def _images(self, src: np.ndarray, adjoint: bool = False):
         """Every nonzero action on the states src: (position in src, image
         state, value). The adjoint swaps each string's need and final bits."""
-        fixed, need, final, flip = self.forms
-        if adjoint:
-            need, final = final, need
+        fixed, need, final, flip = self.forms[_ADJOINT] if adjoint else self.forms
         step = max(1, _CHUNK // max(src.size, 1))
         cols, images, vals = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
         for lo in range(0, self.coef.size, step):
@@ -335,81 +341,140 @@ class FockOperator:
         return self._memo[key]
 
 
-def _reduce(ops):
-    """Symbolic right-to-left pass over one product of ladder operators.
+# rows of a form's adjoint: need and final swap
+_ADJOINT = [0, 2, 1, 3]
 
-    ops lists (mode, dagger) factors in written order; the rightmost factor
-    acts first. A string touching the modes in `fixed` maps a basis state x
-    to a nonzero image only if x carries the bits `need` on them; the image
-    then carries `final` there, agrees with x elsewhere, and comes with the
-    factor sign * (-1)^popcount(x & flip), where flip collects the untouched
-    modes lying below an odd number of factors. Returns
-    ((fixed, need, final, flip), sign), or None when the string vanishes on
-    every state. Its adjoint is (fixed, final, need, flip) with the same sign.
+
+def _reduce(modes, dag):
+    """Symbolic right-to-left pass over T products of n ladder operators.
+
+    modes is a (T, n) int64 array of each product's factors in written
+    order, and dag, broadcast to its shape, marks the creators; the
+    rightmost factor acts first. A string touching the modes in `fixed`
+    maps a basis state x to a nonzero image only if x carries the bits
+    `need` on them; the image then carries `final` there, agrees with x
+    elsewhere, and comes with the factor sign * (-1)^popcount(x & flip),
+    where flip collects the untouched modes lying below an odd number of
+    factors. Returns the 4 x T forms (fixed, need, final, flip) and the T
+    signs, 0 where a string vanishes on every state. A form's adjoint is
+    form[_ADJOINT] with the same sign.
     """
-    fixed = need = cur = 0
-    for mode, dag in reversed(ops):
-        bit = 1 << mode
-        if not fixed & bit:
-            fixed |= bit
-            if not dag:
-                need |= bit
-                cur |= bit
-        elif bool(cur & bit) == dag:
-            return None
-        cur ^= bit
+    modes = np.asarray(modes, dtype=np.int64)
+    dag = np.broadcast_to(dag, modes.shape).T[::-1]
+    bits = np.left_shift(1, modes).T[::-1]
+    fixed, need, cur = (np.zeros(modes.shape[0], dtype=np.int64) for _ in range(3))
+    alive = np.ones(modes.shape[0], dtype=bool)
+    for bit, d in zip(bits, dag):
+        seen = fixed & bit != 0
+        # a repeated mode must be occupied for a_j and empty for a*_j
+        alive &= ~seen | ((cur & bit != 0) != d)
+        fresh = np.where(~seen & ~d, bit, 0)
+        need |= fresh
+        fixed |= bit
+        cur = (cur | fresh) ^ bit
     # second pass: with every required bit known, collect the sign pieces
-    cur, odd, flip = need, 0, 0
-    for mode, _ in reversed(ops):
-        bit = 1 << mode
-        odd ^= (cur & (bit - 1)).bit_count() & 1
+    cur, odd, flip = need, np.zeros(modes.shape[0], dtype=np.uint8), 0
+    for bit in bits:
+        odd ^= np.bitwise_count(cur & (bit - 1)) & 1
         flip ^= bit - 1
-        cur ^= bit
-    return (fixed, need, cur, flip & ~fixed), -1.0 if odd else 1.0
+        cur = cur ^ bit
+    sign = np.where(alive, 1.0 - 2.0 * odd, 0.0)
+    return np.stack((fixed, need, cur, flip & ~fixed)), sign
 
 
-def _merge(terms) -> dict:
-    """Reduce every (coefficient, ops) term and sum the equal forms."""
-    merged: dict[tuple[int, int, int, int], float] = {}
-    for coef, ops in terms:
-        if coef == 0.0:
-            continue
-        red = _reduce(ops)
-        if red is not None:
-            form, sign = red
-            merged[form] = merged.get(form, 0.0) + sign * coef
-    return merged
+def _sum_equal(forms, coef):
+    """One column per distinct form, carrying the sum of its coefficients."""
+    order = np.lexsort(forms)
+    forms, coef = forms[:, order], coef[order]
+    first = np.ones(forms.shape[1], dtype=bool)
+    first[1:] = np.any(forms[:, 1:] != forms[:, :-1], axis=0)
+    return forms[:, first], np.bincount(np.cumsum(first) - 1, weights=coef,
+                                        minlength=np.count_nonzero(first))
 
 
-def _plus_adjoint(merged: dict) -> dict:
-    """The forms of M + M*."""
-    out = dict(merged)
-    for (fixed, need, final, flip), coef in merged.items():
-        key = (fixed, final, need, flip)
-        out[key] = out.get(key, 0.0) + coef
-    return out
+def _join(parts, plus_adjoint=False):
+    """Concatenate (forms, coef) parts; plus_adjoint appends every form's
+    adjoint as well, so the parts of M give the forms of M + M*."""
+    forms = np.hstack([np.zeros((4, 0), dtype=np.int64)] + [f for f, _ in parts])
+    coef = np.concatenate([np.zeros(0)] + [c for _, c in parts])
+    if plus_adjoint:
+        return np.hstack((forms, forms[_ADJOINT])), np.concatenate((coef, coef))
+    return forms, coef
 
 
-def _operator(basis, merged: dict, hermitian=False, number_conserving=False) -> FockOperator:
-    """Wrap merged forms, checking every structural flag that is claimed."""
-    merged = {form: c for form, c in merged.items() if c != 0.0}
-    forms = np.array(list(merged), dtype=np.int64).reshape(-1, 4).T
-    coef = np.array(list(merged.values()), dtype=np.float64)
-    scale = 1.0 + (float(np.abs(coef).max()) if coef.size else 0.0)
+def _operator(basis, forms, coef, hermitian=False, number_conserving=False) -> FockOperator:
+    """Sum equal forms, drop exact zeros, and wrap the rest, checking every
+    structural flag that is claimed: M is Hermitian when M - M* leaves no
+    coefficient above rounding."""
+    forms, coef = _sum_equal(forms, coef)
+    keep = coef != 0.0
+    forms, coef = forms[:, keep], coef[keep]
+    scale = 1.0 + float(np.abs(coef).max(initial=0.0))
     if hermitian:
-        for (fixed, need, final, flip), c in merged.items():
-            if abs(merged.get((fixed, final, need, flip), 0.0) - c) > 1e-12 * scale:
-                raise ValueError("operator claimed Hermitian is not")
+        _, diff = _sum_equal(np.hstack((forms, forms[_ADJOINT])), np.concatenate((coef, -coef)))
+        if np.abs(diff).max(initial=0.0) > 1e-12 * scale:
+            raise ValueError("operator claimed Hermitian is not")
     if number_conserving and np.any(np.bitwise_count(forms[1]) != np.bitwise_count(forms[2])):
         raise ValueError("operator claimed number conserving is not")
     return FockOperator(basis=basis, coef=coef, forms=forms, hermitian=hermitian,
                         number_conserving=number_conserving)
 
 
+def _strings(terms):
+    """(forms, coef) of (coefficient, ops) terms: one _reduce per string length."""
+    by_length: dict[int, list] = {}
+    for coef, ops in terms:
+        by_length.setdefault(len(ops), []).append((coef, ops))
+    parts = []
+    for n, group in by_length.items():
+        ops = np.array([ops for _, ops in group], dtype=np.int64).reshape(len(group), n, 2)
+        forms, sign = _reduce(ops[..., 0], ops[..., 1] != 0)
+        live = sign != 0.0
+        coef = np.array([c for c, _ in group], dtype=np.float64)
+        parts.append((forms[:, live], sign[live] * coef[live]))
+    return _join(parts)
+
+
 def make_operator(basis, terms, hermitian=False,
                   number_conserving=False) -> FockOperator:
     """Sum (coefficient, ops) ladder strings, checking every claimed flag."""
-    return _operator(basis, _merge(terms), hermitian, number_conserving)
+    return _operator(basis, *_strings(terms), hermitian, number_conserving)
+
+
+def _quartets(lattice: LatticeConfig, dag) -> np.ndarray:
+    """Every momentum-index quadruple (k1, k2, k3, k4), as a 4 x T array,
+    whose creator momenta (dag[slot] true) less its annihilator momenta
+    sum to zero. k1, k2, k3 run over the grid; k4 is solved for and looked
+    up by its integer coordinates, and the quadruple is dropped when k4
+    leaves the grid."""
+    n = np.array(lattice.momenta, dtype=np.int64)
+    # n -> n . (B^2, B, 1) is linear, and one to one on coordinates within
+    # +-3r, the most that k4 can reach
+    base = 6 * int(np.abs(n).max()) + 1
+    code = n @ np.array([base * base, base, 1])
+    table = np.full(base ** 3, -1, dtype=np.int64)
+    table[code + base ** 3 // 2] = np.arange(len(n))
+    sign = np.where(dag, 1, -1)
+    k4 = table[base ** 3 // 2 - sign[3] * (sign[0] * code[:, None, None]
+                                          + sign[1] * code[None, :, None]
+                                          + sign[2] * code[None, None, :])]
+    quads = np.vstack((np.indices(k4.shape).reshape(3, -1), k4.ravel()))
+    return quads[:, quads[3] >= 0]
+
+
+def _block(quads, dag, spins, coef):
+    """(forms, coef) of the strings a#_{k1 s1} a#_{k2 s2} a#_{k3 s3} a#_{k4 s4}
+    over the quartets (k1, k2, k3, k4), a# = a* where dag holds. The spins
+    (s1, s2, s3, s4) and the coefficient per quartet broadcast together, so
+    a spin array of shape (S, 1) gives S strings per quartet; zero
+    coefficients are skipped."""
+    modes = np.stack(np.broadcast_arrays(*(2 * k + s for k, s in zip(quads, spins))), axis=-1)
+    coef = np.broadcast_to(coef, modes.shape[:-1])
+    keep = coef != 0.0
+    forms, sign = _reduce(modes[keep], dag)
+    # a vanishing string's form is not meaningful: drop it, whatever its coefficient
+    live = sign != 0.0
+    return forms[:, live], sign[live] * coef[keep][live]
 
 
 def _number_terms(per_mode) -> list:
@@ -433,7 +498,8 @@ def vhat_from_potential(lattice: LatticeConfig, potential) -> dict[Triple, float
     """Interaction coefficients V^(k) on the full grid difference set."""
     diffs = {_sub(a, b) for a in lattice.momenta for b in lattice.momenta}
     norms = sorted({n[0] ** 2 + n[1] ** 2 + n[2] ** 2 for n in diffs})
-    by_norm = {m: float(fourier_V(potential, lattice.unit * math.sqrt(m))) for m in norms}
+    values = fourier_V(potential, lattice.unit * np.sqrt(np.array(norms, dtype=np.float64)))
+    by_norm = dict(zip(norms, values.tolist()))
     return {n: by_norm[n[0] ** 2 + n[1] ** 2 + n[2] ** 2] for n in diffs}
 
 
@@ -449,13 +515,25 @@ def _validate_vhat(vhat) -> None:
             raise ValueError(f"V^({n}) != V^({m}) breaks reflection symmetry")
 
 
-def _uv_tables(lattice: LatticeConfig):
-    """Sharp particle/hole indicator per momentum and spin (holes keep the boundary)."""
-    u = [np.empty(len(lattice.momenta)), np.empty(len(lattice.momenta))]
-    for s in (SPIN_UP, SPIN_DOWN):
-        for i, n in enumerate(lattice.momenta):
-            u[s][i] = 0.0 if lattice.in_ball(n, s) else 1.0
-    return u[0], 1.0 - u[0], u[1], 1.0 - u[1]
+def _vhat_table(lattice: LatticeConfig, vhat) -> np.ndarray:
+    """The validated V^(n_i - n_j) over pairs of momentum indices; a
+    transfer that vhat does not list counts as zero."""
+    _validate_vhat(vhat)
+    return np.array([[vhat.get(_sub(a, b), 0.0) for b in lattice.momenta]
+                     for a in lattice.momenta])
+
+
+def _outside(lattice: LatticeConfig) -> np.ndarray:
+    """[spin, momentum index] -> the mode lies outside the Fermi ball (a
+    particle mode in the particle-hole frame; holes keep the boundary)."""
+    return np.array([[not lattice.in_ball(n, s) for n in lattice.momenta]
+                     for s in (SPIN_UP, SPIN_DOWN)])
+
+
+# the four spin pairs (s, t), as (4, 1) columns that broadcast against the
+# quartets: _block then writes one string per pair and quartet
+_S, _T = np.array(list(itertools.product((SPIN_UP, SPIN_DOWN), repeat=2))).T[:, :, None]
+_NUMBER_LIKE = (True, True, False, False)
 
 
 def build_hamiltonian(lattice: LatticeConfig, basis: FockBasis, vhat) -> FockOperator:
@@ -465,31 +543,13 @@ def build_hamiltonian(lattice: LatticeConfig, basis: FockBasis, vhat) -> FockOpe
     truncation keeps the operator Hermitian and number conserving, and is the
     finite model all identity checks refer to.
     """
-    _validate_vhat(vhat)
-    idx = lattice.index
-    pref = 1.0 / (2.0 * lattice.L ** 3)
-    terms = _number_terms([lattice.k_norm(n) ** 2 for n, _ in basis.mode_order])
-    for nk, val in vhat.items():
-        if val == 0.0:
-            continue
-        for p in lattice.momenta:
-            pk = _add(p, nk)
-            if pk not in idx:
-                continue
-            for q in lattice.momenta:
-                qk = _sub(q, nk)
-                if qk not in idx:
-                    continue
-                for s1 in (SPIN_UP, SPIN_DOWN):
-                    for s2 in (SPIN_UP, SPIN_DOWN):
-                        ops = [
-                            (2 * idx[pk] + s1, True),
-                            (2 * idx[qk] + s2, True),
-                            (2 * idx[q] + s2, False),
-                            (2 * idx[p] + s1, False),
-                        ]
-                        terms.append((pref * val, ops))
-    return make_operator(basis, terms, hermitian=True, number_conserving=True)
+    vd = _vhat_table(lattice, vhat)
+    quads = k1, _, _, k4 = _quartets(lattice, _NUMBER_LIKE)
+    # a*_{k1 s} a*_{k2 t} a_{k3 t} a_{k4 s} V^(k1 - k4) / (2 L^3)
+    coef = 1.0 / (2.0 * lattice.L ** 3) * vd[k1, k4]
+    parts = [_strings(_number_terms([lattice.k_norm(n) ** 2 for n, _ in basis.mode_order]))]
+    parts.append(_block(quads, _NUMBER_LIKE, (_S, _T, _T, _S), coef))
+    return _operator(basis, *_join(parts), hermitian=True, number_conserving=True)
 
 
 def ffg_index(lattice: LatticeConfig, basis: FockBasis) -> int:
@@ -561,13 +621,12 @@ def build_corr_terms(lattice: LatticeConfig, basis: FockBasis, vhat) -> dict:
     other sectors is the kF^2-weighted imbalance that corr_identity_report
     measures.
     """
-    _validate_vhat(vhat)
-    idx = lattice.index
-    mom = lattice.momenta
-    u_up, v_up, u_dn, v_dn = _uv_tables(lattice)
-    u = {SPIN_UP: u_up, SPIN_DOWN: u_dn}
-    v = {SPIN_UP: v_up, SPIN_DOWN: v_dn}
     vol = lattice.L ** 3
+    vd = _vhat_table(lattice, vhat) / vol
+    out = _outside(lattice)
+    ins = ~out
+    # V^(k + k') = vd[k, neg[k']], with neg the index of the reflected momentum
+    neg = np.array([lattice.index[_neg(n)] for n in lattice.momenta])
 
     h0 = make_operator(
         basis,
@@ -583,151 +642,54 @@ def build_corr_terms(lattice: LatticeConfig, basis: FockBasis, vhat) -> dict:
     what = {}
     for s in (SPIN_UP, SPIN_DOWN):
         ball = lattice.ball(s)
-        what[s] = {t: sum(vhat[_sub(t, m)] for m in ball) / vol for t in mom}
+        what[s] = {t: sum(vhat[_sub(t, m)] for m in ball) / vol for t in lattice.momenta}
     hartree = (lattice.N_up + lattice.N_down) * vhat[(0, 0, 0)] / vol
     x = make_operator(
         basis,
-        _number_terms([(hartree - what[s][n]) * (u[s][idx[n]] - v[s][idx[n]])
+        _number_terms([(hartree - what[s][n]) * (-1.0 if lattice.in_ball(n, s) else 1.0)
                        for n, s in basis.mode_order]),
         hermitian=True, number_conserving=True)
 
-    spins = (SPIN_UP, SPIN_DOWN)
+    # each block is a*_{k1} a*_{k2} a_{k3} a_{k4} (or with more creators)
+    # over the momentum quartets: V^ at its transfer, an occupation mask on
+    # the four slots and the spins (s, t), which run over all four pairs
+    s, t = _S, _T
+    dag = _NUMBER_LIKE
+    quads = k1, k2, k3, k4 = _quartets(lattice, dag)
+    # one particle and one hole created at k1 + k2, a hole pair eaten
+    q1 = [_block(quads, dag, (s, s, t, t), vd[k1, neg[k2]]
+                 * (out[s, k1] & ins[s, k2] & ins[t, k3] & out[t, k4]))]
+    # a hole pair (k2, k3) of spin t scattered against a spin-s pair
+    # (k1, k4): +1/2 when both are holes, -1 when both are particles
+    pair = 0.5 * (ins[s, k1] & ins[s, k4]) - 1.0 * (out[s, k1] & out[s, k4])
+    q1.append(_block(quads, dag, (s, t, t, s), pair * vd[k1, k4] * (ins[t, k2] & ins[t, k3])))
+    # particle-particle scattering
+    q4 = [_block(quads, dag, (s, t, t, s), 0.5 * vd[k1, k4]
+                 * (out[s, k1] & out[t, k2] & out[t, k3] & out[s, k4]))]
 
-    q1_terms = []
-    for s1 in spins:
-        for s2 in spins:
-            for k1 in mom:
-                if u[s1][idx[k1]] == 0.0:
-                    continue
-                for k2 in mom:
-                    # one particle and one hole created at x, a hole pair eaten at y
-                    if v[s1][idx[k2]] == 0.0:
-                        continue
-                    for k3 in mom:
-                        if v[s2][idx[k3]] == 0.0:
-                            continue
-                        k4 = _sub(_add(k1, k2), k3)
-                        if k4 not in idx or u[s2][idx[k4]] == 0.0:
-                            continue
-                        ops = [
-                            (2 * idx[k1] + s1, True),
-                            (2 * idx[k2] + s1, True),
-                            (2 * idx[k3] + s2, False),
-                            (2 * idx[k4] + s2, False),
-                        ]
-                        q1_terms.append((vhat[_add(k1, k2)] / vol, ops))
-    for s1 in spins:
-        for s2 in spins:
-            for k1 in mom:
-                for k2 in mom:
-                    if v[s2][idx[k2]] == 0.0:
-                        continue
-                    for k4 in mom:
-                        k3 = _sub(_add(k1, k2), k4)
-                        if k3 not in idx or v[s2][idx[k3]] == 0.0:
-                            continue
-                        coef = 0.0
-                        if v[s1][idx[k1]] != 0.0 and v[s1][idx[k4]] != 0.0:
-                            coef += 0.5
-                        if u[s1][idx[k1]] != 0.0 and u[s1][idx[k4]] != 0.0:
-                            coef -= 1.0
-                        if coef == 0.0:
-                            continue
-                        ops = [
-                            (2 * idx[k1] + s1, True),
-                            (2 * idx[k2] + s2, True),
-                            (2 * idx[k3] + s2, False),
-                            (2 * idx[k4] + s1, False),
-                        ]
-                        q1_terms.append((coef * vhat[_sub(k1, k4)] / vol, ops))
-    q1 = make_operator(basis, q1_terms, hermitian=True, number_conserving=True)
+    # particles k1, k2 and holes k3, k4 created, plus the adjoint; split
+    # into equal and opposite spins
+    dag = (True, True, True, True)
+    quads = k1, k2, k3, k4 = _quartets(lattice, dag)
+    q2 = 0.5 * vd[k1, neg[k4]] * (out[s, k1] & out[t, k2] & ins[t, k3] & ins[s, k4])
+    q2_par = [_block(quads, dag, (s, t, t, s), q2 * (s == t))]
+    q2_ud = [_block(quads, dag, (s, t, t, s), q2 * (s != t))]
 
-    q2_terms = {True: [], False: []}
-    for s1 in spins:
-        for s2 in spins:
-            for k1 in mom:
-                if u[s1][idx[k1]] == 0.0:
-                    continue
-                for k2 in mom:
-                    if u[s2][idx[k2]] == 0.0:
-                        continue
-                    for k3 in mom:
-                        if v[s2][idx[k3]] == 0.0:
-                            continue
-                        k4 = _neg(_add(_add(k1, k2), k3))
-                        if k4 not in idx or v[s1][idx[k4]] == 0.0:
-                            continue
-                        ops = [
-                            (2 * idx[k1] + s1, True),
-                            (2 * idx[k2] + s2, True),
-                            (2 * idx[k3] + s2, True),
-                            (2 * idx[k4] + s1, True),
-                        ]
-                        q2_terms[s1 == s2].append((0.5 * vhat[_add(k1, k4)] / vol, ops))
-    q2_par = _operator(basis, _plus_adjoint(_merge(q2_terms[True])), hermitian=True)
-    q2_ud = _operator(basis, _plus_adjoint(_merge(q2_terms[False])), hermitian=True)
-
-    q3_terms = []
-    for s1 in spins:
-        for s2 in spins:
-            for k1 in mom:
-                if u[s1][idx[k1]] == 0.0:
-                    continue
-                for k2 in mom:
-                    for k3 in mom:
-                        if v[s1][idx[k3]] == 0.0:
-                            continue
-                        k4 = _add(_add(k1, k2), k3)
-                        if k4 not in idx:
-                            continue
-                        coef = 0.0
-                        if v[s2][idx[k2]] != 0.0 and v[s2][idx[k4]] != 0.0:
-                            coef += 1.0
-                        if u[s2][idx[k2]] != 0.0 and u[s2][idx[k4]] != 0.0:
-                            coef -= 1.0
-                        if coef == 0.0:
-                            continue
-                        ops = [
-                            (2 * idx[k1] + s1, True),
-                            (2 * idx[k2] + s2, True),
-                            (2 * idx[k3] + s1, True),
-                            (2 * idx[k4] + s2, False),
-                        ]
-                        q3_terms.append((coef * vhat[_add(k1, k3)] / vol, ops))
-    q3 = _operator(basis, _plus_adjoint(_merge(q3_terms)), hermitian=True)
-
-    q4_terms = []
-    for s1 in spins:
-        for s2 in spins:
-            for k1 in mom:
-                if u[s1][idx[k1]] == 0.0:
-                    continue
-                for k2 in mom:
-                    if u[s2][idx[k2]] == 0.0:
-                        continue
-                    for k4 in mom:
-                        if u[s1][idx[k4]] == 0.0:
-                            continue
-                        k3 = _sub(_add(k1, k2), k4)
-                        if k3 not in idx or u[s2][idx[k3]] == 0.0:
-                            continue
-                        ops = [
-                            (2 * idx[k1] + s1, True),
-                            (2 * idx[k2] + s2, True),
-                            (2 * idx[k3] + s2, False),
-                            (2 * idx[k4] + s1, False),
-                        ]
-                        q4_terms.append((0.5 * vhat[_sub(k1, k4)] / vol, ops))
-    q4 = make_operator(basis, q4_terms, hermitian=True, number_conserving=True)
+    # a particle-hole pair (k1, k3) created while a spin-t mode moves from
+    # k4 to k2: +1 between holes, -1 between particles, plus the adjoint
+    dag = (True, True, True, False)
+    quads = k1, k2, k3, k4 = _quartets(lattice, dag)
+    moved = 1.0 * (ins[t, k2] & ins[t, k4]) - 1.0 * (out[t, k2] & out[t, k4])
+    q3 = [_block(quads, dag, (s, t, s, t), moved * vd[k1, neg[k3]] * (out[s, k1] & ins[s, k3]))]
 
     return {
         "H0": h0,
         "X": x,
-        "Q1": q1,
-        "Q2_par": q2_par,
-        "Q2_ud": q2_ud,
-        "Q3": q3,
-        "Q4": q4,
+        "Q1": _operator(basis, *_join(q1), hermitian=True, number_conserving=True),
+        "Q2_par": _operator(basis, *_join(q2_par, plus_adjoint=True), hermitian=True),
+        "Q2_ud": _operator(basis, *_join(q2_ud, plus_adjoint=True), hermitian=True),
+        "Q3": _operator(basis, *_join(q3, plus_adjoint=True), hermitian=True),
+        "Q4": _operator(basis, *_join(q4), hermitian=True, number_conserving=True),
     }
 
 
@@ -816,81 +778,46 @@ def q2_ud_from_pairs(lattice: LatticeConfig, basis: FockBasis, vhat) -> FockOper
         up = _pair_terms(lattice, p, SPIN_UP)
         down = _pair_terms(lattice, _neg(p), SPIN_DOWN) if up else []
         terms += [(val / vol, ou + od) for _, ou in up for _, od in down]
-    return _operator(basis, _plus_adjoint(_merge(terms)), hermitian=True)
+    return _operator(basis, *_join([_strings(terms)], plus_adjoint=True), hermitian=True)
 
 
 def build_generator(lattice: LatticeConfig, basis: FockBasis, which: str, *,
                     phi=None, eta=None, cutoff=None) -> FockOperator:
     """Quasi-bosonic generator B1 or B2 (the annihilation half; take B - B* yourself).
 
-    B1 wants a periodized scattering function carrying the high-pass factor;
-    B2 wants the pair kernel plus the cutoff config whose low-pass window and
-    epsilon it should use. Terms whose momenta leave the grid or hit Pauli
-    blocking are simply absent.
+    B1 wants a periodized scattering function (its `coeffs(ns)` and box side
+    `L`) carrying the high-pass factor; B2 wants the pair kernel plus the
+    cutoff config whose low-pass window and epsilon it should use. Terms
+    whose momenta leave the grid or hit Pauli blocking are simply absent.
     """
-    idx = lattice.index
-    vol = lattice.L ** 3
-    terms = []
     if which == "B1":
         if phi is None:
             raise ValueError("B1 needs the periodized scattering coefficients")
-        if hasattr(phi, "L") and abs(phi.L - lattice.L) > 1e-12 * lattice.L:
+        if abs(phi.L - lattice.L) > 1e-12 * lattice.L:
             raise ValueError("scattering function was periodized for a different box")
-        up, down = lattice.ball(SPIN_UP), lattice.ball(SPIN_DOWN)
-        out_up = set(lattice.momenta) - set(up)
-        out_down = set(lattice.momenta) - set(down)
-        # only transfers lifting an up momentum out of its ball can contribute
-        transfers = sorted({_sub(m, k) for m in out_up for k in up})
-        if hasattr(phi, "coeffs"):
-            coeffs = phi.coeffs(transfers).tolist()
-        else:
-            coeffs = [phi.get(p, 0.0) for p in transfers]
-        for p, c in zip(transfers, coeffs):
-            if c == 0.0:
-                continue
-            for k in up:
-                pk = _add(p, k)
-                if pk not in out_up:
-                    continue
-                for kp in down:
-                    pkp = _sub(kp, p)
-                    if pkp not in out_down:
-                        continue
-                    ops = [
-                        (2 * idx[pk] + SPIN_UP, False),
-                        (2 * idx[_neg(k)] + SPIN_UP, False),
-                        (2 * idx[pkp] + SPIN_DOWN, False),
-                        (2 * idx[_neg(kp)] + SPIN_DOWN, False),
-                    ]
-                    terms.append((c / vol, ops))
     elif which == "B2":
         if eta is None or cutoff is None:
             raise ValueError("B2 needs the pair kernel and a cutoff config")
-        for r in lattice.ball(SPIN_UP):
-            for m in lattice.momenta:
-                if lattice.in_ball(m, SPIN_UP):
-                    continue
-                p = _sub(m, r)
-                w = float(cutoff.chi_less(lattice.k_norm(p)))
-                if w == 0.0:
-                    continue
-                for rp in lattice.ball(SPIN_DOWN):
-                    mp = _add(_neg(p), rp)
-                    if mp not in idx or lattice.in_ball(mp, SPIN_DOWN):
-                        continue
-                    val = float(
-                        eta.value(lattice.k_vec(r), lattice.k_vec(rp), lattice.k_vec(p))
-                    )
-                    ops = [
-                        (2 * idx[m] + SPIN_UP, False),
-                        (2 * idx[_neg(r)] + SPIN_UP, False),
-                        (2 * idx[mp] + SPIN_DOWN, False),
-                        (2 * idx[_neg(rp)] + SPIN_DOWN, False),
-                    ]
-                    terms.append((w * val / vol, ops))
     else:
         raise ValueError(f"which must be 'B1' or 'B2', got {which!r}")
-    return make_operator(basis, terms)
+    n = np.array(lattice.momenta, dtype=np.int64)
+    out = _outside(lattice)
+    # b_{p,up} b_{-p,down} terms: a_{k1 up} a_{k2 up} a_{k3 down} a_{k4 down}
+    # with particles k1, k3, holes -k2, -k4 and transfer p = k1 + k2
+    dag = (False, False, False, False)
+    quads = k1, k2, k3, k4 = _quartets(lattice, dag)
+    keep = out[SPIN_UP, k1] & ~out[SPIN_UP, k2] & out[SPIN_DOWN, k3] & ~out[SPIN_DOWN, k4]
+    p = n[k1] + n[k2]
+    coef = np.zeros(keep.shape)
+    if which == "B1":
+        coef[keep] = phi.coeffs(p[keep]) / lattice.L ** 3
+    else:
+        unit = lattice.unit
+        w = cutoff.chi_less(unit * np.sqrt(np.sum(p * p, axis=1)))
+        keep &= w != 0.0
+        val = eta.value(-unit * n[k2[keep]], -unit * n[k4[keep]], unit * p[keep])
+        coef[keep] = w[keep] * val / lattice.L ** 3
+    return _operator(basis, *_block(quads, dag, (SPIN_UP, SPIN_UP, SPIN_DOWN, SPIN_DOWN), coef))
 
 
 _VACUUM = np.zeros(1, dtype=np.int64)

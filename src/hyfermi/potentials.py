@@ -258,16 +258,14 @@ def _simpson_weights(x):
     return w
 
 
-def _radial_transform(r, f, s):
-    """4*pi * integral of f(r) * sin(sr)/(sr) dr for each s of a 1D array.
-
-    Simpson's rule on the nodes r, as one weight vector, so each block of
-    256 values of s is one matrix-vector product.
-    """
-    w = 4.0 * np.pi * _simpson_weights(r) * f
+def _radial_transform(r, w, f, s):
+    """4*pi * sum_k w_k f_k sin(s r_k)/(s r_k) for each s of a 1D array:
+    the radial Fourier transform of f on a rule of nodes r and weights w.
+    Each block of 256 values of s is one matrix-vector product."""
+    wf = 4.0 * np.pi * w * f
     out = np.empty(s.shape)
     for lo in range(0, s.size, 256):
-        out[lo:lo + 256] = np.sinc(s[lo:lo + 256, None] * r[None, :] / np.pi) @ w
+        out[lo:lo + 256] = np.sinc(s[lo:lo + 256, None] * r[None, :] / np.pi) @ wf
     return out
 
 
@@ -281,7 +279,7 @@ def fourier_Vf(solution, s):
     mask = solution.r_grid <= pot.support
     r = solution.r_grid[mask]
     flat = np.atleast_1d(np.asarray(s, dtype=np.float64)).ravel()
-    out = _radial_transform(r, pot(r) * solution.u_profile[mask] * r, flat)
+    out = _radial_transform(r, _simpson_weights(r), pot(r) * solution.u_profile[mask] * r, flat)
     return float(out[0]) if np.ndim(s) == 0 else out.reshape(np.shape(s))
 
 
@@ -297,7 +295,9 @@ _SW_SERIES = tuple((-1) ** j * 6.0 * (j + 1) / math.factorial(2 * j + 3)
 
 
 def fourier_V(potential, s):
-    """Radial Fourier transform of the bare potential at |p| = s."""
+    """Radial Fourier transform of the bare potential at |p| = s: the
+    square well in closed form, other kinds on the Gauss panels of
+    _radial_rule, which split at every tabulated sample radius."""
     flat = np.atleast_1d(np.asarray(s, dtype=np.float64)).ravel()
     if potential.kind == "square-well":
         V0, R = potential.V0, potential.R
@@ -307,8 +307,8 @@ def fourier_V(potential, s):
         series = np.polyval(_SW_SERIES, (flat * R) ** 2)
         out = np.where(small, 4.0 * np.pi * V0 * R ** 3 * series / 3.0, out)
     else:
-        r = np.linspace(0.0, potential.R, 4001)
-        out = _radial_transform(r, potential(r) * r * r, flat)
+        r, wv = _radial_rule(potential, float(np.abs(flat).max(initial=0.0)))
+        out = _radial_transform(r, wv, r * r, flat)
     return float(out[0]) if np.ndim(s) == 0 else out.reshape(np.shape(s))
 
 
@@ -368,23 +368,6 @@ class PeriodicScatteringFunction:
         axis = range(-self.n_max, self.n_max + 1)
         return dict(zip(itertools.product(axis, repeat=3),
                         self._cube().ravel().tolist()))
-
-    def real_space(self, N=None):
-        """Evaluate on the uniform N^3 spatial grid via an inverse FFT.
-
-        Returns (x, values) with x the 1D coordinate array; values are
-        real because the coefficients are real and even.
-        """
-        if N is None:
-            N = 2 * self.n_max + 1
-        if N < 2 * self.n_max + 1:
-            raise ValueError("N too small to hold the coefficient cube")
-        n = np.arange(-self.n_max, self.n_max + 1)
-        A = np.zeros((N, N, N), dtype=np.complex128)
-        A[np.ix_(n % N, n % N, n % N)] = self._cube()
-        vals = np.fft.ifftn(A) * (N ** 3 / self.L ** 3)
-        x = np.arange(N) * (self.L / N)
-        return x, vals.real
 
 
 def periodize_phi(solution, L, cutoff=None, n_max=24):

@@ -284,11 +284,13 @@ def g_pointwise(x, p, tol=1e-6):
 
 
 def _g_tail_coeffs(x):
-    # large-p expansion g = x/p^2 + c4/p^4 + c6/p^6 + ..., from the
-    # moments of the slice measures once both shells are full balls
+    # large-p expansion g = x/p^2 + c4/p^4 + c6/p^6 + c8/p^8 + ..., from the
+    # moments of the slice measures once both shells are full balls (c8 is
+    # 9/(16 pi^2) times their sixth moment)
     c4 = (x + x ** (5.0 / 3.0)) / 5.0
     c6 = (3.0 / 35.0) * (x + x ** (7.0 / 3.0)) + (6.0 / 25.0) * x ** (5.0 / 3.0)
-    return c4, c6
+    c8 = (x + x ** 3) / 21.0 + (9.0 / 35.0) * (x ** (5.0 / 3.0) + x ** (7.0 / 3.0))
+    return c4, c6, c8
 
 
 def F_quadrature(x, tol=1e-3):
@@ -322,8 +324,10 @@ def F_quadrature(x, tol=1e-3):
             return x - p * p * gpref * v, n
         return _composite_p(fn, edges, n_p)
 
-    c4, c6 = _g_tail_coeffs(x)
-    tail = -(c4 / p_cut + c6 / (3.0 * p_cut ** 3))
+    c4, c6, c8 = _g_tail_coeffs(x)
+    # the error term keeps the c6 size: the next omitted term alone reads
+    # below the true distance to F_closed
+    tail = -(c4 / p_cut + c6 / (3.0 * p_cut ** 3) + c8 / (5.0 * p_cut ** 5))
     pref = (4.0 / math.pi) * (6.0 * math.pi ** 2) ** (1.0 / 3.0) * 4.0 * math.pi
     value, err, evals, rung, met = _ladder(
         rule, tol, pref, pref * tail, pref * abs(c6) / p_cut ** 5, floor=1.0)
@@ -371,7 +375,9 @@ def p_integral_linear(a_coef, b_coef):
 def pv_quadratic_epsilon(a_coef, b_coef, eps):
     """Real part of the eps-smoothed ball integral of
     1/(p^2 + a*p1 + b + i*eps); radial-angular reduction, one smooth 1D
-    quadrature. Extrapolate eps -> 0 to recover the principal value."""
+    quadrature. Extrapolate eps -> 0 to recover the principal value.
+    A test reference: it imports scipy, which only the `test` extra
+    installs."""
     from scipy.integrate import quad
 
     a, b = float(a_coef), float(b_coef)
@@ -396,7 +402,9 @@ def pv_quadratic_epsilon(a_coef, b_coef, eps):
 
 
 def pv_linear_epsilon(a_coef, b_coef, eps):
-    """Real part of the eps-smoothed ball integral of 1/(a*p1 + b + i*eps)."""
+    """Real part of the eps-smoothed ball integral of 1/(a*p1 + b + i*eps).
+    A test reference: it imports scipy, which only the `test` extra
+    installs."""
     from scipy.integrate import quad
 
     a, b = float(a_coef), float(b_coef)

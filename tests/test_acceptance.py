@@ -200,7 +200,7 @@ def test_criterion_08_fock_exactness():
                                           float(l1), float(l2))
             assert e >= e_ground - 1e-10
     elapsed = time.perf_counter() - t0
-    report(8, 10.0, elapsed,
+    report(8, 1.0, elapsed,
            f"CAR {car:.1e}, unitarity {unitarity:.1e}, identity "
            f"{identity:.1e}, sector {sector:.1e}, 5x5 bound ok")
 

@@ -318,6 +318,9 @@ def test_fock_demo_contract(capsys):
     assert all(type(v) is int and v > 0 for v in metas[0].values())
     assert metas[0]["trial_block"] == 7
     assert metas[0]["sector_states"] == 49
+    # nonzero entries of H, the terms and the generators: a dropped or
+    # duplicated block shows here
+    assert metas[0]["nnz"] == 397
     assert metas[0] == metas[1]
 
 

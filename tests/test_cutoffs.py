@@ -1,9 +1,9 @@
-"""Cut-off window, projector algebra, and parameter constraints."""
+"""Cut-off window, Fermi momentum, and parameter constraints."""
 
 import numpy as np
 import pytest
 
-from hyfermi.cutoffs import CutoffConfig, FermiProjectors, fermi_momentum
+from hyfermi.cutoffs import CutoffConfig, fermi_momentum
 
 
 def test_partition_of_unity():
@@ -55,17 +55,6 @@ def test_with_rho_keeps_exponents():
     cc2 = cc.with_rho(1e-5)
     assert (cc2.gamma, cc2.delta) == (0.1, 0.3)
     assert cc2.c_lower == pytest.approx(4.0 * 1e-5 ** (1.0 / 3.0 - 0.1))
-
-
-def test_projectors_partition():
-    pr = FermiProjectors(kF_up=1.0, kF_down=0.5)
-    k = np.array([0.0, 0.5, 0.75, 1.0, 1.5])
-    for u, v in ((pr.u_up(k), pr.v_up(k)), (pr.u_down(k), pr.v_down(k))):
-        assert np.all(u * v == 0.0)
-        assert np.all(u + v == 1.0)
-    # boundary belongs to the filled ball
-    assert pr.v_up(np.array([1.0]))[0] == 1.0
-    assert pr.v_down(np.array([0.5]))[0] == 1.0
 
 
 def test_fermi_momentum_inverts_density():

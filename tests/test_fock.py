@@ -220,6 +220,17 @@ def test_flag_claims_are_verified(demo):
         fock.make_operator(basis, [(1.0, [(j, False)])], number_conserving=True)
 
 
+def test_vanishing_strings_leave_no_forms(demo):
+    """A string that is zero on every state contributes no form, even when
+    its coefficient is not finite."""
+    _, basis, _, _, _ = demo
+    j = basis.mode((1, 0, 0), fock.SPIN_UP)
+    for coef in (1.0, math.inf, math.nan):
+        op = fock.make_operator(basis, [(coef, [(j, True), (j, True)]),
+                                        (coef, [(j, False), (j, True), (j, True)])])
+        assert op.coef.size == 0 and op.forms.shape == (4, 0)
+
+
 # ------------------------------------------------------------- Hamiltonian
 
 
@@ -311,8 +322,8 @@ def test_opstring_against_dense_reference(case):
     assert np.abs(op.on(every) - ref).max() <= 1e-12
     some = every[::3]
     assert np.abs(op.on(some[::-1], some) - ref[np.ix_(some, some[::-1])]).max() <= 1e-12
-    adj = fock._operator(basis, {(f, c, b, p): k for (f, b, c, p), k in
-                                 fock._merge(terms).items()})
+    # the adjoint of a form swaps its need and final rows
+    adj = fock._operator(basis, op.forms[[0, 2, 1, 3]], op.coef)
     assert np.abs(adj.on(every) - ref.T).max() <= 1e-12
 
 
@@ -563,7 +574,16 @@ def test_b1_lazy_coefficients_match_explicit_table(demo, ph_zero):
     lazy = fock.build_generator(lat, basis, "B1", phi=periodize_phi(sol, L, cutoff=cut))
     table = dict(periodize_phi(sol, L, cutoff=cut, n_max=24).coefficients)
     assert len(table) == 49 ** 3
-    explicit = fock.build_generator(lat, basis, "B1", phi=table)
+
+    class Table:
+        """The explicit table behind the two members build_generator reads."""
+        L = lat.L
+
+        @staticmethod
+        def coeffs(ns):
+            return np.array([table.get(tuple(n), 0.0) for n in np.asarray(ns).tolist()])
+
+    explicit = fock.build_generator(lat, basis, "B1", phi=Table())
     m_lazy, m_explicit = lazy.on(ph_zero), explicit.on(ph_zero)
     assert np.count_nonzero(m_lazy) == np.count_nonzero(m_explicit) > 0
     assert absmax(m_lazy - m_explicit) <= 1e-14 * absmax(m_explicit)

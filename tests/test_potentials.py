@@ -190,7 +190,7 @@ def test_periodized_coefficients_reflection_symmetric():
 
 def test_periodized_coefficients_lazy_contract():
     """Values are radial, zero off the cube and at the origin, and the
-    full-cube view, coeff and real_space all read the same numbers."""
+    full-cube view and coeff read the same numbers."""
     sol = solve_scattering(RadialPotential(kind="square-well", V0=0.4,
                                            R=1.0))
     psf = periodize_phi(sol, L=2.0 * math.pi, n_max=6)
@@ -202,9 +202,6 @@ def test_periodized_coefficients_lazy_contract():
     assert psf.coeff((3, -1, 2)) == psf.coefficients[(1, 2, -3)] != 0.0
     assert len(psf.coefficients) == 13 ** 3
     assert (7, 0, 0) not in psf.coefficients
-    _, vals = psf.real_space()
-    assert vals[0, 0, 0] == pytest.approx(
-        sum(psf.coefficients.values()) / psf.L ** 3, rel=1e-12)
 
 
 def test_lambda_shift_broadcasts():
@@ -340,16 +337,25 @@ _SCIPY_REFERENCE_POTENTIALS = [
 ]
 
 
-@pytest.mark.parametrize("pot", _SCIPY_REFERENCE_POTENTIALS,
-                         ids=lambda p: p.kind)
-def test_fourier_v_matches_scipy_simpson(pot):
-    from scipy.integrate import simpson
+# a tabulated potential that jumps to 0 at its last sample, inside R
+_JUMP_POTENTIAL = RadialPotential(kind="tabulated", R=1.0,
+                                  samples=((0.0, 5.0), (0.3, 4.0), (0.7, 1.0), (0.9, 0.5)))
 
+
+@pytest.mark.parametrize("pot", [*_SCIPY_REFERENCE_POTENTIALS, _JUMP_POTENTIAL],
+                         ids=["truncated-gaussian", "tabulated", "tabulated-jump"])
+def test_fourier_v_matches_gauss_panels(pot):
+    """A reference exact for piecewise-linear V: 24-node Gauss-Legendre
+    panels on 400 edges plus every sample radius, where V may kink or jump."""
     s = np.concatenate([[0.0], np.geomspace(1e-3, 60.0, 300)])
-    r = np.linspace(0.0, pot.R, 4001)
-    w = pot(r) * r * r
-    want = simpson(4.0 * np.pi * w[None, :] * np.sinc(s[:, None] * r[None, :] / np.pi),
-                   x=r, axis=1)
+    edges = np.linspace(0.0, pot.R, 401)
+    if pot.samples:
+        edges = np.union1d(edges, [r for r, _ in pot.samples])
+    x, wg = np.polynomial.legendre.leggauss(24)
+    half = 0.5 * np.diff(edges)[:, None]
+    r = (0.5 * (edges[:-1, None] + edges[1:, None]) + half * x).ravel()
+    w = (half * wg).ravel() * pot(r) * r * r
+    want = 4.0 * np.pi * (np.sinc(s[:, None] * r[None, :] / np.pi) @ w)
     assert np.abs(fourier_V(pot, s) - want).max() <= 1e-14 * np.abs(want).max()
     assert abs(fourier_V(pot, 0.0) - want[0]) <= 1e-14 * np.abs(want).max()
 
