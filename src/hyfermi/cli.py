@@ -1,22 +1,26 @@
 """Command-line front end: ten subcommands over the four computational
 modules, emitting CSV tables or JSON documents.
 
-Every parameter resolves with precedence flag > config file > default;
-the config file is a flat JSON object whose keys mirror the long flag
-names (dashes or underscores both accepted). Every output ends with a
-one-line JSON metadata record so downstream tooling can recover the
-seed and tolerances that produced it.
+Two tables declare the whole surface: _FLAGS gives every flag its
+default and argparse keywords, _COMMANDS every subcommand its help,
+flags, per-command defaults and handler. Every parameter resolves with
+precedence flag > config file > default; the config file is a flat JSON
+object whose keys mirror the long flag names (dashes or underscores both
+accepted). Every output ends with a one-line JSON metadata record so
+downstream tooling can recover the seed and tolerances that produced it.
 """
 
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,48 +37,47 @@ from .potentials import (
     solve_scattering,
 )
 
-COMMANDS = ("scatter", "hy-eval", "hy-table", "verify-f", "quad-g",
-            "gap-study", "lattice-sum", "singular-bound", "fock-demo",
-            "bg-solve")
-
-_JSON_DEFAULT_COMMANDS = {"scatter", "hy-eval", "fock-demo"}
-
-_DEFAULTS = {
-    "gamma": 1.0 / 9.0,
-    "delta": 16.0 / 63.0,
-    "rho_up": 1e-3,
-    "rho_down": 1e-3,
-    "V0": 4.0,
-    "R": 1.0,
-    "kind": "square-well",
-    "L": 2.0 * math.pi,
-    "kmax": 1.01,
-    "seed": 42,
-    "shells": [0.5, 0.5],
-    "lambda_grid": [0.0, 0.25, 0.5, 0.75, 1.0],
-    "x": 0.5,
-    "p": 1.0,
-    "x_min": 0.05,
-    "x_max": 4.0,
-    "x_count": 40,
-    "rho_min": 1e-4,
-    "rho_max": 1e-2,
-    "rho_count": 5,
-    "L_grid": [16.0, 32.0, 64.0, 128.0],
-    "potential_file": None,
-    "out": None,
+# flag -> (default, argparse keywords); the flag is --name with dashes for
+# underscores. None means unset: tol has a per-command default, x_grid one
+# for singular-bound and verify-f's [x].
+_FLAGS = {
+    "config": (None, {"help": "JSON file with default parameters"}),
+    "out": (None, {"help": "output path (default: stdout)"}),
+    "format": ("csv", {"choices": ("csv", "json")}),
+    "seed": (42, {"type": int}),
+    "tol": (None, {"type": float}),
+    "gamma": (1.0 / 9.0, {"type": float}),
+    "delta": (16.0 / 63.0, {"type": float}),
+    "kind": ("square-well",
+             {"choices": ("square-well", "truncated-gaussian", "tabulated")}),
+    "V0": (4.0, {"type": float}),
+    "R": (1.0, {"type": float}),
+    "potential_file": (None, {"help": "JSON potential document; overrides "
+                                      "--kind/--V0/--R"}),
+    "rho_up": (1e-3, {"type": float}),
+    "rho_down": (1e-3, {"type": float}),
+    "x_min": (0.05, {"type": float}),
+    "x_max": (4.0, {"type": float}),
+    "x_count": (40, {"type": int}),
+    "x": (0.5, {"type": float}),
+    "x_grid": (None, {"type": float, "nargs": "+"}),
+    "p": (1.0, {"type": float}),
+    "rho_min": (1e-4, {"type": float}),
+    "rho_max": (1e-2, {"type": float}),
+    "rho_count": (5, {"type": int}),
+    "L_grid": ([16.0, 32.0, 64.0, 128.0], {"type": float, "nargs": "+"}),
+    "L": (2.0 * math.pi, {"type": float}),
+    "kmax": (1.01, {"type": float}),
+    "shells": ([0.5, 0.5], {"type": float, "nargs": 2,
+                            "metavar": ("UP", "DOWN")}),
+    "lambda_grid": ([0.0, 0.25, 0.5, 0.75, 1.0], {"type": float,
+                                                  "nargs": "+"}),
 }
 
-_TOL_DEFAULTS = {
-    "verify-f": 5e-3,
-    "quad-g": 1e-6,
-    "gap-study": 1e-4,
-    "singular-bound": 1e-3,
-    "fock-demo": 1e-10,
-    "bg-solve": 1e-11,
-}
-
-_SINGULAR_GRID = [1e-3, 1e-2, 0.1, 0.5, 1.0]
+_COMMON = ("config", "out", "format", "seed", "tol")
+_CUT = ("gamma", "delta")
+_POT = ("kind", "V0", "R", "potential_file")
+_DENS = ("rho_up", "rho_down")
 
 
 class UsageError(Exception):
@@ -89,7 +92,10 @@ class RunConfig:
     output_format: str = "csv"
 
 
-def _build_parser():
+@functools.cache
+def _parser():
+    """The argparse tree of every command, built once per process from the
+    two tables; parsing never changes it."""
     top = argparse.ArgumentParser(
         prog="hyfermi",
         description="Low-density Fermi gas toolkit: closed forms, "
@@ -97,77 +103,24 @@ def _build_parser():
     )
     top.add_argument("--version", action="version", version=VERSION)
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, *groups):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON file with default parameters")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--seed", type=int)
-        p.add_argument("--tol", type=float)
-        if "cut" in groups:
-            p.add_argument("--gamma", type=float)
-            p.add_argument("--delta", type=float)
-        if "pot" in groups:
-            p.add_argument("--kind",
-                           choices=("square-well", "truncated-gaussian",
-                                    "tabulated"))
-            p.add_argument("--V0", type=float)
-            p.add_argument("--R", type=float)
-            p.add_argument("--potential-file",
-                           help="JSON potential document; overrides "
-                                "--kind/--V0/--R")
-        if "dens" in groups:
-            p.add_argument("--rho-up", type=float)
-            p.add_argument("--rho-down", type=float)
-        return p
-
-    add("scatter", "zero-energy scattering length and radial profile", "pot")
-    add("hy-eval", "energy density breakdown at given densities",
-        "pot", "dens")
-    p = add("hy-table", "tabulate F via both closed-form routes")
-    p.add_argument("--x-min", type=float)
-    p.add_argument("--x-max", type=float)
-    p.add_argument("--x-count", type=int)
-    p = add("verify-f", "closed form vs quadrature oracle for F")
-    p.add_argument("--x", type=float)
-    p.add_argument("--x-grid", type=float, nargs="+")
-    p = add("quad-g", "pointwise momentum integrand g(x, p)")
-    p.add_argument("--x", type=float)
-    p.add_argument("--p", type=float)
-    p = add("gap-study", "regularized vs limit second-order integral "
-            "along a density grid", "cut", "dens")
-    p.add_argument("--rho-min", type=float)
-    p.add_argument("--rho-max", type=float)
-    p.add_argument("--rho-count", type=int)
-    p = add("lattice-sum", "finite-box Riemann sum of the cutoff kernel "
-            "vs its integral", "cut", "dens")
-    p.add_argument("--L-grid", type=float, nargs="+")
-    p = add("singular-bound", "finiteness of the inverse-square pair "
-            "dispersion integral")
-    p.add_argument("--x-grid", type=float, nargs="+")
-    p = add("fock-demo", "exact small-lattice check: identity residuals, "
-            "trial energies, ground energy", "pot", "cut")
-    p.add_argument("--L", type=float)
-    p.add_argument("--kmax", type=float)
-    p.add_argument("--shells", type=float, nargs=2,
-                   metavar=("UP", "DOWN"))
-    p.add_argument("--lambda-grid", type=float, nargs="+")
-    add("bg-solve", "in-medium pair scattering equation on a radial grid",
-        "pot", "dens")
-    return top, sub.choices
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in _COMMON + command.flags:
+            p.add_argument("--" + flag.replace("_", "-"), **_FLAGS[flag][1])
+    return top
 
 
-def _config_value(key, value, action):
+def _config_value(key, value, kw):
     """A config-file value converted the way its flag converts text: the
     flag's type on every element, its nargs for the list shape, its
     choices checked."""
-    kind = action.type or str
-    if action.nargs is None:
+    kind = kw.get("type", str)
+    nargs, choices = kw.get("nargs"), kw.get("choices")
+    if nargs is None:
         items = [value]
     elif not isinstance(value, list) or not value or (
-            isinstance(action.nargs, int) and len(value) != action.nargs):
-        count = "one or more" if action.nargs == "+" else str(action.nargs)
+            isinstance(nargs, int) and len(value) != nargs):
+        count = "one or more" if nargs == "+" else str(nargs)
         raise UsageError(f"config file key {key!r} needs a list of {count} "
                          f"values, got {value!r}")
     else:
@@ -185,16 +138,16 @@ def _config_value(key, value, action):
         if type(item) is not kind:
             raise UsageError(f"config file key {key!r}: {item!r} is not a "
                              f"valid {kind.__name__} for this flag")
-        if action.choices is not None and item not in action.choices:
+        if choices is not None and item not in choices:
             raise UsageError(f"config file key {key!r}: {item!r} is not one "
-                             f"of {', '.join(action.choices)}")
+                             f"of {', '.join(choices)}")
         out.append(item)
-    return out[0] if action.nargs is None else out
+    return out[0] if nargs is None else out
 
 
-def _load_config_file(path, actions):
-    """Read the JSON config; every key must name a flag of the command and
-    its value must fit that flag."""
+def _load_config_file(path, flags):
+    """Read the JSON config; every key must name one of the command's
+    flags and its value must fit that flag."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -207,125 +160,99 @@ def _load_config_file(path, actions):
     config = {}
     for key, value in doc.items():
         name = str(key).replace("-", "_")
-        if name not in actions:
+        if name not in flags:
             raise UsageError(f"unknown config file key {key!r}: not a flag "
                              f"of this command")
-        config[name] = _config_value(key, value, actions[name])
+        config[name] = _config_value(key, value, _FLAGS[name][1])
     return config
 
 
 def parse_config(argv):
-    """argv -> RunConfig with precedence flag > config file > default."""
-    parser, commands = _build_parser()
-    args = parser.parse_args(argv)
-    # argparse fills a default for every flag of the chosen subcommand only
-    actions = {a.dest: a for a in commands[args.command]._actions
-               if a.dest in vars(args)}
-    filecfg = _load_config_file(args.config, actions) if args.config else {}
-
-    def pick(key, default):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            return flag
-        if key in filecfg:
-            return filecfg[key]
-        return default
-
-    cmd = args.command
-    params = {}
-    for key in vars(args):
-        if key in ("command", "config", "out", "format"):
-            continue
-        if key == "tol":
-            params[key] = pick(key, _TOL_DEFAULTS.get(cmd))
-        elif key == "x_grid":
-            params[key] = pick(key, _SINGULAR_GRID)
-        else:
-            params[key] = pick(key, _DEFAULTS.get(key))
-    if cmd == "verify-f":
+    """argv -> RunConfig: the defaults, updated by the config file, updated
+    by the flags given. A flag is given when argparse leaves it non-None,
+    so an explicit flag equal to its default still beats the file."""
+    args = vars(_parser().parse_args(argv))
+    name = args.pop("command")
+    command = _COMMANDS[name]
+    flags = _COMMON + command.flags
+    given = {k: v for k, v in args.items() if v is not None}
+    chosen = given
+    if "config" in given:
+        chosen = {**_load_config_file(given["config"], flags), **given}
+    params = {f: _FLAGS[f][0] for f in flags} | command.defaults | chosen
+    if name == "verify-f":
         # --x is the one-point form of --x-grid; with neither, x = 0.5
-        grid = pick("x_grid", None)
-        if grid is not None and pick("x", None) is not None:
+        if "x" in chosen and "x_grid" in chosen:
             raise UsageError("x and x-grid exclude each other; give one")
-        params["x_grid"] = [params["x"]] if grid is None else grid
-
-    out_path = args.out if args.out is not None else filecfg.get("out")
-    fmt = pick("format", "json" if cmd in _JSON_DEFAULT_COMMANDS else "csv")
-    config = RunConfig(command=cmd, parameters=params, output_path=out_path,
-                       output_format=fmt)
+        if params["x_grid"] is None:
+            params["x_grid"] = [params["x"]]
+    del params["config"]
+    config = RunConfig(command=name, output_path=params.pop("out"),
+                       output_format=params.pop("format"), parameters=params)
     _validate(config)
     return config
 
 
 def _validate(config):
-    p = config.parameters
+    """Every exit-2 check, before any work. The library's constructors and
+    counts check what they own; their ValueError becomes a UsageError."""
+    p, cmd = config.parameters, config.command
     for key, value in p.items():
         for v in value if isinstance(value, list) else [value]:
             if isinstance(v, float) and not math.isfinite(v):
                 raise UsageError(f"{key.replace('_', '-')} must be finite, "
                                  f"got {v}")
-    if p.get("tol") is not None and not p["tol"] > 0.0:
+    if p["tol"] is not None and not p["tol"] > 0.0:
         # a tolerance of zero or below can never be met
         raise UsageError(f"tol must be positive, got {p['tol']}")
-    gamma, delta = p.get("gamma"), p.get("delta")
-    if gamma is not None:
-        if not 0.0 < gamma < 1.0 / 3.0:
-            raise UsageError(
-                f"gamma must lie in (0, 1/3), got {gamma}")
-        if not 0.0 < delta <= 8.0 * gamma:
-            raise UsageError(
-                f"delta must lie in (0, 8*gamma], got delta={delta} with "
-                f"gamma={gamma}")
-        if 2.0 * gamma + delta / 16.0 > 1.0 / 3.0 + 1e-15:
-            raise UsageError(
-                f"2*gamma + delta/16 <= 1/3 violated: gamma={gamma}, "
-                f"delta={delta}")
-    if p.get("V0") is not None and not p["V0"] >= 0.0:
-        raise UsageError(f"V0 must be nonnegative (V >= 0), got {p['V0']}")
-    if p.get("R") is not None and not p["R"] > 0.0:
-        raise UsageError(f"R must be positive, got {p['R']}")
-    if "kind" in p:
-        # a potential file is checked like a flag, before any work
-        try:
+    try:
+        if "gamma" in p:
+            # the exponent rules; each command's density is checked below
+            CutoffConfig(rho=1.0, gamma=p["gamma"], delta=p["delta"])
+        if "kind" in p:
+            # the flags are checked even where a potential file overrides
+            # them
+            RadialPotential(kind="square-well", V0=p["V0"], R=p["R"])
             _potential(p)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    for key in ("rho_up", "rho_down"):
-        if p.get(key) is not None and not p[key] >= 0.0:
-            raise UsageError(f"{key.replace('_', '-')} must be "
-                             f"nonnegative, got {p[key]}")
-    if config.command == "gap-study":
-        # the decay slope is fitted over at least two distinct densities
-        if not 0.0 < p["rho_min"] < p["rho_max"]:
-            raise UsageError(
-                f"need 0 < rho-min < rho-max, got {p['rho_min']}, "
-                f"{p['rho_max']}")
-        if not (p.get("rho_up", 1.0) > 0.0 and p.get("rho_down", 1.0) > 0.0):
-            raise UsageError("gap-study needs both densities positive")
-        if p["rho_count"] < 2:
-            raise UsageError(f"rho-count must be at least 2 to fit a decay "
-                             f"slope, got {p['rho_count']}")
-    if config.command == "verify-f":
-        for x in p["x_grid"]:
-            if not x > 0.0:
-                raise UsageError(f"x must be positive, got {x}")
-    if config.command == "singular-bound":
-        for x in p["x_grid"]:
-            if not 0.0 < x <= 1.0:
-                raise UsageError(f"x values must lie in (0, 1], got {x}")
-    if config.command == "lattice-sum":
-        for L in p["L_grid"]:
-            if not L > 0.0:
-                raise UsageError(f"L values must be positive, got {L}")
-    if config.command == "fock-demo":
-        # closed-shell and size refusals are config problems, not runtime
-        # ones; the size is counted, nothing is enumerated
-        try:
+        if "rho_up" in p:
+            FermiParams(rho_up=p["rho_up"], rho_down=p["rho_down"])
+        if cmd == "gap-study":
+            # the decay slope is fitted over at least two distinct densities
+            if not 0.0 < p["rho_min"] < p["rho_max"]:
+                raise UsageError(
+                    f"need 0 < rho-min < rho-max, got {p['rho_min']}, "
+                    f"{p['rho_max']}")
+            if not (p["rho_up"] > 0.0 and p["rho_down"] > 0.0):
+                raise UsageError("gap-study needs both densities positive")
+            if p["rho_count"] < 2:
+                raise UsageError(f"rho-count must be at least 2 to fit a "
+                                 f"decay slope, got {p['rho_count']}")
+        if cmd == "verify-f":
+            for x in p["x_grid"]:
+                if not x > 0.0:
+                    raise UsageError(f"x must be positive, got {x}")
+        if cmd == "singular-bound":
+            for x in p["x_grid"]:
+                if not 0.0 < x <= 1.0:
+                    raise UsageError(f"x values must lie in (0, 1], got {x}")
+        if cmd == "lattice-sum":
+            cutoff = CutoffConfig(rho=p["rho_up"] + p["rho_down"],
+                                  gamma=p["gamma"], delta=p["delta"])
+            for L in p["L_grid"]:
+                quadrature.lattice_nmax(L, cutoff)
+        if cmd == "hy-table" and not (p["x_count"] >= 1 and p["x_min"] > 0.0
+                                      and p["x_max"] >= p["x_min"]):
+            raise UsageError("need 0 < x-min <= x-max and x-count >= 1")
+        if cmd == "quad-g":
+            quadrature.g_domain(p["x"], p["p"])
+        if cmd == "fock-demo":
+            # closed-shell and size refusals; the size is counted, nothing
+            # is enumerated
             fock.build_basis(fock.build_lattice(p["L"], p["kmax"],
                                                 p["shells"][0],
                                                 p["shells"][1]))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _potential(params):
@@ -382,18 +309,6 @@ def _emit(config, header, rows, payload, meta):
         sys.stdout.write(text)
 
 
-def _meta(config, wall_ms, tolerances, extra=None):
-    meta = {
-        "version": VERSION,
-        "seed": config.parameters.get("seed", 42),
-        "tolerances": tolerances,
-        "wall_time_ms": round(wall_ms, 3),
-    }
-    if extra:
-        meta.update(extra)
-    return meta
-
-
 @contextlib.contextmanager
 def _stage(stages, name):
     """Add the wall time of the with-block to stages[name], in ms.
@@ -406,6 +321,26 @@ def _stage(stages, name):
         yield
     finally:
         stages[name] = stages.get(name, 0.0) + (time.perf_counter() - t0) * 1000.0
+
+
+def _table(header, records):
+    """The header's columns of the row dicts, as CSV rows and as the JSON
+    payload's rows."""
+    rows = [tuple(r[k] for k in header) for r in records]
+    return rows, {"rows": [dict(zip(header, row)) for row in rows]}
+
+
+def _ladder_meta(tol, records, value):
+    """Metadata of the ladder oracles' row dicts: the summed evaluations
+    and elapsed time, the highest rung reached and the largest
+    error_estimate / (tol*|value|), null where tol*|value| is not
+    positive."""
+    scales = [tol * abs(r[value]) for r in records]
+    worst = (max(r["error_estimate"] / s for r, s in zip(records, scales))
+             if all(s > 0.0 for s in scales) else None)
+    return {"evaluations": int(sum(r["evaluations"] for r in records)),
+            "elapsed": float(sum(r["elapsed"] for r in records)),
+            "rung": max(r["rung"] for r in records), "err_to_tol": worst}
 
 
 def _cmd_scatter(config):
@@ -440,9 +375,6 @@ def _cmd_hy_eval(config):
 
 def _cmd_hy_table(config):
     p = config.parameters
-    if not (p["x_count"] >= 1 and p["x_min"] > 0.0
-            and p["x_max"] >= p["x_min"]):
-        raise UsageError("need 0 < x-min <= x-max and x-count >= 1")
     grid = np.linspace(p["x_min"], p["x_max"], p["x_count"])
     header = ("x", "F_closed", "F_from_f", "rel_diff")
     rows = []
@@ -456,47 +388,32 @@ def _cmd_hy_table(config):
     return 0, header, rows, payload, {}, summary
 
 
-def _ladder_meta(tol, values, errors, rungs):
-    """Metadata of the ladder oracles: the highest rung reached and the
-    largest error_estimate / (tol*|value|), null where tol*|value| is not
-    positive."""
-    scales = [tol * abs(v) for v in values]
-    worst = (max(e / s for e, s in zip(errors, scales))
-             if all(s > 0.0 for s in scales) else None)
-    return {"rung": max(rungs), "err_to_tol": worst}
-
-
 def _cmd_verify_f(config):
     p = config.parameters
     tol = p["tol"]
-    header = ("x", "F_quadrature", "F_closed", "rel_diff",
-              "error_estimate", "evaluations")
-    rows = []
-    rungs = []
-    failed = False
+    records = []
     for x in p["x_grid"]:
         res = quadrature.F_quadrature(float(x), tol=tol)
         fc = F_closed(float(x))
-        rel = abs(res.value - fc) / abs(fc)
-        failed = failed or res.flagged or rel > tol
-        rows.append((float(x), res.value, fc, rel, res.error_estimate,
-                     res.evaluations))
-        rungs.append(res.rung)
-    payload = {"rows": [dict(zip(header, r)) for r in rows]}
-    extra = {"evaluations": int(sum(r[5] for r in rows)),
-             **_ladder_meta(tol, [r[1] for r in rows], [r[4] for r in rows],
-                            rungs)}
-    worst = max(r[3] for r in rows)
+        records.append({"x": float(x), "F_quadrature": res.value,
+                        "F_closed": fc,
+                        "rel_diff": abs(res.value - fc) / abs(fc),
+                        "error_estimate": res.error_estimate,
+                        "evaluations": res.evaluations,
+                        "elapsed": res.elapsed, "rung": res.rung,
+                        "flagged": res.flagged})
+    header = ("x", "F_quadrature", "F_closed", "rel_diff",
+              "error_estimate", "evaluations")
+    rows, payload = _table(header, records)
+    failed = any(r["flagged"] or r["rel_diff"] > tol for r in records)
+    worst = max(r["rel_diff"] for r in records)
     summary = f"worst rel_diff = {worst:.3g} against tolerance {tol:g}"
-    return (1 if failed else 0), header, rows, payload, extra, summary
+    return ((1 if failed else 0), header, rows, payload,
+            _ladder_meta(tol, records, "F_quadrature"), summary)
 
 
 def _cmd_quad_g(config):
     p = config.parameters
-    if not 0.0 < p["x"] <= 1.0:
-        raise UsageError(f"x must lie in (0, 1], got {p['x']}")
-    if not p["p"] > 0.0:
-        raise UsageError(f"p must be positive, got {p['p']}")
     res = quadrature.g_pointwise(p["x"], p["p"], tol=p["tol"])
     header = ("x", "p", "value", "error_estimate", "evaluations")
     rows = [(p["x"], p["p"], res.value, res.error_estimate,
@@ -517,21 +434,16 @@ def _cmd_gap_study(config):
     grid = np.geomspace(p["rho_min"], p["rho_max"], p["rho_count"])
     result = quadrature.gap_cutoff_study(params, cutoff, grid, tol=p["tol"])
     header = ("rho", "i_regularized", "i_limit", "diff", "error_estimate",
-              "evaluations", "elapsed", "flagged")
-    rows = [tuple(r[k] for k in header) for r in result]
+              "evaluations", "flagged")
+    rows, payload = _table(header, result)
     lr = np.log([r["rho"] for r in result])
     ld = np.log([max(r["diff"], 1e-300) for r in result])
     slope = float(np.polyfit(lr, ld, 1)[0])
-    payload = {"rows": [dict(zip(header, r)) for r in rows],
-               "slope": slope}
-    extra = {"evaluations": int(sum(r["evaluations"] for r in result)),
-             "elapsed": float(sum(r["elapsed"] for r in result)),
-             **_ladder_meta(p["tol"], [r["i_regularized"] for r in result],
-                            [r["error_estimate"] for r in result],
-                            [r["rung"] for r in result])}
+    payload["slope"] = slope
     failed = any(r["flagged"] for r in result)
     summary = f"observed decay slope = {slope:.4f} over {len(rows)} densities"
-    return (1 if failed else 0), header, rows, payload, extra, summary
+    return ((1 if failed else 0), header, rows, payload,
+            _ladder_meta(p["tol"], result, "i_regularized"), summary)
 
 
 def _cmd_lattice_sum(config):
@@ -539,9 +451,8 @@ def _cmd_lattice_sum(config):
     rho = p["rho_up"] + p["rho_down"]
     cutoff = CutoffConfig(rho=rho, gamma=p["gamma"], delta=p["delta"])
     result = quadrature.lattice_sum_convergence(p["L_grid"], cutoff)
-    header = ("L", "sum_value", "integral_value", "diff", "elapsed")
-    rows = [tuple(r[k] for k in header) for r in result]
-    payload = {"rows": [dict(zip(header, r)) for r in rows]}
+    header = ("L", "sum_value", "integral_value", "diff")
+    rows, payload = _table(header, result)
     summary = (f"diff {rows[0][3]:.3g} at L = {rows[0][0]:g} down to "
                f"{rows[-1][3]:.3g} at L = {rows[-1][0]:g}")
     return 0, header, rows, payload, {}, summary
@@ -550,19 +461,13 @@ def _cmd_lattice_sum(config):
 def _cmd_singular_bound(config):
     p = config.parameters
     result = quadrature.singular_integral_bound(p["x_grid"], tol=p["tol"])
-    header = ("x", "value", "error_estimate", "evaluations", "elapsed",
-              "flagged")
-    rows = [tuple(r[k] for k in header) for r in result]
-    payload = {"rows": [dict(zip(header, r)) for r in rows]}
-    extra = {"evaluations": int(sum(r["evaluations"] for r in result)),
-             "elapsed": float(sum(r["elapsed"] for r in result)),
-             **_ladder_meta(p["tol"], [r["value"] for r in result],
-                            [r["error_estimate"] for r in result],
-                            [r["rung"] for r in result])}
+    header = ("x", "value", "error_estimate", "evaluations", "flagged")
+    rows, payload = _table(header, result)
     failed = any(r["flagged"] for r in result)
     summary = (f"bound stays finite: {rows[0][1]:.6g} at x = {rows[0][0]:g} "
                f"up to {rows[-1][1]:.6g} at x = {rows[-1][0]:g}")
-    return (1 if failed else 0), header, rows, payload, extra, summary
+    return ((1 if failed else 0), header, rows, payload,
+            _ladder_meta(p["tol"], result, "value"), summary)
 
 
 def _demo_crossover_density(lattice, gamma):
@@ -657,18 +562,51 @@ def _cmd_bg_solve(config):
     return 0, header, rows, payload, {}, summary
 
 
-_DISPATCH = {
-    "scatter": _cmd_scatter,
-    "hy-eval": _cmd_hy_eval,
-    "hy-table": _cmd_hy_table,
-    "verify-f": _cmd_verify_f,
-    "quad-g": _cmd_quad_g,
-    "gap-study": _cmd_gap_study,
-    "lattice-sum": _cmd_lattice_sum,
-    "singular-bound": _cmd_singular_bound,
-    "fock-demo": _cmd_fock_demo,
-    "bg-solve": _cmd_bg_solve,
+class _Command(NamedTuple):
+    help: str
+    handler: Callable
+    flags: tuple = ()          # after _COMMON, in --help order
+    defaults: dict = {}        # over _FLAGS' defaults, for this command
+
+
+_COMMANDS = {
+    "scatter": _Command(
+        "zero-energy scattering length and radial profile", _cmd_scatter,
+        _POT, {"format": "json"}),
+    "hy-eval": _Command(
+        "energy density breakdown at given densities", _cmd_hy_eval,
+        _POT + _DENS, {"format": "json"}),
+    "hy-table": _Command(
+        "tabulate F via both closed-form routes", _cmd_hy_table,
+        ("x_min", "x_max", "x_count")),
+    "verify-f": _Command(
+        "closed form vs quadrature oracle for F", _cmd_verify_f,
+        ("x", "x_grid"), {"tol": 5e-3}),
+    "quad-g": _Command(
+        "pointwise momentum integrand g(x, p)", _cmd_quad_g,
+        ("x", "p"), {"tol": 1e-6}),
+    "gap-study": _Command(
+        "regularized vs limit second-order integral along a density grid",
+        _cmd_gap_study, _CUT + _DENS + ("rho_min", "rho_max", "rho_count"),
+        {"tol": 1e-4}),
+    "lattice-sum": _Command(
+        "finite-box Riemann sum of the cutoff kernel vs its integral",
+        _cmd_lattice_sum, _CUT + _DENS + ("L_grid",)),
+    "singular-bound": _Command(
+        "finiteness of the inverse-square pair dispersion integral",
+        _cmd_singular_bound, ("x_grid",),
+        {"tol": 1e-3, "x_grid": [1e-3, 1e-2, 0.1, 0.5, 1.0]}),
+    "fock-demo": _Command(
+        "exact small-lattice check: identity residuals, trial energies, "
+        "ground energy", _cmd_fock_demo,
+        _CUT + _POT + ("L", "kmax", "shells", "lambda_grid"),
+        {"tol": 1e-10, "format": "json"}),
+    "bg-solve": _Command(
+        "in-medium pair scattering equation on a radial grid", _cmd_bg_solve,
+        _POT + _DENS, {"tol": 1e-11}),
 }
+
+COMMANDS = tuple(_COMMANDS)
 
 
 # output fields that are NaN by design, by command: bg-solve's phi is
@@ -709,13 +647,11 @@ def _nonfinite(obj, skip, path):
 
 def run(config):
     """Execute a parsed RunConfig; returns the process exit code."""
-    fn = _DISPATCH[config.command]
     t0 = time.perf_counter()
     try:
-        code, header, rows, payload, extra, summary = fn(config)
-    except UsageError:
-        raise
-    except (RuntimeError, ValueError) as exc:
+        code, header, rows, payload, extra, summary = \
+            _COMMANDS[config.command].handler(config)
+    except (RuntimeError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -726,10 +662,10 @@ def run(config):
         print(f"error: non-finite result {found}; nothing written",
               file=sys.stderr)
         return 1
-    tolerances = {}
-    if config.parameters.get("tol") is not None:
-        tolerances["tol"] = config.parameters["tol"]
-    meta = _meta(config, wall_ms, tolerances, extra)
+    tol = config.parameters["tol"]
+    meta = {"version": VERSION, "seed": config.parameters["seed"],
+            "tolerances": {} if tol is None else {"tol": tol},
+            "wall_time_ms": round(wall_ms, 3), **extra}
     _emit(config, header, rows, payload, meta)
     print(summary, file=sys.stderr if config.output_path is None
           else sys.stdout)

@@ -85,9 +85,6 @@ class LatticeConfig:
     def k_norm(self, n: Triple) -> float:
         return self.unit * math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
 
-    def k_vec(self, n: Triple) -> np.ndarray:
-        return self.unit * np.array(n, dtype=float)
-
     def kF(self, spin: int) -> float:
         return self.kF_up if spin == SPIN_UP else self.kF_down
 
@@ -508,6 +505,8 @@ def _validate_vhat(vhat) -> None:
         v = complex(val)
         if v.imag != 0.0:
             raise ValueError(f"V^({n}) must be real")
+        if not math.isfinite(v.real):
+            raise ValueError(f"V^({n}) must be finite, got {v.real}")
         m = _neg(n)
         if m not in vhat:
             raise ValueError(f"V^ missing the reflected transfer {m}")
@@ -731,12 +730,14 @@ def _identity_residuals(lattice: LatticeConfig, basis: FockBasis, h: FockOperato
         diff = conj - total.on(src)
         diag = diff.diagonal() - e_ffg
         np.fill_diagonal(diff, 0.0)
-        off = max(off, float(np.abs(diff).max()))
+        # np.maximum keeps a NaN, where max(0.0, nan) would drop it
+        off = np.maximum(off, np.abs(diff).max())
         if q[0] == q[1] == 0:
-            balanced = max(balanced, float(np.abs(diag).max()))
+            balanced = np.maximum(balanced, np.abs(diag).max())
         expected = lattice.kF_up ** 2 * q[0] + lattice.kF_down ** 2 * q[1]
-        fit = max(fit, float(np.abs(diag - expected).max()))
-    return {"offdiagonal": off, "balanced_diagonal": balanced, "imbalance_fit": fit}
+        fit = np.maximum(fit, np.abs(diag - expected).max())
+    return {"offdiagonal": float(off), "balanced_diagonal": float(balanced),
+            "imbalance_fit": float(fit)}
 
 
 def corr_identity_report(lattice: LatticeConfig, basis: FockBasis,

@@ -119,8 +119,10 @@ class FermiParams:
     rho_down: float
 
     def __post_init__(self):
-        if self.rho_up < 0.0 or self.rho_down < 0.0:
-            raise ValueError("densities must be nonnegative")
+        for name in ("rho_up", "rho_down"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be nonnegative, got "
+                                 f"{getattr(self, name)}")
 
     @property
     def rho(self):
@@ -167,8 +169,8 @@ def hy_energy(params, a):
     The second-order term is routed through the majority component so
     that swapping the densities returns bit-identical results.
     """
-    if a < 0.0:
-        raise ValueError("scattering length must be nonnegative")
+    if not a >= 0.0:
+        raise ValueError(f"scattering length must be nonnegative, got {a}")
     kin = _kinetic(params)
     mf = 8.0 * math.pi * a * params.rho_up * params.rho_down
     hi, lo = max(params.rho_up, params.rho_down), min(params.rho_up,
@@ -185,8 +187,8 @@ def baseline_energies(params, a, Vhat0):
     nonnegative potential ffg >= lss since 8*pi*a never exceeds the
     Born value.
     """
-    if a < 0.0:
-        raise ValueError("scattering length must be nonnegative")
+    if not a >= 0.0:
+        raise ValueError(f"scattering length must be nonnegative, got {a}")
     kin = _kinetic(params)
     pair = params.rho_up * params.rho_down
     return kin + 8.0 * math.pi * a * pair, kin + Vhat0 * pair

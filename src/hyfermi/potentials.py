@@ -40,6 +40,8 @@ class RadialPotential:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown potential kind {self.kind!r}")
+        if self.kind != "tabulated" and not 0.0 <= self.V0 < math.inf:
+            raise ValueError(f"V0 must be finite and nonnegative, got {self.V0}")
         if not 0.0 < self.R < math.inf:
             raise ValueError(f"range R must be finite and positive, got {self.R}")
         if self.kind == "tabulated":
@@ -56,9 +58,6 @@ class RadialPotential:
             if np.any(vals < 0.0) or radii[0] < 0.0:
                 raise ValueError("samples must have r >= 0 and V >= 0")
             object.__setattr__(self, "samples", pts)
-        else:
-            if not 0.0 <= self.V0 < math.inf:
-                raise ValueError(f"V0 must be finite and nonnegative, got {self.V0}")
 
     @classmethod
     def from_json(cls, source):

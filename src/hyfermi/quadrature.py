@@ -261,6 +261,14 @@ def _ladder(rule, tol, scale, shift=0.0, tail_err=0.0, floor=1e-300):
     return value, err, evals, rung, met
 
 
+def g_domain(x, p):
+    """Raise ValueError unless g_pointwise is defined at (x, p)."""
+    if not 0.0 < x <= 1.0:
+        raise ValueError(f"x must lie in (0, 1], got {x}")
+    if not 0.0 < p < math.inf:
+        raise ValueError(f"p must be positive and finite, got {p}")
+
+
 def g_pointwise(x, p, tol=1e-6):
     """Normalized pair excitation integrand g(x, p).
 
@@ -268,10 +276,7 @@ def g_pointwise(x, p, tol=1e-6):
     rebuilds F(x) up to constants. The s-rule climbs _RUNGS like the
     p-integrated oracles, against tol * max(1, |g|).
     """
-    if not 0.0 < x <= 1.0:
-        raise ValueError("x must lie in (0, 1]")
-    if not 0.0 < p < math.inf:
-        raise ValueError("p must be positive and finite")
+    g_domain(x, p)
     t0 = time.perf_counter()
     y = x ** (1.0 / 3.0)
     value, err, evals, rung, met = _ladder(
@@ -512,10 +517,30 @@ def lattice_chi_sum(nmax, fac, c1, c2):
     return acc
 
 
+# the largest cube half-width lattice_sum_convergence sums: (2*256 + 1)^3
+# ~ 1.3e8 lattice points, a few seconds of work
+_MAX_LATTICE_NMAX = 256
+
+
+def lattice_nmax(L, cutoff):
+    """Half-width of the cube of lattice momenta that a box of side L sums
+    up to the cutoff's c_upper, counted before any work; a nonpositive L
+    or one above _MAX_LATTICE_NMAX raises."""
+    if not L > 0.0:
+        raise ValueError(f"L values must be positive, got {L}")
+    extent = cutoff.c_upper / (2.0 * math.pi / L)
+    if not extent <= _MAX_LATTICE_NMAX:
+        raise ValueError(
+            f"L = {L} needs a cube of half-width {extent:.6g} lattice "
+            f"momenta; the limit is {_MAX_LATTICE_NMAX}")
+    return int(math.ceil(extent))
+
+
 def lattice_sum_convergence(L_grid, cutoff, params=None):
     """Riemann-sum convergence of the cutoff kernel:
     (1/L^3) * sum over nonzero lattice momenta of chi_less^2/(2p^2)
-    against its thermodynamic-limit integral."""
+    against its thermodynamic-limit integral. Every L is sized by
+    lattice_nmax before the first sum."""
     if params is not None and not math.isclose(params.rho, cutoff.rho,
                                                rel_tol=1e-12):
         raise ValueError("params density disagrees with cutoff density")
@@ -523,11 +548,11 @@ def lattice_sum_convergence(L_grid, cutoff, params=None):
     rr, wr = _panels([c1, c2], 64)
     integral = (c1 + float(np.sum(wr * cutoff.chi_less(rr) ** 2))) \
         / (4.0 * math.pi ** 2)
+    sizes = [lattice_nmax(L, cutoff) for L in L_grid]
     rows = []
-    for L in L_grid:
+    for L, nmax in zip(L_grid, sizes):
         t0 = time.perf_counter()
         fac = 2.0 * math.pi / L
-        nmax = int(math.ceil(c2 / fac))
         total = lattice_chi_sum(nmax, fac, c1, c2) / L ** 3
         rows.append({
             "L": L,

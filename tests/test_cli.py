@@ -1,15 +1,22 @@
 """Command-line surface: parsing precedence, validation exit codes, and
 the emitted CSV/JSON shapes."""
 
+import argparse
+import contextlib
 import csv
 import io
 import json
 import math
+import re
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hyfermi import cli
+from hyfermi import cli, quadrature
+from hyfermi.cutoffs import CutoffConfig
 
 
 def run_cli(argv, capsys):
@@ -106,6 +113,45 @@ def test_config_file_precedence(tmp_path):
                                    "--V0", "0.5"])
     assert overridden.parameters["V0"] == 0.5
     assert overridden.parameters["R"] == 0.5
+
+
+def test_explicit_flag_equal_to_its_default_beats_the_config_file(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"V0": 20.0, "format": "csv"}))
+    config = cli.parse_config(["scatter", "--config", str(cfg), "--V0", "4",
+                               "--format", "json"])
+    assert config.parameters["V0"] == 4.0
+    assert config.output_format == "json"
+
+
+def test_config_file_does_not_leak_into_the_next_parse(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"V0": 20.0, "R": 0.5, "format": "csv",
+                               "out": str(tmp_path / "o.csv")}))
+    assert cli.parse_config(["scatter", "--config", str(cfg)]) \
+        .parameters["V0"] == 20.0
+    plain = cli.parse_config(["scatter"])
+    assert (plain.parameters["V0"], plain.parameters["R"]) == (4.0, 1.0)
+    assert (plain.output_format, plain.output_path) == ("json", None)
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    """One argparse tree per process, the top parser and one subparser per
+    command, however many runs parse against it."""
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._parser.cache_clear()
+    for argv in (["hy-table", "--x-count", "3"], ["scatter"], ["quad-g"],
+                 ["hy-table", "--x-count", "3"]):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(built) == 1 + len(cli.COMMANDS)
 
 
 def test_unknown_flag_exits_two():
@@ -325,19 +371,23 @@ def test_fock_demo_contract(capsys):
 
 
 def test_output_file_and_determinism(tmp_path, capsys):
-    out1 = tmp_path / "one.csv"
-    out2 = tmp_path / "two.csv"
-    for path in (out1, out2):
-        code = cli.main(["hy-table", "--x-count", "7", "--out", str(path)])
-        capsys.readouterr()
-        assert code == 0
-    lines1 = out1.read_text().splitlines()
-    lines2 = out2.read_text().splitlines()
-    # identical apart from the wall time in the trailing metadata line
-    assert lines1[:-1] == lines2[:-1]
-    m1, m2 = json.loads(lines1[-1]), json.loads(lines2[-1])
-    m1.pop("wall_time_ms"), m2.pop("wall_time_ms")
-    assert m1 == m2
+    for argv in (["hy-table", "--x-count", "7"],
+                 ["lattice-sum", "--L-grid", "16", "32"],
+                 ["lattice-sum", "--L-grid", "16", "--format", "json"],
+                 ["singular-bound", "--x-grid", "0.01", "1.0"],
+                 ["gap-study", "--rho-count", "2"]):
+        runs = []
+        for path in (tmp_path / "one", tmp_path / "two"):
+            code = cli.main([*argv, "--out", str(path)])
+            capsys.readouterr()
+            assert code == 0
+            *data, meta = path.read_text().splitlines()
+            meta = json.loads(meta)
+            # the times in the trailing metadata line are the only bytes
+            # that may change
+            meta.pop("wall_time_ms"), meta.pop("elapsed", None)
+            runs.append((data, meta))
+        assert runs[0] == runs[1], argv
 
 
 def test_summary_goes_to_stderr_for_stdout_data(capsys):
@@ -403,6 +453,20 @@ def test_lattice_sum_rejects_nonpositive_box(grid, capsys):
     assert code == 2
     assert out == ""
     assert "L values must be positive" in err
+
+
+def test_lattice_sum_refuses_an_oversized_box(capsys):
+    """An L just above the size cap at the default densities is refused
+    before the box below it is summed."""
+    cutoff = CutoffConfig(rho=2e-3)
+    L = 1.001 * quadrature._MAX_LATTICE_NMAX * 2.0 * math.pi / cutoff.c_upper
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["lattice-sum", "--L-grid", "16", repr(L)],
+                             capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert f"the limit is {quadrature._MAX_LATTICE_NMAX}" in err
 
 
 @pytest.mark.parametrize("command,doc,want", [
@@ -532,3 +596,36 @@ def test_potential_file_runs(tmp_path, capsys):
     code, out, _ = run_cli(["scatter", "--V0", "2"], capsys)
     assert payload["a"] == pytest.approx(parse_json_output(out)[0]["a"],
                                          rel=1e-6)
+
+
+# the float flags of the quick commands; the count flags stay fixed
+_FLOAT_FLAGS = {
+    "scatter": ("V0", "R"),
+    "hy-eval": ("V0", "R", "rho-up", "rho-down"),
+    "quad-g": ("x", "p", "tol"),
+    "hy-table": ("x-min", "x-max"),
+    "lattice-sum": ("gamma", "delta", "rho-up", "rho-down", "L-grid"),
+}
+_ANY_FLOAT = st.one_of(st.floats(), st.floats(-2.0, 2.0),
+                       st.sampled_from([1e300, -1e300, 1e-300, 1e-30]))
+_NON_FINITE = re.compile(r"\b(?:nan|inf|NaN|Infinity)\b")
+
+
+@pytest.mark.parametrize("command", sorted(_FLOAT_FLAGS))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_random_floats_never_give_a_non_finite_success(command, data):
+    """Finite, non-finite, negative and huge flag values end in a usage
+    error, a computational failure, or a run whose output is finite."""
+    argv = [command, "--x-count", "3"] if command == "hy-table" else [command]
+    for flag in _FLOAT_FLAGS[command]:
+        if data.draw(st.booleans()):
+            argv.append(f"--{flag}={data.draw(_ANY_FLOAT)!r}")
+    out, err = io.StringIO(), io.StringIO()
+    # a small cap keeps every box that lattice-sum accepts cheap
+    with mock.patch.object(quadrature, "_MAX_LATTICE_NMAX", 24), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 0:
+        assert not _NON_FINITE.search(out.getvalue()), argv

@@ -7,6 +7,7 @@ fixed per-spin particle number (at most C(7, 3)^2 = 1225 states each). The
 operator identities are checked on every one of them, which covers the
 whole Fock space."""
 
+import dataclasses
 import itertools
 import math
 
@@ -254,6 +255,24 @@ def test_vhat_must_be_reflection_symmetric(demo):
     bad[key] = bad[key] + 0.1
     with pytest.raises(ValueError):
         fock.build_hamiltonian(lat, basis, bad)
+
+
+def test_vhat_must_be_finite(demo):
+    lat, basis, vhat, _, _ = demo
+    bad = dict(vhat)
+    bad[(1, 0, 0)] = bad[(-1, 0, 0)] = math.nan
+    for build in (fock.build_hamiltonian, fock.build_corr_terms):
+        with pytest.raises(ValueError, match="must be finite"):
+            build(lat, basis, bad)
+
+
+def test_identity_report_keeps_a_nan(demo):
+    """A NaN entry in a correlation term reads NaN in the report, not 0."""
+    lat, basis, _, h, terms = demo
+    q4 = terms["Q4"]
+    nan_terms = {**terms, "Q4": dataclasses.replace(q4, coef=q4.coef * math.nan, _memo={})}
+    rep = fock.corr_identity_report(lat, basis, h, nan_terms)
+    assert all(math.isnan(v) for v in rep.values())
 
 
 def test_free_ground_state_is_filled_shell(demo, asym):

@@ -96,3 +96,21 @@ def test_polarized_limit():
     assert bd.mean_field == 0.0
     assert bd.huang_yang == 0.0
     assert bd.kinetic > 0.0
+
+
+@pytest.mark.parametrize("rho_up,rho_down,name", [
+    (math.nan, 1e-3, "rho_up"), (1e-3, math.nan, "rho_down"),
+    (-1e-3, 1e-3, "rho_up"), (1e-3, -math.inf, "rho_down"),
+])
+def test_densities_must_be_nonnegative_numbers(rho_up, rho_down, name):
+    with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
+        FermiParams(rho_up=rho_up, rho_down=rho_down)
+
+
+@pytest.mark.parametrize("a", [math.nan, -0.1])
+def test_scattering_length_must_be_a_nonnegative_number(a):
+    params = FermiParams(rho_up=1e-3, rho_down=2e-3)
+    with pytest.raises(ValueError, match="scattering length"):
+        hy_energy(params, a)
+    with pytest.raises(ValueError, match="scattering length"):
+        baseline_energies(params, a, 1.0)

@@ -13,6 +13,7 @@ from scipy.integrate import quad
 from hyfermi.cutoffs import CutoffConfig
 from hyfermi.hyformula import F_closed, FermiParams
 from hyfermi.quadrature import (
+    _MAX_LATTICE_NMAX,
     _RUNGS,
     F_quadrature,
     _axis,
@@ -20,6 +21,7 @@ from hyfermi.quadrature import (
     gap_cutoff_study,
     inner_pair,
     lattice_chi_sum,
+    lattice_nmax,
     lattice_sum_convergence,
     ode_check_f,
     p_integral_linear,
@@ -360,6 +362,21 @@ def test_lattice_chi_sum_counts_plateau():
     n2 = n2[n2 > 0].astype(float)
     want = float(np.sum(1.0 / (2.0 * fac * fac * n2)))
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_lattice_size_is_counted_before_any_work():
+    """The cube half-width is ceil(c_upper L / 2 pi); a box one part in a
+    thousand beyond the cap, or of nonpositive side, is refused, also
+    inside a grid given to lattice_sum_convergence."""
+    cutoff = CutoffConfig(rho=2e-3)
+    edge = _MAX_LATTICE_NMAX * 2.0 * math.pi / cutoff.c_upper
+    assert lattice_nmax(0.999 * edge, cutoff) == _MAX_LATTICE_NMAX
+    assert lattice_nmax(16.0, cutoff) == math.ceil(16.0 * cutoff.c_upper / (2.0 * math.pi))
+    for L in (1.001 * edge, 1e300, 0.0, -16.0):
+        with pytest.raises(ValueError):
+            lattice_nmax(L, cutoff)
+    with pytest.raises(ValueError, match="the limit is"):
+        lattice_sum_convergence([16.0, 1.001 * edge], cutoff)
 
 
 def test_lattice_sum_approaches_integral():
