@@ -350,10 +350,10 @@ def _cmd_scatter(config):
     born = born_length(pot)
     header = ("r", "u", "phi")
     rows = list(zip(sol.r_grid, sol.u_profile, sol.phi_profile()))
-    payload = {"a": sol.a, "born": born, "residual": sol.residual,
-               "matching_radius": sol.matching_radius}
-    summary = (f"a = {sol.a:.12g}, born = {born:.12g}, "
-               f"residual = {sol.residual:.3g}")
+    payload = {"a": sol.a, "a_error": sol.a_error, "born": born,
+               "residual": sol.residual, "matching_radius": sol.matching_radius}
+    summary = (f"a = {sol.a:.12g}, a_error = {sol.a_error:.3g}, "
+               f"born = {born:.12g}, residual = {sol.residual:.3g}")
     return 0, header, rows, payload, {}, summary
 
 
@@ -498,8 +498,9 @@ def _cmd_fock_demo(config):
         e_ffg = fock.ffg_energy(lat, basis, h)
     with _stage(stages, "identity"):
         report = fock.corr_identity_report(lat, basis, h, terms)
-    with _stage(stages, "generators"):
+    with _stage(stages, "scatter"):
         sol = solve_scattering(pot)
+    with _stage(stages, "generators"):
         cutoff = CutoffConfig(rho=_demo_crossover_density(lat, p["gamma"]),
                               gamma=p["gamma"], delta=p["delta"])
         psf = periodize_phi(sol, lat.L, cutoff=cutoff)

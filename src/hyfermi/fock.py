@@ -55,6 +55,9 @@ SPIN_DOWN = 1
 # mode j is bit j of an int64 state; bit 63 is the sign, and numpy's
 # bitwise_count counts the bits of |x|
 _STATE_BITS = 62
+# (i, 0, 0) and its five images lie inside the grid for 0 < i < nmax: from
+# nmax = 7 on they alone are 37 momenta, 74 modes
+_AXIS_NMAX = 7
 # dense sector matrices stay below ~12 MB
 _MAX_SECTOR = 1225
 
@@ -120,11 +123,20 @@ def build_lattice(L: float, K_max: float, shell_up: float, shell_down: float) ->
     Shell radii must fall strictly between realized momentum magnitudes, so
     that each Fermi ball is a union of complete degenerate shells. A radius
     that lands on a shell is refused, naming the two nearest safe radii.
+    A grid whose axes alone hold more modes than fit a basis state is
+    refused from nmax, before any triple is enumerated.
     """
     if L <= 0.0 or K_max <= 0.0:
         raise ValueError("box side and momentum cutoff must be positive")
     unit = 2.0 * math.pi / L
-    nmax = int(K_max / unit + 1e-12)
+    reach = K_max / unit + 1e-12
+    if not reach < _AXIS_NMAX:
+        raise ValueError(
+            f"K_max L / 2pi = {reach:.6g} >= {_AXIS_NMAX}: the momenta on the axes "
+            f"alone give more modes than the {_STATE_BITS} bits of an int64 basis "
+            f"state hold"
+        )
+    nmax = int(reach)
     momenta = []
     for i in range(-nmax, nmax + 1):
         for j in range(-nmax, nmax + 1):
@@ -860,11 +872,17 @@ def trial_block(b1: FockOperator, b2: FockOperator) -> np.ndarray:
 def trial_energy(lattice: LatticeConfig, basis: FockBasis, corr_terms: dict,
                  b1: FockOperator, b2: FockOperator,
                  lambda1: float, lambda2: float) -> float:
-    """Correlation energy of the trial state: the sum of the terms'
-    expectations, each on the states the trial state may occupy (the trial
-    block, 7 states on the demo lattice)."""
+    """Correlation energy of the trial state: the expectation of the sum of
+    the terms, on the states the trial state may occupy (the trial block,
+    7 states on the demo lattice).
+
+    The terms' own expectations can cancel: on the demo lattice with a
+    V0 = 0.4 square well at lambda1 = lambda2 = 2, two of them are +-4.4e-4
+    and the energy is -1.2e-6. Summing the matrices first cancels in their
+    entries, before any rounded product.
+    """
     states, amp = trial_state(basis, b1, b2, lambda1, lambda2)
-    return sum(float(amp @ t.on(states) @ amp) for t in corr_terms.values())
+    return float(amp @ sum(t.on(states) for t in corr_terms.values()) @ amp)
 
 
 def ground_energy(lattice: LatticeConfig, basis: FockBasis, h: FockOperator,

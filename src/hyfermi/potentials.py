@@ -4,9 +4,12 @@ Bethe-Goldstone equation.
 Everything works in units where the one-body kinetic operator is -Delta.
 The radial reduction u(r) = r*(1 - phi(r)) turns the zero-energy equation
 -2*Delta*phi = V*(1 - phi) into u'' = (V/2)*u with u(0) = 0, which is
-integrated with a fixed-step RK4 scheme; outside the support of V the
-solution is exactly linear and the scattering length is read off from
-a = r - u(r)/u'(r).
+integrated with fixed-step RK4. The equation is linear, so every step is
+a 2x2 map of (u, u'); the maps are built for all steps at once and
+composed by a log-depth scan, with no loop over the steps. Outside the
+support of V the solution is exactly linear and the scattering length is
+read off from a = r - u(r)/u'(r); the same march with half the steps
+gives its step-doubling error estimate.
 """
 
 import itertools
@@ -138,7 +141,8 @@ class ScatteringSolution:
     """Normalized zero-energy radial solution u(r) = r*(1 - phi(r)).
 
     u_profile is scaled so that u(r) = r - a exactly beyond the support
-    of V; slope is the raw u'(matching_radius) before rescaling.
+    of V; slope is the raw u'(matching_radius) before rescaling; a_error
+    is the step-doubling estimate of the integrator's error in a.
     """
 
     a: float
@@ -147,6 +151,7 @@ class ScatteringSolution:
     matching_radius: float
     slope: float
     residual: float
+    a_error: float
     potential: RadialPotential = field(repr=False, default=None)
 
     def phi_profile(self):
@@ -158,22 +163,52 @@ class ScatteringSolution:
         return phi
 
 
+def _rk4_increment(qa, qm, qb, h, u, w):
+    """The change of (u, u') over one classical RK4 step of u'' = q(r) u,
+    with q equal to qa, qm and qb at the start, middle and end of the step."""
+    k1u, k1w = w, qa * u
+    k2u, k2w = w + 0.5 * h * k1w, qm * (u + 0.5 * h * k1u)
+    k3u, k3w = w + 0.5 * h * k2w, qm * (u + 0.5 * h * k2u)
+    k4u, k4w = w + h * k3w, qb * (u + h * k3u)
+    return ((h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
+            (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w))
+
+
 def _rk4_linear(q_half, u0, w0, h):
     """March (u, u') through u'' = q(r) u; q_half holds q at step midpoints
-    interleaved with nodes: q_half[2i], q_half[2i+1], q_half[2i+2]."""
-    n = (len(q_half) - 1) // 2
-    u = np.empty(n + 1)
-    u[0] = u0
-    w = w0
-    for i in range(n):
-        qa, qm, qb = q_half[2 * i], q_half[2 * i + 1], q_half[2 * i + 2]
-        k1u, k1w = w, qa * u[i]
-        k2u, k2w = w + 0.5 * h * k1w, qm * (u[i] + 0.5 * h * k1u)
-        k3u, k3w = w + 0.5 * h * k2w, qm * (u[i] + 0.5 * h * k2u)
-        k4u, k4w = w + h * k3w, qb * (u[i] + h * k3u)
-        u[i + 1] = u[i] + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        w = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-    return u, w
+    interleaved with nodes: q_half[2i], q_half[2i+1], q_half[2i+2].
+
+    The equation is linear, so step i is a 2x2 map I + [[a, b], [c, d]] of
+    (u, u'), whose columns are the step's increments from (1, 0) and
+    (0, 1), for all steps at once. A Hillis-Steele inclusive scan (log2 n
+    levels of elementwise products) turns the maps into their running
+    products, and u after step i is u0 + a_i u0 + b_i w0. The maps are
+    kept as their difference from I: a step's a and d are O(h^2 q), and
+    rounding 1 + a would repeat one error in every step of a constant q.
+    """
+    qa, qm, qb = q_half[:-2:2], q_half[1::2], q_half[2::2]
+    a, c = _rk4_increment(qa, qm, qb, h, 1.0, 0.0)
+    b, d = _rk4_increment(qa, qm, qb, h, 0.0, 1.0)
+    k = 1
+    while k < a.size:
+        # entry i holds the product of the k maps ending at step i and
+        # takes in the k before them: (I + E2)(I + E1) = I + E2 + (I + E2) E1
+        a1, b1, c1, d1 = a[:-k], b[:-k], c[:-k], d[:-k]
+        a2, b2, c2, d2 = a[k:], b[k:], c[k:], d[k:]
+        # the diagonal of I + E2; rounding it costs (I + E2) E1 only a
+        # relative eps, unlike rounding a step's own 1 + a
+        A2, D2 = 1.0 + a2, 1.0 + d2
+        da = A2 * a1 + b2 * c1
+        db = A2 * b1 + b2 * d1
+        dc = c2 * a1 + D2 * c1
+        dd = c2 * b1 + D2 * d1
+        a2 += da
+        b2 += db
+        c2 += dc
+        d2 += dd
+        k *= 2
+    return (np.concatenate([[u0], u0 + a * u0 + b * w0]),
+            w0 + c[-1] * u0 + d[-1] * w0)
 
 
 # RK4 steps across the support of V
@@ -183,10 +218,13 @@ _N_STEPS = 4000
 def solve_scattering(potential):
     """Integrate u'' = (V/2) u, u(0) = 0, u'(0) = 1 and extract a.
 
-    The grid is split at the edge of the support, so the integrator never
-    straddles a jump of V there; beyond it u is continued linearly to the
-    matching radius 1.5 R. Raises if the discrete residual of the
-    second-order equation is out of line with the step size.
+    RK4 on a fixed grid, with the steps composed by the scan of
+    _rk4_linear. The grid is split at the edge of the support, so the
+    integrator never straddles a jump of V there; beyond it u is continued
+    linearly to the matching radius 1.5 R. The same march with half the
+    steps gives a_error = |a - a_half| / 15, the step-doubling estimate of
+    RK4's error in a. Raises if u overflows, or if the discrete residual
+    of the second-order equation is out of line with the step size.
     """
     edge = potential.support
     rm = 1.5 * potential.R
@@ -195,16 +233,26 @@ def solve_scattering(potential):
     r_in = np.linspace(0.0, edge, _N_STEPS + 1)
     r_half = np.linspace(0.0, edge, 2 * _N_STEPS + 1)
     q_in = 0.5 * potential(r_half)
-    # a strong well overflows u to inf; the finiteness check on a below
+    # a strong well overflows u to inf or nan; the finiteness check below
     # reports that once, so numpy's warnings along the way are muted
     with np.errstate(over="ignore", invalid="ignore"):
         u_in, w_end = _rk4_linear(q_in, 0.0, 1.0, h_in)
+        # twice the step, on every other sample of q
+        u_half, w_half = _rk4_linear(q_in[::2], 0.0, 1.0, 2.0 * h_in)
         # exterior: u'' = 0, the continuation is exactly linear
         r_out = np.linspace(edge, rm, _N_STEPS // 8 + 1)
         u_out = u_in[-1] + w_end * (r_out - edge)
         r_grid = np.concatenate([r_in, r_out[1:]])
         u_raw = np.concatenate([u_in, u_out[1:]])
+        a_half = rm - (u_half[-1] + w_half * (rm - edge)) / w_half
 
+        # an overflow reaches the edge as inf or, through inf * 0 in the
+        # scan, as nan
+        if not (math.isfinite(u_in[-1]) and math.isfinite(w_end)):
+            raise RuntimeError(
+                f"u = {u_in[-1]}, u' = {w_end} at the edge of the support are "
+                f"not finite: u overflowed; potential too strong for the "
+                f"zero-energy reduction")
         c = w_end
         if not c > 0.0:
             raise RuntimeError("u'(matching_radius) <= 0; potential too "
@@ -225,6 +273,7 @@ def solve_scattering(potential):
 
     return ScatteringSolution(a=a, r_grid=r_grid, u_profile=u_raw / c,
                               matching_radius=rm, slope=c, residual=residual,
+                              a_error=abs(a - a_half) / 15.0,
                               potential=potential)
 
 

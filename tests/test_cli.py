@@ -71,6 +71,17 @@ def test_oversized_lattice_exits_two(capsys):
     assert "2538950544 states" in err and "limit is 1225" in err
 
 
+def test_huge_lattice_exits_two_before_enumeration(capsys):
+    # kmax 60 on the default box spans 1.8 million momenta; the axes alone
+    # overflow the basis state, so nothing is enumerated
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["fock-demo", "--kmax", "60"], capsys)
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 2
+    assert out == ""
+    assert "62 bits" in err
+
+
 def test_fock_demo_on_nineteen_momenta(capsys):
     """One particle per spin on 19 momenta: a 361-state physics sector,
     beyond the 2^n layout's reach."""
@@ -173,6 +184,16 @@ def test_scatter_json(capsys):
     assert payload["a"] < payload["born"]
     assert payload["born"] == pytest.approx(2.0 / 3.0)
     assert set(meta) == {"version", "seed", "tolerances", "wall_time_ms"}
+
+
+def test_scatter_reports_a_error(capsys):
+    code, out, _ = run_cli(["scatter", "--kind", "truncated-gaussian", "--V0", "1000"],
+                           capsys)
+    assert code == 0
+    payload, _ = parse_json_output(out)
+    assert 0.0 < payload["a_error"] < 1e-12 * payload["a"]
+    _, out, err = run_cli(["scatter", "--format", "csv"], capsys)
+    assert "a_error = " in out + err
 
 
 def test_scatter_csv_profile(capsys):
@@ -351,7 +372,8 @@ def test_fock_demo_contract(capsys):
         metas.append({k: meta[k] for k in ("sector_states", "trial_block", "nnz")})
         # per-stage wall times, outside the byte-identical-rerun guarantee
         assert set(meta["stages"]) == {"lattice", "sector", "H", "corr-terms", "PH",
-                                       "identity", "generators", "trial", "ground"}
+                                       "identity", "scatter", "generators", "trial",
+                                       "ground"}
         assert all(v >= 0.0 for v in meta["stages"].values())
     assert set(payload) == {"E_ffg", "E_ground", "trial_energies",
                             "identity_residuals"}

@@ -142,6 +142,19 @@ def test_basis_refuses_oversized_lattice():
         fock.sector(basis, 2, 2)
 
 
+def test_lattice_refuses_long_axes_before_enumeration():
+    # from |n| = 7 on the axes alone hold 37 momenta, 74 modes; at 1e300
+    # the triple loop would overflow int -> float, at 60 it would build
+    # 1.8 million momenta
+    for K_max in (7.0, 60.0, 1e300):
+        with pytest.raises(ValueError, match="62 bits"):
+            fock.build_lattice(L, K_max, 0.5, 0.5)
+    # just below, the grid is built and the basis refuses it by count
+    lat = fock.build_lattice(L, 6.99, 0.5, 0.5)
+    with pytest.raises(ValueError, match="2730 modes"):
+        fock.build_basis(lat)
+
+
 def test_sectors_partition_the_space(demo):
     """Both frames' sectors are sorted, disjoint, of the Vandermonde size,
     and together hold every one of the 2^14 states."""

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from hyfermi import potentials
 from hyfermi.potentials import (
     EtaFunction,
     RadialPotential,
@@ -33,6 +34,92 @@ def square_well_exact(V0, R):
 def test_square_well_scattering_length(V0, R):
     sol = solve_scattering(RadialPotential(kind="square-well", V0=V0, R=R))
     assert sol.a == pytest.approx(square_well_exact(V0, R), rel=1e-8)
+
+
+@pytest.mark.parametrize("V0", [1e-2, 0.1, 1.0, 4.0, 30.0, 1e3, 1e4, 1e5])
+@pytest.mark.parametrize("R", [0.5, 1.0])
+def test_square_well_scattering_length_to_rounding(V0, R):
+    """RK4's step map is a polynomial in the constant matrix of a square
+    well, so it keeps the exact solution's growing mode: only rounding
+    separates a from R - tanh(kR)/k, 1e-12 relative. a = rm - u/u' rounds
+    at the scale of rm, which sets a floor of a few eps * rm: it decides
+    only for the weak narrow well V0 = 1e-2, R = 0.5, where a/rm = 2.8e-4
+    and a is 1.2e-12 relative off (the step-by-step march read 7.6e-12)."""
+    sol = solve_scattering(RadialPotential(kind="square-well", V0=V0, R=R))
+    exact = square_well_exact(V0, R)
+    floor = 4.0 * np.finfo(float).eps * sol.matching_radius
+    assert abs(sol.a - exact) <= max(1e-12 * exact, floor)
+
+
+def _rk4_loop(q_half, u0, w0, h):
+    """The sequential RK4 march that _rk4_linear's scan replaced, kept as
+    its reference: one step at a time on (u, u')."""
+    n = (len(q_half) - 1) // 2
+    u = np.empty(n + 1)
+    u[0] = u0
+    w = w0
+    for i in range(n):
+        qa, qm, qb = q_half[2 * i], q_half[2 * i + 1], q_half[2 * i + 2]
+        k1u, k1w = w, qa * u[i]
+        k2u, k2w = w + 0.5 * h * k1w, qm * (u[i] + 0.5 * h * k1u)
+        k3u, k3w = w + 0.5 * h * k2w, qm * (u[i] + 0.5 * h * k2u)
+        k4u, k4w = w + h * k3w, qb * (u[i] + h * k3u)
+        u[i + 1] = u[i] + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+        w = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+    return u, w
+
+
+_JUMP = ((0.0, 5.0), (0.3, 4.0), (0.7, 1.0), (0.9, 0.5))
+
+
+_MARCH_CASES = {
+    **{f"square-well-{V0:g}": RadialPotential(kind="square-well", V0=V0, R=1.0)
+       for V0 in (1e-2, 4.0, 1e3, 1e5)},
+    **{f"truncated-gaussian-{V0:g}": RadialPotential(kind="truncated-gaussian", V0=V0, R=1.3)
+       for V0 in (0.1, 7.0, 1e3)},
+    "tabulated-jump": RadialPotential(kind="tabulated", R=1.0, samples=_JUMP),
+    "tabulated": RadialPotential(kind="tabulated", R=1.0,
+                                 samples=((0.0, 5.0), (0.3, 4.0), (1.0, 0.0))),
+}
+
+
+@pytest.mark.parametrize("pot", _MARCH_CASES.values(), ids=_MARCH_CASES.keys())
+def test_scan_matches_sequential_march(pot):
+    """The scan and the step-by-step march take the same RK4 steps on the
+    same grid; only the order of rounding differs. a = rm - u/u' is a
+    difference, and where a << rm (weak wells) both round at the scale of
+    rm: the loop alone is 1.6e-12 relative off the closed form at V0 =
+    1e-2, the scan 1.3e-13. So a is compared relative to rm."""
+    sol = solve_scattering(pot)
+    edge, rm = pot.support, sol.matching_radius
+    q_half = 0.5 * pot(np.linspace(0.0, edge, 2 * potentials._N_STEPS + 1))
+    u_in, w_end = _rk4_loop(q_half, 0.0, 1.0, edge / potentials._N_STEPS)
+    r_out = sol.r_grid[sol.r_grid > edge]
+    u_ref = np.concatenate([u_in, u_in[-1] + w_end * (r_out - edge)]) / w_end
+    np.testing.assert_allclose(sol.u_profile, u_ref, rtol=1e-12, atol=0.0)
+    assert abs(sol.a - (rm - u_ref[-1])) <= 1e-12 * rm
+    assert sol.slope == pytest.approx(w_end, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("V0", [1e-2, 4.0, 1e3, 1e5])
+def test_a_error_bounds_square_well_error(V0):
+    sol = solve_scattering(RadialPotential(kind="square-well", V0=V0, R=1.0))
+    # rounding floor: a few units in the last place of the matching radius
+    floor = 8.0 * np.finfo(float).eps * sol.matching_radius
+    assert 0.0 <= sol.a_error
+    assert abs(sol.a - square_well_exact(V0, 1.0)) <= sol.a_error + floor
+
+
+@pytest.mark.parametrize("V0", [1e3, 1e5])
+def test_a_error_tracks_a_finer_grid(V0, monkeypatch):
+    """On a smooth well the truncation error of a stands above rounding;
+    step doubling estimates it to within a factor 1.5 of the distance to a
+    solve on a 16 times finer grid."""
+    pot = RadialPotential(kind="truncated-gaussian", V0=V0, R=1.3)
+    sol = solve_scattering(pot)
+    monkeypatch.setattr(potentials, "_N_STEPS", 16 * potentials._N_STEPS)
+    err = abs(sol.a - solve_scattering(pot).a)
+    assert err / 1.5 <= sol.a_error <= 1.5 * err
 
 
 def test_scattering_length_below_born():
