@@ -16,9 +16,13 @@ coefficient array and a spin pattern. One batched symbolic pass
 (_reduce) turns the strings into reduced forms, and equal forms are
 merged.
 
-Momenta are integer triples n standing for k = (2*pi/L) n. All interaction
-coefficients used here are real (radial potentials), so every matrix is real
-and Hermitian conjugation is plain transposition.
+Momenta are integer triples n standing for k = (2*pi/L) n, and mode 2i + s
+is momentum i with spin s. Every builder reads the Fermi-ball geometry from
+the lattice's read-only arrays over the momentum indices: the triples n,
+their norms k, inside[s] (k <= kF_s, so the boundary counts as occupied)
+and reflect, the index of -n. All interaction coefficients used here are
+real (radial potentials), so every matrix is real and Hermitian conjugation
+is plain transposition.
 
 A basis state is an int64 whose bit j is the occupation of mode j. Nothing
 is built on all 2^n of them. H conserves the particle number of each spin;
@@ -66,9 +70,20 @@ _SHELL_TOL = 1e-9
 Triple = tuple[int, int, int]
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _norms(unit: float, n: np.ndarray) -> np.ndarray:
+    """|k| = unit * |n| for the integer triples in the rows of n."""
+    return unit * np.sqrt(np.sum(n * n, axis=1))
+
+
 @dataclass(frozen=True)
 class LatticeConfig:
-    """Finite symmetric momentum grid with completely filled Fermi balls."""
+    """Finite symmetric momentum grid with completely filled Fermi balls,
+    its geometry held in the read-only arrays n, k, inside and reflect."""
 
     L: float
     momenta: tuple[Triple, ...]
@@ -85,36 +100,21 @@ class LatticeConfig:
     def index(self) -> dict[Triple, int]:
         return {n: i for i, n in enumerate(self.momenta)}
 
-    def k_norm(self, n: Triple) -> float:
-        return self.unit * math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
-
-    def kF(self, spin: int) -> float:
-        return self.kF_up if spin == SPIN_UP else self.kF_down
-
-    def in_ball(self, n: Triple, spin: int) -> bool:
-        # boundary modes count as occupied
-        return self.k_norm(n) <= self.kF(spin)
+    @cached_property
+    def n(self) -> np.ndarray:
+        return _read_only(np.array(self.momenta, dtype=np.int64).reshape(-1, 3))
 
     @cached_property
-    def _balls(self) -> tuple[tuple[Triple, ...], tuple[Triple, ...]]:
-        return tuple(
-            tuple(n for n in self.momenta if self.in_ball(n, s)) for s in (SPIN_UP, SPIN_DOWN)
-        )
+    def k(self) -> np.ndarray:
+        return _read_only(_norms(self.unit, self.n))
 
-    def ball(self, spin: int) -> tuple[Triple, ...]:
-        return self._balls[spin]
+    @cached_property
+    def inside(self) -> np.ndarray:
+        return _read_only(np.stack((self.k <= self.kF_up, self.k <= self.kF_down)))
 
-
-def _neg(n: Triple) -> Triple:
-    return (-n[0], -n[1], -n[2])
-
-
-def _add(a: Triple, b: Triple) -> Triple:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-
-def _sub(a: Triple, b: Triple) -> Triple:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+    @cached_property
+    def reflect(self) -> np.ndarray:
+        return _read_only(np.array([self.index[tuple(m)] for m in (-self.n).tolist()]))
 
 
 def build_lattice(L: float, K_max: float, shell_up: float, shell_down: float) -> LatticeConfig:
@@ -122,10 +122,14 @@ def build_lattice(L: float, K_max: float, shell_up: float, shell_down: float) ->
 
     Shell radii must fall strictly between realized momentum magnitudes, so
     that each Fermi ball is a union of complete degenerate shells. A radius
-    that lands on a shell is refused, naming the two nearest safe radii.
+    that lands on a shell is refused, naming the nearest safe radii.
     A grid whose axes alone hold more modes than fit a basis state is
     refused from nmax, before any triple is enumerated.
     """
+    for name, value in (("L", L), ("K_max", K_max), ("shell_up", shell_up),
+                        ("shell_down", shell_down)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if L <= 0.0 or K_max <= 0.0:
         raise ValueError("box side and momentum cutoff must be positive")
     unit = 2.0 * math.pi / L
@@ -137,41 +141,35 @@ def build_lattice(L: float, K_max: float, shell_up: float, shell_down: float) ->
             f"state hold"
         )
     nmax = int(reach)
-    momenta = []
-    for i in range(-nmax, nmax + 1):
-        for j in range(-nmax, nmax + 1):
-            for l in range(-nmax, nmax + 1):
-                if unit * math.sqrt(i * i + j * j + l * l) <= K_max:
-                    momenta.append((i, j, l))
-    momenta.sort()
-    mags = sorted({unit * math.sqrt(n[0] ** 2 + n[1] ** 2 + n[2] ** 2) for n in momenta})
+    # rows in lexicographic order, as the sorted triples
+    n = np.indices((2 * nmax + 1,) * 3).reshape(3, -1).T - nmax
+    k = _norms(unit, n)
+    keep = k <= K_max
+    n, k = n[keep], k[keep]
+    mags = np.unique(k).tolist()
 
     def check_shell(radius, label):
         if radius < 0.0:
             raise ValueError(f"{label} shell radius must be nonnegative")
         for i, m in enumerate(mags):
             if abs(radius - m) < _SHELL_TOL:
-                below = 0.5 * (mags[i - 1] + m) if i > 0 else 0.5 * (m + mags[i + 1])
-                if i + 1 < len(mags):
-                    above = 0.5 * (m + mags[i + 1])
-                else:
-                    above = m + 0.5 * (m - mags[i - 1]) if i > 0 else m + 0.5 * unit
-                raise ValueError(
-                    f"{label} shell radius {radius} splits the degenerate shell at "
-                    f"|k| = {m}; nearest closed-shell radii: {below} and {above}"
-                )
+                above = (0.5 * (m + mags[i + 1]) if i + 1 < len(mags)
+                         else m + 0.5 * (m - mags[i - 1] if i > 0 else unit))
+                # the innermost shell is the origin, with no radius below it
+                safe = (f"radii: {0.5 * (mags[i - 1] + m)} and {above}" if i > 0
+                        else f"radius: {above}")
+                raise ValueError(f"{label} shell radius {radius} splits the degenerate "
+                                 f"shell at |k| = {m}; nearest closed-shell {safe}")
 
     check_shell(shell_up, "up")
     check_shell(shell_down, "down")
-    n_up = sum(1 for n in momenta if unit * math.sqrt(sum(c * c for c in n)) <= shell_up)
-    n_down = sum(1 for n in momenta if unit * math.sqrt(sum(c * c for c in n)) <= shell_down)
     return LatticeConfig(
         L=L,
-        momenta=tuple(momenta),
+        momenta=tuple(map(tuple, n.tolist())),
         kF_up=shell_up,
         kF_down=shell_down,
-        N_up=n_up,
-        N_down=n_down,
+        N_up=int(np.count_nonzero(k <= shell_up)),
+        N_down=int(np.count_nonzero(k <= shell_down)),
     )
 
 
@@ -186,7 +184,10 @@ class FockBasis:
     """
 
     mode_order: tuple[tuple[Triple, int], ...]
-    dimension: int
+
+    @property
+    def dimension(self) -> int:
+        return 1 << self.n_modes
 
     @cached_property
     def mode_index(self) -> dict[tuple[Triple, int], int]:
@@ -212,22 +213,19 @@ def build_basis(lattice: LatticeConfig) -> FockBasis:
         raise ValueError(
             f"{len(modes)} modes do not fit the {_STATE_BITS} bits of an int64 basis state"
         )
-    basis = FockBasis(mode_order=modes, dimension=1 << len(modes))
+    basis = FockBasis(mode_order=modes)
     _sector_size(basis, (lattice.N_up, lattice.N_down), (0, 0))
     return basis
 
 
 def _spin_bits(basis: FockBasis, spin: int) -> list[int]:
-    return [1 << j for j, (_, s) in enumerate(basis.mode_order) if s == spin]
+    return [1 << j for j in range(spin, basis.n_modes, 2)]
 
 
-def _ball_masks(lattice: LatticeConfig, basis: FockBasis) -> tuple[int, int]:
+def _ball_masks(lattice: LatticeConfig) -> tuple[int, int]:
     """Per spin, the bits of the modes inside the Fermi ball."""
-    masks = [0, 0]
-    for j, (n, s) in enumerate(basis.mode_order):
-        if lattice.in_ball(n, s):
-            masks[s] |= 1 << j
-    return masks[0], masks[1]
+    return tuple(sum(1 << 2 * i + s for i, hit in enumerate(ins) if hit)
+                 for s, ins in enumerate(lattice.inside.tolist()))
 
 
 def _sector_size(basis: FockBasis, charges, minus) -> int:
@@ -276,7 +274,7 @@ def ph_sector(lattice: LatticeConfig, basis: FockBasis, q_up: int, q_down: int) 
     """Sorted particle-hole-frame basis states whose charge (particles outside
     the ball) - (holes inside) is q_up and q_down. ph_transform maps them
     onto sector(basis, N_up + q_up, N_down + q_down)."""
-    return _sector(basis, (q_up, q_down), _ball_masks(lattice, basis))
+    return _sector(basis, (q_up, q_down), _ball_masks(lattice))
 
 
 # (form, state) pairs tested per pass of FockOperator._images: large enough
@@ -456,7 +454,7 @@ def _quartets(lattice: LatticeConfig, dag) -> np.ndarray:
     sum to zero. k1, k2, k3 run over the grid; k4 is solved for and looked
     up by its integer coordinates, and the quadruple is dropped when k4
     leaves the grid."""
-    n = np.array(lattice.momenta, dtype=np.int64)
+    n = lattice.n
     # n -> n . (B^2, B, 1) is linear, and one to one on coordinates within
     # +-3r, the most that k4 can reach
     base = 6 * int(np.abs(n).max()) + 1
@@ -505,11 +503,10 @@ def number_operator(basis: FockBasis, spin=None) -> FockOperator:
 
 def vhat_from_potential(lattice: LatticeConfig, potential) -> dict[Triple, float]:
     """Interaction coefficients V^(k) on the full grid difference set."""
-    diffs = {_sub(a, b) for a in lattice.momenta for b in lattice.momenta}
-    norms = sorted({n[0] ** 2 + n[1] ** 2 + n[2] ** 2 for n in diffs})
-    values = fourier_V(potential, lattice.unit * np.sqrt(np.array(norms, dtype=np.float64)))
-    by_norm = dict(zip(norms, values.tolist()))
-    return {n: by_norm[n[0] ** 2 + n[1] ** 2 + n[2] ** 2] for n in diffs}
+    diffs = (lattice.n[:, None] - lattice.n[None]).reshape(-1, 3)
+    norms, by_norm = np.unique(np.sum(diffs * diffs, axis=1), return_inverse=True)
+    values = fourier_V(potential, lattice.unit * np.sqrt(norms))
+    return dict(zip(map(tuple, diffs.tolist()), values[by_norm].tolist()))
 
 
 def _validate_vhat(vhat) -> None:
@@ -519,7 +516,7 @@ def _validate_vhat(vhat) -> None:
             raise ValueError(f"V^({n}) must be real")
         if not math.isfinite(v.real):
             raise ValueError(f"V^({n}) must be finite, got {v.real}")
-        m = _neg(n)
+        m = tuple(-c for c in n)
         if m not in vhat:
             raise ValueError(f"V^ missing the reflected transfer {m}")
         if abs(vhat[m] - val) > 1e-12 * (1.0 + abs(val)):
@@ -530,15 +527,8 @@ def _vhat_table(lattice: LatticeConfig, vhat) -> np.ndarray:
     """The validated V^(n_i - n_j) over pairs of momentum indices; a
     transfer that vhat does not list counts as zero."""
     _validate_vhat(vhat)
-    return np.array([[vhat.get(_sub(a, b), 0.0) for b in lattice.momenta]
-                     for a in lattice.momenta])
-
-
-def _outside(lattice: LatticeConfig) -> np.ndarray:
-    """[spin, momentum index] -> the mode lies outside the Fermi ball (a
-    particle mode in the particle-hole frame; holes keep the boundary)."""
-    return np.array([[not lattice.in_ball(n, s) for n in lattice.momenta]
-                     for s in (SPIN_UP, SPIN_DOWN)])
+    diffs = (lattice.n[:, None] - lattice.n[None]).reshape(-1, 3).tolist()
+    return np.array([vhat.get(tuple(d), 0.0) for d in diffs]).reshape(len(lattice.n), -1)
 
 
 # the four spin pairs (s, t), as (4, 1) columns that broadcast against the
@@ -558,14 +548,15 @@ def build_hamiltonian(lattice: LatticeConfig, basis: FockBasis, vhat) -> FockOpe
     quads = k1, _, _, k4 = _quartets(lattice, _NUMBER_LIKE)
     # a*_{k1 s} a*_{k2 t} a_{k3 t} a_{k4 s} V^(k1 - k4) / (2 L^3)
     coef = 1.0 / (2.0 * lattice.L ** 3) * vd[k1, k4]
-    parts = [_strings(_number_terms([lattice.k_norm(n) ** 2 for n, _ in basis.mode_order]))]
+    # mode 2 i + s has momentum n_i
+    parts = [_strings(_number_terms(np.repeat(np.square(lattice.k), 2)))]
     parts.append(_block(quads, _NUMBER_LIKE, (_S, _T, _T, _S), coef))
     return _operator(basis, *_join(parts), hermitian=True, number_conserving=True)
 
 
 def ffg_index(lattice: LatticeConfig, basis: FockBasis) -> int:
     """Basis state of the filled-Fermi-ball determinant."""
-    up, down = _ball_masks(lattice, basis)
+    up, down = _ball_masks(lattice)
     return up | down
 
 
@@ -582,12 +573,13 @@ def ph_transform(lattice: LatticeConfig, basis: FockBasis, states):
     R|0> and the determinant +1.
     """
     states = np.asarray(states, dtype=np.int64)
-    idx = lattice.index
+    ins, reflect = lattice.inside.tolist(), lattice.reflect.tolist()
     image = np.full(states.shape, ffg_index(lattice, basis), dtype=np.int64)
     negative = np.zeros(states.shape, dtype=bool)
     for j in reversed(range(basis.n_modes)):
-        n, s = basis.mode_order[j]
-        t = 2 * idx[_neg(n)] + s if lattice.in_ball(n, s) else j
+        # mode j = 2 i + s goes to the mode of -n_i inside the ball, else stays
+        i, s = divmod(j, 2)
+        t = 2 * reflect[i] + s if ins[s][i] else j
         hit = (states >> j) & 1 == 1
         negative ^= hit & (np.bitwise_count(image & ((1 << t) - 1)) & 1 == 1)
         image = np.where(hit, image ^ (1 << t), image)
@@ -606,18 +598,13 @@ def ffg_energy_wick(lattice: LatticeConfig, vhat) -> float:
     Exact on the truncated model too: every contributing transfer connects two
     Fermi-ball momenta, so nothing is lost to the grid cutoff.
     """
-    kin = sum(
-        lattice.k_norm(n) ** 2
-        for s in (SPIN_UP, SPIN_DOWN)
-        for n in lattice.ball(s)
-    )
+    kin = exch = 0.0
+    for ins in lattice.inside:
+        ball = lattice.n[ins]
+        kin += float(np.sum(np.square(lattice.k[ins])))
+        # same-spin exchange: V^(p - l) over pairs p, l of one ball
+        exch += sum(vhat[tuple(d)] for d in (ball[:, None] - ball[None]).reshape(-1, 3).tolist())
     n_tot = lattice.N_up + lattice.N_down
-    exch = 0.0
-    for s in (SPIN_UP, SPIN_DOWN):
-        ball = lattice.ball(s)
-        for p in ball:
-            for l in ball:
-                exch += vhat[_sub(p, l)]
     return kin + (vhat[(0, 0, 0)] * n_tot * n_tot - exch) / (2.0 * lattice.L ** 3)
 
 
@@ -633,16 +620,17 @@ def build_corr_terms(lattice: LatticeConfig, basis: FockBasis, vhat) -> dict:
     measures.
     """
     vol = lattice.L ** 3
-    vd = _vhat_table(lattice, vhat) / vol
-    out = _outside(lattice)
-    ins = ~out
+    table = _vhat_table(lattice, vhat)
+    vd = table / vol
     # V^(k + k') = vd[k, neg[k']], with neg the index of the reflected momentum
-    neg = np.array([lattice.index[_neg(n)] for n in lattice.momenta])
+    ins, neg = lattice.inside, lattice.reflect
+    out = ~ins
 
+    # an [i, s] array ravels in mode order 2 i + s; inside and X are [s, i]
     h0 = make_operator(
         basis,
-        _number_terms([abs(lattice.k_norm(n) ** 2 - lattice.kF(s) ** 2)
-                       for n, s in basis.mode_order]),
+        _number_terms(np.abs(np.square(lattice.k)[:, None]
+                             - np.square([lattice.kF_up, lattice.kF_down])).ravel()),
         hermitian=True, number_conserving=True)
 
     # X dresses each mode with the mean field of the filled balls: direct
@@ -650,15 +638,11 @@ def build_corr_terms(lattice: LatticeConfig, basis: FockBasis, vhat) -> dict:
     # direct piece is proportional to the particle-hole imbalance and so is
     # invisible in any fixed-number expectation, but the operator identity
     # needs it.
-    what = {}
-    for s in (SPIN_UP, SPIN_DOWN):
-        ball = lattice.ball(s)
-        what[s] = {t: sum(vhat[_sub(t, m)] for m in ball) / vol for t in lattice.momenta}
+    exchange = ins @ table / vol
     hartree = (lattice.N_up + lattice.N_down) * vhat[(0, 0, 0)] / vol
     x = make_operator(
         basis,
-        _number_terms([(hartree - what[s][n]) * (-1.0 if lattice.in_ball(n, s) else 1.0)
-                       for n, s in basis.mode_order]),
+        _number_terms(((hartree - exchange) * np.where(ins, -1.0, 1.0)).T.ravel()),
         hermitian=True, number_conserving=True)
 
     # each block is a*_{k1} a*_{k2} a_{k3} a_{k4} (or with more creators)
@@ -718,7 +702,7 @@ def excitation_counts(lattice: LatticeConfig, basis: FockBasis, states):
     four arrays (up particles, up holes, down particles, down holes)."""
     states = np.asarray(states, dtype=np.int64)
     out = []
-    for spin, ball in enumerate(_ball_masks(lattice, basis)):
+    for spin, ball in enumerate(_ball_masks(lattice)):
         every = sum(_spin_bits(basis, spin))
         out.append(np.bitwise_count(states & (every & ~ball)).astype(np.int64))
         out.append(np.bitwise_count(states & ball).astype(np.int64))
@@ -767,17 +751,14 @@ def corr_identity_report(lattice: LatticeConfig, basis: FockBasis,
                                ((0, 0), (-1, 0), (0, -1), (-1, -1)))
 
 
-def _pair_terms(lattice: LatticeConfig, p: Triple, spin: int) -> list:
+def _pair_terms(lattice: LatticeConfig, p, spin: int) -> list:
     """The strings of the quasi-bosonic b_{p,sigma}: all particle-hole pair
-    removals at transfer p."""
-    idx = lattice.index
-    terms = []
-    for k in lattice.ball(spin):
-        pk = _add(p, k)
-        if pk not in idx or lattice.in_ball(pk, spin):
-            continue
-        terms.append((1.0, [(2 * idx[pk] + spin, False), (2 * idx[_neg(k)] + spin, False)]))
-    return terms
+    removals at transfer p (an integer triple)."""
+    ins, reflect = lattice.inside[spin].tolist(), lattice.reflect.tolist()
+    # the index of n_i + p, None off the grid
+    moved = [lattice.index.get(tuple(m)) for m in (lattice.n + p).tolist()]
+    return [(1.0, [(2 * j + spin, False), (2 * reflect[i] + spin, False)])
+            for i, j in enumerate(moved) if ins[i] and j is not None and not ins[j]]
 
 
 def q2_ud_from_pairs(lattice: LatticeConfig, basis: FockBasis, vhat) -> FockOperator:
@@ -789,7 +770,7 @@ def q2_ud_from_pairs(lattice: LatticeConfig, basis: FockBasis, vhat) -> FockOper
         if val == 0.0:
             continue
         up = _pair_terms(lattice, p, SPIN_UP)
-        down = _pair_terms(lattice, _neg(p), SPIN_DOWN) if up else []
+        down = _pair_terms(lattice, np.negative(p), SPIN_DOWN) if up else []
         terms += [(val / vol, ou + od) for _, ou in up for _, od in down]
     return _operator(basis, *_join([_strings(terms)], plus_adjoint=True), hermitian=True)
 
@@ -813,13 +794,12 @@ def build_generator(lattice: LatticeConfig, basis: FockBasis, which: str, *,
             raise ValueError("B2 needs the pair kernel and a cutoff config")
     else:
         raise ValueError(f"which must be 'B1' or 'B2', got {which!r}")
-    n = np.array(lattice.momenta, dtype=np.int64)
-    out = _outside(lattice)
+    n, ins = lattice.n, lattice.inside
     # b_{p,up} b_{-p,down} terms: a_{k1 up} a_{k2 up} a_{k3 down} a_{k4 down}
     # with particles k1, k3, holes -k2, -k4 and transfer p = k1 + k2
     dag = (False, False, False, False)
     quads = k1, k2, k3, k4 = _quartets(lattice, dag)
-    keep = out[SPIN_UP, k1] & ~out[SPIN_UP, k2] & out[SPIN_DOWN, k3] & ~out[SPIN_DOWN, k4]
+    keep = ~ins[SPIN_UP, k1] & ins[SPIN_UP, k2] & ~ins[SPIN_DOWN, k3] & ins[SPIN_DOWN, k4]
     p = n[k1] + n[k2]
     coef = np.zeros(keep.shape)
     if which == "B1":

@@ -12,11 +12,9 @@ read off from a = r - u(r)/u'(r); the same march with half the steps
 gives its step-doubling error estimate.
 """
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -366,9 +364,9 @@ class PeriodicScatteringFunction:
 
     coeff(n) is phi-hat at p = (2pi/L)*n for n in the cube |n_i| <= n_max
     and 0 outside it; the zero mode is pinned to 0. phi-hat is radial, so
-    values are kept by |n|^2 and computed on first request, one batched
-    transform for all new radii of a request. cutoff_applied records
-    whether the high-momentum cutoff has been multiplied in.
+    each request transforms its distinct nonzero |n|^2 in one batch.
+    cutoff_applied records whether the high-momentum cutoff has been
+    multiplied in.
     """
 
     L: float
@@ -376,46 +374,28 @@ class PeriodicScatteringFunction:
     a: float
     solution: object = field(repr=False)
     cutoff: object = field(default=None, repr=False)
-    _by_n2: dict = field(default_factory=lambda: {0: 0.0}, init=False, repr=False)
 
     @property
     def cutoff_applied(self) -> bool:
         return self.cutoff is not None
 
-    def _values(self, n2):
-        """phi-hat at integer |n|^2 values (any array shape)."""
-        uniq, inverse = np.unique(np.asarray(n2, dtype=np.int64), return_inverse=True)
-        new = [m for m in uniq.tolist() if m not in self._by_n2]
-        if new:
-            s = (2.0 * np.pi / self.L) * np.sqrt(np.array(new, dtype=np.float64))
-            vals = fourier_Vf(self.solution, s) / (2.0 * s ** 2)
-            if self.cutoff is not None:
-                vals = vals * self.cutoff.chi_greater(s)
-            self._by_n2.update(zip(new, vals.tolist()))
-        table = np.array([self._by_n2[m] for m in uniq.tolist()])
-        return table[inverse].reshape(np.shape(n2))
-
     def coeffs(self, ns) -> np.ndarray:
         """coeff(n) for each integer triple of ns, in one batch."""
         n = np.asarray(ns, dtype=np.int64).reshape(-1, 3)
         inside = np.all(np.abs(n) <= self.n_max, axis=1)
-        return self._values(np.where(inside, np.sum(n * n, axis=1), 0))
+        n2, inverse = np.unique(np.where(inside, np.sum(n * n, axis=1), 0), return_inverse=True)
+        # the zero mode, and every triple off the cube, stays at 0
+        live = n2 > 0
+        s = (2.0 * np.pi / self.L) * np.sqrt(n2[live])
+        vals = fourier_Vf(self.solution, s) / (2.0 * s ** 2)
+        if self.cutoff is not None:
+            vals = vals * self.cutoff.chi_greater(s)
+        table = np.zeros(n2.size)
+        table[live] = vals
+        return table[inverse]
 
     def coeff(self, n):
         return float(self.coeffs([n])[0])
-
-    def _cube(self) -> np.ndarray:
-        """phi-hat on the whole cube, axes n_i = -n_max..n_max in order."""
-        n = np.arange(-self.n_max, self.n_max + 1)
-        return self._values(n[:, None, None] ** 2 + n[None, :, None] ** 2
-                            + n[None, None, :] ** 2)
-
-    @cached_property
-    def coefficients(self) -> dict:
-        """{n: coeff(n)} over the whole cube, built in one batch on first use."""
-        axis = range(-self.n_max, self.n_max + 1)
-        return dict(zip(itertools.product(axis, repeat=3),
-                        self._cube().ravel().tolist()))
 
 
 def periodize_phi(solution, L, cutoff=None, n_max=24):
@@ -424,7 +404,7 @@ def periodize_phi(solution, L, cutoff=None, n_max=24):
     phi-hat(p) = F(V(1-phi))(|p|) / (2|p|^2) on p in (2pi/L)Z^3, zero mode
     dropped; when a cutoff is supplied each coefficient is multiplied by
     chi_greater(|p|). Refuses boxes that cannot contain the support of V.
-    Coefficients are transformed only when first asked for.
+    Coefficients are transformed when coeffs asks for them.
     """
     R = solution.potential.R
     if L <= 2.0 * R:

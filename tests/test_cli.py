@@ -82,6 +82,18 @@ def test_huge_lattice_exits_two_before_enumeration(capsys):
     assert "62 bits" in err
 
 
+@pytest.mark.parametrize("argv", [["--kmax", "0.01", "--shells", "0", "0.005"],
+                                  ["--shells", "0", "0.5"]])
+def test_fock_demo_origin_shell_exits_two(capsys, argv):
+    """A shell radius on the origin is a usage error, naming only the
+    closed-shell radius above it, also on a one-momentum grid."""
+    code, out, err = run_cli(["fock-demo"] + argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.strip().endswith("nearest closed-shell radius: 0.5")
+
+
 def test_fock_demo_on_nineteen_momenta(capsys):
     """One particle per spin on 19 momenta: a 361-state physics sector,
     beyond the 2^n layout's reach."""

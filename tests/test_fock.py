@@ -23,6 +23,7 @@ from hyfermi.cutoffs import CutoffConfig
 from hyfermi.potentials import (
     EtaFunction,
     RadialPotential,
+    fourier_Vf,
     periodize_phi,
     solve_scattering,
 )
@@ -114,6 +115,60 @@ def test_lattice_shell_refusal_names_neighbours():
 def test_lattice_tiny_ball():
     lat = fock.build_lattice(L, 0.01, 0.005, 0.005)
     assert len(lat.momenta) == 1 and lat.N_up == 1
+
+
+@pytest.mark.parametrize("args, name", [
+    ((L, 1.01, math.nan, 0.5), "shell_up"),
+    ((L, 1.01, 0.5, math.inf), "shell_down"),
+    ((L, 1.01, -math.inf, 0.5), "shell_up"),
+    ((math.nan, 1.01, 0.5, 0.5), "L"),
+    ((math.inf, 1.01, 0.5, 0.5), "L"),
+    ((L, math.nan, 0.5, 0.5), "K_max"),
+    ((L, math.inf, 0.5, 0.5), "K_max"),
+])
+def test_lattice_refuses_non_finite_input(args, name):
+    with pytest.raises(ValueError, match=rf"\b{name} must be finite"):
+        fock.build_lattice(*args)
+
+
+def _per_triple_lattice(L, K_max, shell_up, shell_down):
+    """The lattice geometry as build_lattice and LatticeConfig used to list
+    it, one triple at a time: (momenta, k, inside, reflect, N_up, N_down)."""
+    unit = 2.0 * math.pi / L
+    nmax = int(K_max / unit + 1e-12)
+    r = range(-nmax, nmax + 1)
+    momenta = sorted(n for n in itertools.product(r, r, r)
+                     if unit * math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2]) <= K_max)
+    k = [unit * math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2]) for n in momenta]
+    inside = [[kn <= kf for kn in k] for kf in (shell_up, shell_down)]
+    reflect = [momenta.index((-n[0], -n[1], -n[2])) for n in momenta]
+    return momenta, k, inside, reflect, sum(inside[0]), sum(inside[1])
+
+
+# a radius between the shells |n|^2 = m and m + 1 of a unit grid
+_between_shells = st.tuples(st.integers(0, 3), st.floats(0.01, 0.99))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(1.0, 20.0), st.floats(0.01, 1.99), _between_shells, _between_shells)
+def test_lattice_arrays_match_per_triple_reference(L_box, reach, up, down):
+    """n, k, inside, reflect and the particle numbers equal the per-triple
+    code they replace, bit for bit, on closed-shell grids of 1 to 27
+    momenta; the arrays are read-only."""
+    unit = 2.0 * math.pi / L_box
+    shells = [unit * (math.sqrt(m) + f * (math.sqrt(m + 1) - math.sqrt(m))) for m, f in (up, down)]
+    lat = fock.build_lattice(L_box, unit * reach, *shells)
+    momenta, k, inside, reflect, n_up, n_down = _per_triple_lattice(L_box, unit * reach, *shells)
+    assert len(momenta) in (1, 7, 19, 27)
+    assert lat.momenta == tuple(momenta)
+    assert lat.n.tolist() == [list(n) for n in momenta]
+    assert lat.k.tolist() == k
+    assert lat.inside.tolist() == inside
+    assert lat.reflect.tolist() == reflect
+    assert (lat.N_up, lat.N_down) == (n_up, n_down)
+    for name in ("n", "k", "inside", "reflect"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(lat, name)[0] = 0
 
 
 def test_basis_mode_lookup(demo):
@@ -346,8 +401,7 @@ def test_opstring_against_dense_reference(case):
     """Operator strings materialized on all states, on a scattered subset,
     and as their adjoint, equal products of dense ladder matrices."""
     n_modes, terms = case
-    basis = fock.FockBasis(mode_order=tuple(((j, 0, 0), 0) for j in range(n_modes)),
-                           dimension=1 << n_modes)
+    basis = fock.FockBasis(mode_order=tuple(((j, 0, 0), 0) for j in range(n_modes)))
     op = fock.make_operator(basis, terms)
     ref = sum(coef * _dense_string(n_modes, ops) for coef, ops in terms)
     every = np.arange(basis.dimension)
@@ -380,7 +434,8 @@ def test_ph_mode_images(demo):
     charges = all_charges(lat)
     for j, (n, spin) in enumerate(basis.mode_order):
         a_j = fock.mode_operator(basis, n, spin, "annihilate")
-        inside = lat.in_ball(n, spin)
+        # the rule itself, not the lattice's arrays: boundary modes are inside
+        inside = lat.unit * math.sqrt(sum(c * c for c in n)) <= (lat.kF_up, lat.kF_down)[spin]
         neg = (-n[0], -n[1], -n[2])
         want = fock.mode_operator(basis, neg, spin, "create") if inside else a_j
         for q in charges:
@@ -429,6 +484,29 @@ def test_correlation_identity(demo, asym):
             assert rep["offdiagonal"] <= 1e-10
             assert rep["balanced_diagonal"] <= 1e-10
             assert rep["imbalance_fit"] <= 1e-10
+
+
+def test_one_body_terms_match_per_triple_reference(demo, asym):
+    """The kinetic term of H, H0 and X per mode equal the per-triple sums
+    they replace; summed as arrays, they may differ in the last bit. The
+    asymmetric lattice's down ball holds 7 momenta, so X folds 7 terms."""
+    for lat, basis, vhat, h, terms in (demo, asym):
+        vol = lat.L ** 3
+        kf = (lat.kF_up, lat.kF_down)
+        k = {n: lat.unit * math.sqrt(sum(c * c for c in n)) for n in lat.momenta}
+        ball = [[n for n in lat.momenta if k[n] <= kf[s]] for s in (0, 1)]
+        hartree = (lat.N_up + lat.N_down) * vhat[(0, 0, 0)] / vol
+        kin, h0, x = [], [], []
+        for n, s in basis.mode_order:
+            fold = sum(vhat[tuple(a - b for a, b in zip(n, m))] for m in ball[s]) / vol
+            kin.append(k[n] ** 2)
+            h0.append(abs(k[n] ** 2 - kf[s] ** 2))
+            x.append((hartree - fold) * (-1.0 if n in ball[s] else 1.0))
+        # one particle: the two-body part of H vanishes
+        single = np.left_shift(1, np.arange(basis.n_modes))
+        for op, want in ((h, kin), (terms["H0"], h0), (terms["X"], x)):
+            got = np.diagonal(op.on(single))
+            assert np.allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0.0)
 
 
 def test_identity_report_sees_the_imbalance(demo):
@@ -604,16 +682,21 @@ def test_b1_lazy_coefficients_match_explicit_table(demo, ph_zero):
     sol = solve_scattering(POT)
     cut = CutoffConfig(rho=0.225 ** 4.5)
     lazy = fock.build_generator(lat, basis, "B1", phi=periodize_phi(sol, L, cutoff=cut))
-    table = dict(periodize_phi(sol, L, cutoff=cut, n_max=24).coefficients)
-    assert len(table) == 49 ** 3
 
     class Table:
-        """The explicit table behind the two members build_generator reads."""
+        """The two members build_generator reads, with phi-hat straight from
+        fourier_Vf / (2 s^2) * chi_greater, zero at the origin and off the
+        default cube |n_i| <= 24."""
         L = lat.L
 
         @staticmethod
         def coeffs(ns):
-            return np.array([table.get(tuple(n), 0.0) for n in np.asarray(ns).tolist()])
+            n = np.asarray(ns)
+            s = lat.unit * np.sqrt(np.sum(n * n, axis=1))
+            on = (s > 0.0) & np.all(np.abs(n) <= 24, axis=1)
+            out = np.zeros(len(n))
+            out[on] = fourier_Vf(sol, s[on]) / (2.0 * s[on] ** 2) * cut.chi_greater(s[on])
+            return out
 
     explicit = fock.build_generator(lat, basis, "B1", phi=Table())
     m_lazy, m_explicit = lazy.on(ph_zero), explicit.on(ph_zero)

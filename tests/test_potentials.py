@@ -266,18 +266,33 @@ def test_periodize_phi_refuses_small_box():
         periodize_phi(sol, L=1.9)
 
 
+def phi_hat_cube(sol, L, n_max, cutoff=None):
+    """The cube |n_i| <= n_max as an array of triples, and phi-hat on it
+    straight from fourier_Vf / (2 s^2) (times chi_greater with a cutoff),
+    transformed once per distinct |n|^2, with the zero mode at 0."""
+    axis = np.arange(-n_max, n_max + 1)
+    cube = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    n2, inverse = np.unique(np.sum(cube * cube, axis=1), return_inverse=True)
+    s = (2.0 * math.pi / L) * np.sqrt(n2[1:])
+    vals = fourier_Vf(sol, s) / (2.0 * s ** 2)
+    if cutoff is not None:
+        vals = vals * cutoff.chi_greater(s)
+    return cube, np.concatenate(([0.0], vals))[inverse]
+
+
 def test_periodized_coefficients_reflection_symmetric():
     sol = solve_scattering(RadialPotential(kind="square-well", V0=0.4,
                                            R=1.0))
     psf = periodize_phi(sol, L=2.0 * math.pi, n_max=6)
-    for n, c in psf.coefficients.items():
-        m = (-n[0], -n[1], -n[2])
-        assert psf.coefficients[m] == pytest.approx(c, rel=1e-12)
+    cube, want = phi_hat_cube(sol, 2.0 * math.pi, 6)
+    got = psf.coeffs(cube)
+    assert np.array_equal(psf.coeffs(-cube), got)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_periodized_coefficients_lazy_contract():
-    """Values are radial, zero off the cube and at the origin, and the
-    full-cube view and coeff read the same numbers."""
+    """Values are radial, zero off the cube and at the origin, and one
+    batch over the whole cube reads the fourier_Vf reference."""
     sol = solve_scattering(RadialPotential(kind="square-well", V0=0.4,
                                            R=1.0))
     psf = periodize_phi(sol, L=2.0 * math.pi, n_max=6)
@@ -286,9 +301,12 @@ def test_periodized_coefficients_lazy_contract():
     # at L = 2 pi the momentum of n = (1, 0, 0) is 1
     assert psf.coeff((1, 0, 0)) == pytest.approx(fourier_Vf(sol, 1.0) / 2.0,
                                                  rel=1e-14)
-    assert psf.coeff((3, -1, 2)) == psf.coefficients[(1, 2, -3)] != 0.0
-    assert len(psf.coefficients) == 13 ** 3
-    assert (7, 0, 0) not in psf.coefficients
+    assert psf.coeff((3, -1, 2)) == psf.coeff((1, 2, -3)) != 0.0
+    cube, want = phi_hat_cube(sol, 2.0 * math.pi, 6)
+    assert len(cube) == 13 ** 3
+    assert np.allclose(psf.coeffs(cube), want, rtol=1e-14, atol=0.0)
+    # one coordinate past n_max is enough to leave the cube
+    assert not psf.coeffs([(7, 0, 0), (0, -7, 3), (6, 6, -7), (13, 13, 13)]).any()
 
 
 def test_lambda_shift_broadcasts():
