@@ -27,7 +27,8 @@ import numpy as np
 from . import __version__ as VERSION
 from . import fock, quadrature
 from .cutoffs import CutoffConfig, fermi_momentum
-from .hyformula import F_closed, F_from_f, FermiParams, hy_energy
+from .hyformula import (F_closed, F_from_f, FermiParams, hy_energy,
+                        hy_energy_error)
 from .potentials import (
     EtaFunction,
     RadialPotential,
@@ -364,7 +365,8 @@ def _cmd_hy_eval(config):
     params = FermiParams(rho_up=p["rho_up"], rho_down=p["rho_down"])
     bd = hy_energy(params, sol.a)
     payload = {"rho_up": params.rho_up, "rho_down": params.rho_down,
-               "a": sol.a, **bd.as_dict()}
+               "a": sol.a, "a_error": sol.a_error, **bd.as_dict(),
+               "energy_error": hy_energy_error(params, sol.a, sol.a_error)}
     header = tuple(payload)
     rows = [tuple(payload.values())]
     summary = (f"e(rho) = {bd.total:.12g} "
@@ -610,19 +612,12 @@ _COMMANDS = {
 COMMANDS = tuple(_COMMANDS)
 
 
-# output fields that are NaN by design, by command: bg-solve's phi is
-# G over the pair dispersion and NaN where that is not positive
-_NAN_BY_DESIGN = {"bg-solve": {"phi"}}
-
-
-def _nonfinite(obj, skip, path):
+def _nonfinite(obj, path):
     """'path = value' for the first NaN or infinity in obj (a number, a
-    list or array of them, or a dict of those), or None. Dict keys in
-    skip are not looked at."""
+    list or array of them, or a dict of those), or None."""
     if isinstance(obj, dict):
         for key, value in obj.items():
-            found = None if key in skip else _nonfinite(value, skip,
-                                                        f"{path}.{key}")
+            found = _nonfinite(value, f"{path}.{key}")
             if found:
                 return found
         return None
@@ -637,7 +632,7 @@ def _nonfinite(obj, skip, path):
             bad = arr[~np.isfinite(arr)]
             return f"{path} = {bad[0]}" if bad.size else None
         for i, value in enumerate(obj):
-            found = _nonfinite(value, skip, f"{path}[{i}]")
+            found = _nonfinite(value, f"{path}[{i}]")
             if found:
                 return found
         return None
@@ -656,9 +651,8 @@ def run(config):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     wall_ms = (time.perf_counter() - t0) * 1000.0
-    skip = _NAN_BY_DESIGN.get(config.command, ())
-    found = (_nonfinite(dict(zip(header, zip(*rows))), skip, "column")
-             or _nonfinite(payload, skip, "payload"))
+    found = (_nonfinite(dict(zip(header, zip(*rows))), "column")
+             or _nonfinite(payload, "payload"))
     if found:
         print(f"error: non-finite result {found}; nothing written",
               file=sys.stderr)

@@ -180,6 +180,18 @@ def hy_energy(params, a):
                              total=kin + mf + hy)
 
 
+def hy_energy_error(params, a, a_error):
+    """Error in hy_energy's total that an error a_error in a carries: its
+    derivative in a, 8*pi*rho_up*rho_down + 2a*rho_max^(7/3)*F(x), times
+    a_error, with the same majority routing as hy_energy."""
+    hi, lo = max(params.rho_up, params.rho_down), min(params.rho_up,
+                                                      params.rho_down)
+    slope = 8.0 * math.pi * params.rho_up * params.rho_down
+    if hi > 0.0:
+        slope += 2.0 * a * hi ** (7.0 / 3.0) * F_closed(lo / hi)
+    return slope * a_error
+
+
 def baseline_energies(params, a, Vhat0):
     """First-order reference energies (lss, ffg).
 

@@ -450,17 +450,27 @@ class EtaFunction:
 @dataclass(frozen=True)
 class BGSolution:
     """Discretized solution of the two-particle in-medium scattering
-    equation; phi = G over the pair dispersion where that is positive.
-    mode is always "radial", the one case bethe_goldstone_solve solves."""
+    equation: G at the radial momentum nodes, which lie strictly above the
+    Pauli floor max(kF_up, kF_down) >= 0. The pair dispersion and
+    phi = G over it are derived on each access, not stored. mode is
+    always "radial", the one case bethe_goldstone_solve solves."""
 
     mode: str
     nodes: np.ndarray
     G: np.ndarray
-    phi: np.ndarray
-    denominators: np.ndarray
     residual: float
     kF_up: float
     kF_down: float
+
+    @property
+    def denominators(self):
+        """The pair dispersion 2q^2 at each node."""
+        return 2.0 * self.nodes ** 2
+
+    @property
+    def phi(self):
+        """G over the pair dispersion."""
+        return self.G / self.denominators
 
 
 def _radial_rule(potential, q_max):
@@ -516,16 +526,11 @@ def bethe_goldstone_solve(potential, kF_up, kF_down, tol=1e-11):
     """
     nodes, M, FV_nodes = _bg_radial_matrix(
         potential, max(kF_up, kF_down), _BG_NODES, 80.0 / potential.R)
-    lam_p = 2.0 * nodes ** 2
     G = np.linalg.solve(np.eye(len(FV_nodes)) + M, FV_nodes)
     residual = float(np.max(np.abs(G - (FV_nodes - M @ G))))
     bound = tol * max(1.0, float(np.max(np.abs(G))))
     if not residual <= bound:
         raise RuntimeError(f"Bethe-Goldstone residual {residual:.3e} above "
                            f"tol * max(1, max|G|) = {bound:.3e}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi = np.where(lam_p > 0.0, G / lam_p, np.nan)
-    return BGSolution(mode="radial",
-                      nodes=nodes, G=G, phi=phi, denominators=lam_p,
-                      residual=residual,
+    return BGSolution(mode="radial", nodes=nodes, G=G, residual=residual,
                       kF_up=float(kF_up), kF_down=float(kF_down))

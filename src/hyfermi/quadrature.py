@@ -11,10 +11,10 @@ the annulus slice measure
 The slice measure is a polynomial on each of at most two pieces, so the
 t-integral of (2p^2 + 2p(s+t) + 2*eps)^-power is done in closed form
 (t_integral) and only s is left to quadrature: one Gauss sum per p-node,
-O(n) in the axis length, taken for all nodes of a Gauss p-panel in one
-inner_pair call on a (p, s) array. The denominator vanishes only at the
-corner s = t = -p/2, reachable when p <= 2*min(kF, kF'); the s panels are
-graded dyadically into that corner.
+O(n) in the axis length, taken for every p-node of one rung's rule in
+one inner_pair call on a (p, s) array. The denominator vanishes only at
+the corner s = t = -p/2, reachable when p <= 2*min(kF, kF'); the s
+panels are graded dyadically into that corner.
 
 The oracles (g_pointwise and the p-integrated F_quadrature,
 singular_integral_bound and gap_cutoff_study) climb one ladder of
@@ -186,10 +186,12 @@ def inner_pair(p, kf1, kf2, two_eps=0.0, power=1, n_gauss=16, n_levels=18):
     the two slice measures; the core of every study below.
 
     s runs over the graded Gauss axis of the kf1 shell, the t-integral over
-    the kf2 shell is exact. p is a scalar or a 1-D array (one Gauss
-    p-panel); returns the value (a float, or one per p) and the number of
+    the kf2 shell is exact. p is a scalar or a 1-D array (every p-node of
+    a rule); returns the value (a float, or one per p) and the number of
     s-nodes summed over all p. The axis branch (p < 2*kf1) and the t-split
-    (p < 2*kf2) are taken per p, so 2*kf need not be a panel edge.
+    (p < 2*kf2) are taken per p, so 2*kf need not be a panel edge. Each
+    row is computed on its own, so how the p-nodes are batched changes no
+    bit of the result.
     """
     scalar = np.ndim(p) == 0
     p = np.atleast_1d(np.asarray(p, dtype=np.float64))
@@ -216,19 +218,18 @@ def inner_pair(p, kf1, kf2, two_eps=0.0, power=1, n_gauss=16, n_levels=18):
 
 def _composite_p(fn, edges, n_p):
     """Gauss panels over [edges]; wide segments are split geometrically.
-    fn takes the n_p nodes of one panel at once."""
+    fn takes every node of the rule at once and returns (values,
+    evaluations); the values are summed panel by panel, in order."""
     refined = [edges[0]]
     for a, b in zip(edges[:-1], edges[1:]):
         m = max(2, int(math.ceil(math.log2(b / a)))) \
             if a > 0.0 and b / a > 4.0 else 1
         refined += [a * (b / a) ** (i / m) for i in range(1, m)] + [b]
     nodes, weights = _panels(refined, n_p)
+    values, evals = fn(nodes)
     total = 0.0
-    evals = 0
-    for xx, ww in zip(nodes.reshape(-1, n_p), weights.reshape(-1, n_p)):
-        v, n = fn(xx)
-        total += float(ww @ v)
-        evals += n
+    for ww, vv in zip(weights.reshape(-1, n_p), values.reshape(-1, n_p)):
+        total += float(ww @ vv)
     return total, evals
 
 

@@ -109,7 +109,7 @@ def test_criterion_05_ode_and_principal_value():
         worst_pv = max(worst_pv, diff)
     assert worst_pv <= 1e-4
     elapsed = time.perf_counter() - t0
-    report(5, 5.0, elapsed,
+    report(5, 3.0, elapsed,
            f"ode residual {max(res):.2e}, pv mismatch {worst_pv:.2e}")
 
 
@@ -140,7 +140,7 @@ def test_criterion_07_bethe_goldstone_degeneration():
                   / np.max(np.abs(phi_free)))
     assert worst <= 1e-4
     elapsed = time.perf_counter() - t0
-    report(7, 5.0, elapsed, f"empty-sea solver vs free profile {worst:.2e}")
+    report(7, 1.0, elapsed, f"empty-sea solver vs free profile {worst:.2e}")
 
 
 def test_criterion_08_fock_exactness():

@@ -4,6 +4,7 @@ the emitted CSV/JSON shapes."""
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -11,12 +12,14 @@ import re
 import time
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyfermi import cli, quadrature
 from hyfermi.cutoffs import CutoffConfig
+from hyfermi.hyformula import FermiParams, hy_energy_error
 
 
 def run_cli(argv, capsys):
@@ -222,10 +225,14 @@ def test_hy_eval_breakdown(capsys):
     assert code == 0
     payload, _ = parse_json_output(out)
     for key in ("kinetic", "mean_field", "huang_yang", "total",
-                "error_order_exponent"):
+                "error_order_exponent", "a_error", "energy_error"):
         assert key in payload
     assert payload["total"] == pytest.approx(
         payload["kinetic"] + payload["mean_field"] + payload["huang_yang"])
+    params = FermiParams(rho_up=1e-3, rho_down=1e-3)
+    assert payload["energy_error"] == hy_energy_error(
+        params, payload["a"], payload["a_error"])
+    assert 0.0 < payload["energy_error"] < 1e-12 * payload["mean_field"]
 
 
 def test_hy_table_default_grid(capsys):
@@ -561,20 +568,23 @@ def test_non_finite_result_exits_one(monkeypatch, capsys):
     assert err.startswith("error: ") and "i_regularized" in err
 
 
-def test_nan_by_design_is_not_a_failure(monkeypatch, capsys):
-    """bg-solve's phi is NaN where the pair dispersion is not positive."""
+def test_bg_solve_non_finite_phi_exits_one(monkeypatch, capsys):
+    """phi gets no exemption from the non-finite guard: a node at q = 0
+    makes it G/0, and bg-solve exits 1 naming it."""
     real = cli.bethe_goldstone_solve
 
-    def with_blocked_node(*args, **kwargs):
+    def with_node_at_zero(*args, **kwargs):
         sol = real(*args, **kwargs)
-        sol.denominators[0], sol.phi[0] = 0.0, float("nan")
-        return sol
+        nodes = sol.nodes.copy()
+        nodes[0] = 0.0
+        return dataclasses.replace(sol, nodes=nodes)
 
-    monkeypatch.setattr(cli, "bethe_goldstone_solve", with_blocked_node)
-    code, out, _ = run_cli(["bg-solve"], capsys)
-    assert code == 0
-    header, rows, _ = parse_csv_output(out)
-    assert rows[0][header.index("phi")] == "nan"
+    monkeypatch.setattr(cli, "bethe_goldstone_solve", with_node_at_zero)
+    with np.errstate(divide="ignore"):
+        code, out, err = run_cli(["bg-solve"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "phi" in err
 
 
 @pytest.mark.parametrize("text, word", [

@@ -666,15 +666,22 @@ def test_expectation_matches_full_matvec(demo, generators, ph_zero, support):
 @example(0.0, 1.0)
 @example(1.0, 0.0)
 @example(5e-324, -1e-300)
+@example(2.0, 2.0)
 def test_trial_energy_matches_full_space(demo, generators, ph_zero, l1, l2):
-    """The block energy equals the whole-sector expectation sum."""
+    """The block energy equals the whole-sector expectation sum.
+
+    Both sides round at the size of the terms, not of their sum, which
+    cancels (at (2, 2) terms of +-4.4e-4 sum to -1.2e-6), so the tolerance
+    scales with the sum of |vec|^T |T_t| |vec| over the terms."""
     lat, basis, _, _, terms = demo
     b1, b2 = generators
     vec = _embed(*fock.trial_state(basis, b1, b2, l1, l2), ph_zero)
     energy = fock.trial_energy(lat, basis, terms, b1, b2, l1, l2)
-    full = sum(float(vec @ t.on(ph_zero) @ vec) for t in terms.values())
+    mats = [t.on(ph_zero) for t in terms.values()]
+    full = sum(float(vec @ m @ vec) for m in mats)
+    scale = sum(float(np.abs(vec) @ np.abs(m) @ np.abs(vec)) for m in mats)
     # the floor only matters where subnormal amplitudes leave no digits
-    assert abs(energy - full) <= 1e-13 * abs(full) + 1e-300
+    assert abs(energy - full) <= 1e-13 * scale + 1e-300
 
 
 def test_b1_lazy_coefficients_match_explicit_table(demo, ph_zero):

@@ -13,6 +13,7 @@ from hyfermi.hyformula import (
     baseline_energies,
     f_aux,
     hy_energy,
+    hy_energy_error,
 )
 
 F1_ANCHOR = (48.0 / 35.0) * (11.0 - 2.0 * math.log(2.0)) \
@@ -81,6 +82,21 @@ def test_hy_energy_terms_positive_and_ordered():
     assert bd.total == pytest.approx(
         bd.kinetic + bd.mean_field + bd.huang_yang)
     assert bd.error_order_exponent == pytest.approx(7.0 / 3.0 + 1.0 / 9.0)
+
+
+@pytest.mark.parametrize("rho_up,rho_down,a", [
+    (1e-3, 1e-3, 0.37), (2e-3, 5e-4, 1.2), (5e-4, 2e-3, 1.2),
+    (1e-3, 0.0, 0.37), (1e-2, 3e-3, 0.3),
+])
+def test_hy_energy_error_is_the_slope_in_a(rho_up, rho_down, a):
+    """energy_error = d(total)/da * a_error; the total is quadratic in a,
+    so a centred difference of hy_energy is exact but for rounding."""
+    params = FermiParams(rho_up=rho_up, rho_down=rho_down)
+    h, a_error = 0.25, 3e-7
+    slope = (hy_energy(params, a + h).total
+             - hy_energy(params, a - h).total) / (2.0 * h)
+    assert hy_energy_error(params, a, a_error) == pytest.approx(
+        slope * a_error, rel=1e-9, abs=0.0)
 
 
 def test_baseline_ordering():

@@ -1,6 +1,7 @@
 """Scattering solver, Fourier transforms, periodization, pair amplitudes,
 and the in-medium scattering equation."""
 
+import dataclasses
 import json
 import math
 
@@ -385,6 +386,22 @@ def test_bg_pauli_blocking_raises_amplitude():
     sol1 = bethe_goldstone_solve(pot, 0.9, 0.9)
     assert sol1.G[0] > sol0.G[0]
     assert sol1.residual < 1e-9
+
+
+@pytest.mark.parametrize("kf_up, kf_down", [(0.0, 0.0), (0.9, 0.4)])
+def test_bg_solution_keeps_only_nodes_and_g(kf_up, kf_down):
+    """phi and the pair dispersion are derived from nodes and G, bit for
+    bit as the solver used to store them; the nodes lie above the Pauli
+    floor, so the dispersion is positive and phi finite."""
+    sol = bethe_goldstone_solve(RadialPotential(kind="square-well", V0=4.0,
+                                                R=1.0), kf_up, kf_down)
+    assert [f.name for f in dataclasses.fields(sol)] == [
+        "mode", "nodes", "G", "residual", "kF_up", "kF_down"]
+    assert np.all(sol.nodes > max(kf_up, kf_down))
+    lam_p = 2.0 * sol.nodes ** 2
+    old_phi = np.where(lam_p > 0.0, sol.G / lam_p, np.nan)
+    assert sol.denominators.tobytes() == lam_p.tobytes()
+    assert sol.phi.tobytes() == old_phi.tobytes()
 
 
 def test_bg_solve_matches_lu():

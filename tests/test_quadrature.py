@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from hyfermi import quadrature
 from hyfermi.cutoffs import CutoffConfig
 from hyfermi.hyformula import F_closed, FermiParams
 from hyfermi.quadrature import (
@@ -17,6 +18,8 @@ from hyfermi.quadrature import (
     _RUNGS,
     F_quadrature,
     _axis,
+    _composite_p,
+    _panels,
     g_pointwise,
     gap_cutoff_study,
     inner_pair,
@@ -161,6 +164,77 @@ def test_inner_pair_array_matches_scalar_loop(power, two_eps, kf1, kf2):
     np.testing.assert_allclose(got, [v for v, _ in want], rtol=1e-13, atol=0.0)
     assert n == sum(k for _, k in want)
     assert got[-1] == 0.0
+
+
+def composite_p_per_panel(fn, edges, n_p):
+    """_composite_p as it was: one fn call per p-panel, the panel sums
+    added in order."""
+    refined = [edges[0]]
+    for a, b in zip(edges[:-1], edges[1:]):
+        m = max(2, int(math.ceil(math.log2(b / a)))) \
+            if a > 0.0 and b / a > 4.0 else 1
+        refined += [a * (b / a) ** (i / m) for i in range(1, m)] + [b]
+    nodes, weights = _panels(refined, n_p)
+    total = 0.0
+    evals = 0
+    for xx, ww in zip(nodes.reshape(-1, n_p), weights.reshape(-1, n_p)):
+        v, n = fn(xx)
+        total += float(ww @ v)
+        evals += n
+    return total, evals
+
+
+# (kf1, kf2, two_eps, power, edges): the pair integrands of F_quadrature
+# (x = 0.3) and singular_integral_bound (x = 0.05), and a gapped one with
+# unequal shells, whose rule has nodes on both sides of each 2kf
+_P_RULES = [
+    (1.0, 0.3 ** (1.0 / 3.0), 0.0, 1, [0.0, 2.0 * 0.3 ** (1.0 / 3.0), 2.0, 6.0, 50.0]),
+    (1.0, 0.05, 0.0, 2, [0.0, 0.1, 2.0, 6.0, 30.0]),
+    (0.7, 0.4, 2e-3, 1, [0.0, 0.8, 1.4, 3.0, 9.0]),
+]
+
+
+@pytest.mark.parametrize("kf1, kf2, two_eps, power, edges", _P_RULES)
+@pytest.mark.parametrize("rung", range(len(_RUNGS)))
+def test_composite_p_one_call_matches_per_panel_loop(kf1, kf2, two_eps,
+                                                     power, edges, rung):
+    """One fn call per rule, with the same total, bit for bit, and the
+    same evaluations as a call per p-panel: inner_pair's rows do not
+    depend on how the p-nodes are batched."""
+    n_g, n_l, n_p = _RUNGS[rung]
+    calls = []
+
+    def fn(p):
+        calls.append(p.size)
+        v, n = inner_pair(p, kf1, kf2, two_eps, power, n_g, n_l)
+        return p * p * v, n
+
+    got = _composite_p(fn, edges, n_p)
+    assert len(calls) == 1 and calls[0] % n_p == 0 and calls[0] > n_p
+    want = composite_p_per_panel(fn, edges, n_p)
+    assert got == want
+
+
+@pytest.mark.parametrize("call", [
+    lambda: F_quadrature(0.4, tol=1e-8),
+    lambda: singular_integral_bound([0.2], tol=1e-8),
+    lambda: gap_cutoff_study(FermiParams(rho_up=2e-3, rho_down=5e-4),
+                             CutoffConfig(rho=1e-3), [1e-3], tol=1e-10),
+], ids=["F", "singular", "gap"])
+def test_p_integrated_oracles_call_inner_pair_once_per_rung(call,
+                                                            monkeypatch):
+    """Each tol climbs past rung 1 (to rungs 2, 3 and 3)."""
+    calls = []
+    real = quadrature.inner_pair
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "inner_pair", counted)
+    out = call()
+    rung = out.rung if hasattr(out, "rung") else out[0]["rung"]
+    assert rung >= 2 and len(calls) == rung + 1
 
 
 def test_axis_refuses_p_on_both_sides_of_2kf():
