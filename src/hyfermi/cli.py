@@ -517,7 +517,9 @@ def _cmd_fock_demo(config):
                 e = e_ffg + fock.trial_energy(lat, basis, terms, b1, b2, l1, l2)
                 trial.append((float(l1), float(l2), e))
     with _stage(stages, "ground"):
-        e_ground = fock.ground_energy(lat, basis, h, lat.N_up, lat.N_down)
+        # H on the physics sector, kept for nnz
+        h_physics = h.on(physics)
+        e_ground = float(np.linalg.eigvalsh(h_physics)[0])
     payload = {
         "E_ffg": e_ffg,
         "E_ground": e_ground,
@@ -526,12 +528,12 @@ def _cmd_fock_demo(config):
     }
     # H on the physics sector; the terms and generators on its
     # particle-hole image
-    nnz = np.count_nonzero(h.on(physics)) + sum(
-        np.count_nonzero(o.on(ph)) for o in (*terms.values(), b1, b2))
+    ops = (*terms.values(), b1, b2)
     counters = {
         "sector_states": int(physics.size),
         "trial_block": int(fock.trial_block(b1, b2).size),
-        "nnz": int(nnz),
+        "nnz": int(np.count_nonzero(h_physics)) + fock.nonzero_entries(ops, ph),
+        "forms": sum(o.coef.size for o in (h, *ops)),
         "stages": {k: round(v, 3) for k, v in stages.items()},
     }
     header = ("lambda1", "lambda2", "energy")

@@ -9,12 +9,15 @@ split and the quasi-bosonic generators all hold as matrix identities that
 tests can check to near machine precision.
 
 H, the quartic correlation blocks Q1..Q4 and the generators B1, B2 are
-momentum-conserving sums of four ladder operators. Each is assembled as
-arrays of ladder strings from one enumeration of the momentum quartets
+momentum-conserving sums of four ladder operators, written as arrays of
+ladder strings from one enumeration of the momentum quartets
 (_quartets): per block an occupation mask over the four slots, a
-coefficient array and a spin pattern. One batched symbolic pass
-(_reduce) turns the strings into reduced forms, and equal forms are
-merged.
+coefficient array and a spin pattern. Each build call (build_hamiltonian,
+build_corr_terms with all seven terms, build_generator, make_operator)
+makes one reduce-and-merge pass (_assemble): one batched symbolic _reduce
+over its strings, number terms written as forms directly, and one merge
+of equal forms keyed by operator label, on which every claimed flag is
+checked operator by operator.
 
 Momenta are integer triples n standing for k = (2*pi/L) n, and mode 2i + s
 is momentum i with spin s. Every builder reads the Fermi-ball geometry from
@@ -29,11 +32,11 @@ is built on all 2^n of them. H conserves the particle number of each spin;
 the correlation terms and the generators conserve, per spin, the
 particle-hole charge (particles outside the Fermi ball) - (holes inside).
 A sector is the sorted array of the states with fixed per-spin charges, and
-the particle-hole transform is a signed permutation from a particle-hole
-sector onto an occupation sector. Sizes are refused before anything is
-enumerated: more than 62 modes (the bits of an int64 below its sign) or a
-sector above C(7, 3)^2 = 1225 states, the largest sector of a 7-momentum
-lattice. One particle per spin on 19 momenta gives 361 states.
+the particle-hole transform is a signed permutation, in closed form, from a
+particle-hole sector onto an occupation sector. Sizes are refused before
+anything is enumerated: more than 62 modes (the bits of an int64 below its
+sign) or a sector above C(7, 3)^2 = 1225 states, the largest sector of a
+7-momentum lattice. One particle per spin on 19 momenta gives 361 states.
 
 The trial states act on less still. B - B* maps each connected component of
 B's graph to itself, so each exponential acts on the component that holds
@@ -48,6 +51,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -299,28 +303,28 @@ class FockOperator:
     # _component's results, by the bytes of the states they start from
     _memo: dict = field(default_factory=dict, repr=False)
 
-    def _images(self, src: np.ndarray, adjoint: bool = False):
+    def _images(self, src: np.ndarray):
         """Every nonzero action on the states src: (position in src, image
-        state, value). The adjoint swaps each string's need and final bits."""
-        fixed, need, final, flip = self.forms[_ADJOINT] if adjoint else self.forms
+        state, value, column of the acting form), form-major."""
+        fixed, need, final, flip = self.forms
         step = max(1, _CHUNK // max(src.size, 1))
-        cols, images, vals = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
+        forms, cols = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
         for lo in range(0, self.coef.size, step):
             f, j = np.nonzero((src & fixed[lo:lo + step, None]) == need[lo:lo + step, None])
             f += lo
-            x = src[j]
-            parity = np.bitwise_count(x & flip[f]) & 1
+            forms.append(f)
             cols.append(j)
-            images.append(x ^ need[f] ^ final[f])
-            vals.append(self.coef[f] * (1.0 - 2.0 * parity))
-        return np.concatenate(cols), np.concatenate(images), np.concatenate(vals)
+        f, j = np.concatenate(forms), np.concatenate(cols)
+        x = src[j]
+        parity = np.bitwise_count(x & flip[f]) & 1
+        return j, x ^ need[f] ^ final[f], self.coef[f] * (1.0 - 2.0 * parity), f
 
     def on(self, src, dst=None) -> np.ndarray:
         """Dense matrix [i, j] = <dst_i| M |src_j> between int64 state arrays;
         dst (default src) must be sorted, and images outside it are dropped."""
         src = np.asarray(src, dtype=np.int64)
         dst = src if dst is None else np.asarray(dst, dtype=np.int64)
-        j, y, val = self._images(src)
+        j, y, val, _ = self._images(src)
         i = np.minimum(np.searchsorted(dst, y), dst.size - 1)
         keep = dst[i] == y
         flat = np.bincount(i[keep] * src.size + j[keep], weights=val[keep],
@@ -331,14 +335,15 @@ class FockOperator:
         """The sorted union of the connected components of M's graph that
         hold `states`, with the eigenvalues w and eigenvectors v of
         i(M - M*) on it; remembered, because every trial state asks for the
-        same few."""
+        same few. The block grows by one pass over the forms of M and M*
+        together, whose adjoint swaps each form's need and final bits."""
         key = states.tobytes()
         if key not in self._memo:
+            both = FockOperator(basis=self.basis, coef=np.concatenate((self.coef, self.coef)),
+                                forms=np.concatenate((self.forms, self.forms[_ADJOINT]), axis=1))
             block = states
             while True:
-                _, down, _ = self._images(block)
-                _, up, _ = self._images(block, adjoint=True)
-                grown = np.union1d(block, np.concatenate((down, up)))
+                grown = np.union1d(block, both._images(block)[1])
                 if grown.size == block.size:
                     break
                 block = grown
@@ -399,53 +404,84 @@ def _sum_equal(forms, coef):
                                         minlength=np.count_nonzero(first))
 
 
-def _join(parts, plus_adjoint=False):
-    """Concatenate (forms, coef) parts; plus_adjoint appends every form's
-    adjoint as well, so the parts of M give the forms of M + M*."""
-    forms = np.hstack([np.zeros((4, 0), dtype=np.int64)] + [f for f, _ in parts])
-    coef = np.concatenate([np.zeros(0)] + [c for _, c in parts])
-    if plus_adjoint:
-        return np.hstack((forms, forms[_ADJOINT])), np.concatenate((coef, coef))
-    return forms, coef
+class _Sum(NamedTuple):
+    """One operator for _assemble: blocks (modes, dag, coef) of ladder
+    strings, modes (T, n) and dag broadcasting to it; number[j], the
+    coefficient of a*_j a_j; its claimed flags; and plus_adjoint, which
+    adds every string's adjoint, so the strings of M give M + M*."""
+
+    strings: tuple = ()
+    number: np.ndarray | None = None
+    hermitian: bool = False
+    number_conserving: bool = False
+    plus_adjoint: bool = False
 
 
-def _operator(basis, forms, coef, hermitian=False, number_conserving=False) -> FockOperator:
-    """Sum equal forms, drop exact zeros, and wrap the rest, checking every
-    structural flag that is claimed: M is Hermitian when M - M* leaves no
-    coefficient above rounding."""
+def _assemble(basis: FockBasis, sums) -> list[FockOperator]:
+    """The operators of the _Sum list `sums`, in one reduce-and-merge pass.
+
+    Strings of one length share one _reduce call; number terms are written
+    as forms directly (fixed = need = final = bit j, flip = 0, sign +1).
+    One _sum_equal merges equal forms under a row of operator labels, the
+    primary key. Each operator keeps its own order (number terms, strings,
+    adjoints) and lexsort is stable, so its columns, their order and its
+    sums are those it would get alone. Exact zeros are dropped, and each
+    claimed flag is checked per label: M is Hermitian when M - M* leaves
+    no coefficient above 1e-12 (1 + max |coef of M|).
+    """
+    forms, coef, by_length = [np.zeros((5, 0), dtype=np.int64)], [np.zeros(0)], {}
+    for op, s in enumerate(sums):
+        if s.number is not None:
+            bit = np.left_shift(1, np.arange(len(s.number)))
+            forms.append(np.stack((bit, bit, bit, 0 * bit, np.full(bit.size, op))))
+            coef.append(np.asarray(s.number, dtype=np.float64))
+        for modes, dag, c in s.strings:
+            by_length.setdefault(modes.shape[1], []).append((op, modes, dag, c))
+    for group in by_length.values():
+        ops, modes, dag, c = zip(*group)
+        if len(group) > 1:
+            dag = [np.broadcast_to(d, m.shape) for m, d in zip(modes, dag)]
+        f, sign = _reduce(np.concatenate(modes), np.concatenate(dag))
+        # a vanishing string's form is not meaningful: drop it, whatever its coefficient
+        live = sign != 0.0
+        forms.append(np.concatenate((f, np.repeat(ops, [len(x) for x in c])[None]))[:, live])
+        coef.append(sign[live] * np.concatenate(c)[live])
+    forms, coef = np.concatenate(forms, axis=1), np.concatenate(coef)
+    adjoint, hermitian, conserving = np.array(
+        [(s.plus_adjoint, s.hermitian, s.number_conserving) for s in sums]).reshape(-1, 3).T
+    if adjoint.any():
+        mine = adjoint[forms[4]]
+        forms = np.concatenate((forms, forms[:, mine][_ADJOINT + [4]]), axis=1)
+        coef = np.concatenate((coef, coef[mine]))
     forms, coef = _sum_equal(forms, coef)
     keep = coef != 0.0
     forms, coef = forms[:, keep], coef[keep]
-    scale = 1.0 + float(np.abs(coef).max(initial=0.0))
-    if hermitian:
-        _, diff = _sum_equal(np.hstack((forms, forms[_ADJOINT])), np.concatenate((coef, -coef)))
-        if np.abs(diff).max(initial=0.0) > 1e-12 * scale:
+    label = forms[4]
+    if hermitian.any():
+        scale = np.zeros(len(sums))
+        np.maximum.at(scale, label, np.abs(coef))
+        mine, c = forms[:, hermitian[label]], coef[hermitian[label]]
+        at, diff = _sum_equal(np.concatenate((mine, mine[_ADJOINT + [4]]), axis=1),
+                              np.concatenate((c, -c)))
+        if np.any(np.abs(diff) > 1e-12 * (1.0 + scale[at[4]])):
             raise ValueError("operator claimed Hermitian is not")
-    if number_conserving and np.any(np.bitwise_count(forms[1]) != np.bitwise_count(forms[2])):
+    if conserving.any() and np.any(conserving[label] & (np.bitwise_count(forms[1])
+                                                        != np.bitwise_count(forms[2]))):
         raise ValueError("operator claimed number conserving is not")
-    return FockOperator(basis=basis, coef=coef, forms=forms, hermitian=hermitian,
-                        number_conserving=number_conserving)
-
-
-def _strings(terms):
-    """(forms, coef) of (coefficient, ops) terms: one _reduce per string length."""
-    by_length: dict[int, list] = {}
-    for coef, ops in terms:
-        by_length.setdefault(len(ops), []).append((coef, ops))
-    parts = []
-    for n, group in by_length.items():
-        ops = np.array([ops for _, ops in group], dtype=np.int64).reshape(len(group), n, 2)
-        forms, sign = _reduce(ops[..., 0], ops[..., 1] != 0)
-        live = sign != 0.0
-        coef = np.array([c for c, _ in group], dtype=np.float64)
-        parts.append((forms[:, live], sign[live] * coef[live]))
-    return _join(parts)
+    ends = np.searchsorted(label, np.arange(len(sums) + 1))
+    return [FockOperator(basis=basis, coef=coef[a:b], forms=forms[:4, a:b],
+                         hermitian=s.hermitian, number_conserving=s.number_conserving)
+            for s, a, b in zip(sums, ends[:-1], ends[1:])]
 
 
 def make_operator(basis, terms, hermitian=False,
                   number_conserving=False) -> FockOperator:
     """Sum (coefficient, ops) ladder strings, checking every claimed flag."""
-    return _operator(basis, *_strings(terms), hermitian, number_conserving)
+    strings = [(np.array([j for j, _ in ops], dtype=np.int64).reshape(1, -1),
+                np.array([d for _, d in ops], dtype=bool), np.array([coef], dtype=np.float64))
+               for coef, ops in terms]
+    return _assemble(basis, [_Sum(strings, hermitian=hermitian,
+                                  number_conserving=number_conserving)])[0]
 
 
 def _quartets(lattice: LatticeConfig, dag) -> np.ndarray:
@@ -469,23 +505,16 @@ def _quartets(lattice: LatticeConfig, dag) -> np.ndarray:
     return quads[:, quads[3] >= 0]
 
 
-def _block(quads, dag, spins, coef):
-    """(forms, coef) of the strings a#_{k1 s1} a#_{k2 s2} a#_{k3 s3} a#_{k4 s4}
-    over the quartets (k1, k2, k3, k4), a# = a* where dag holds. The spins
-    (s1, s2, s3, s4) and the coefficient per quartet broadcast together, so
-    a spin array of shape (S, 1) gives S strings per quartet; zero
-    coefficients are skipped."""
+def _quartic(quads, dag, spins, coef):
+    """The strings a#_{k1 s1} a#_{k2 s2} a#_{k3 s3} a#_{k4 s4} over the
+    quartets (k1, k2, k3, k4), a# = a* where dag holds, as a _Sum block.
+    The spins (s1, s2, s3, s4) and the coefficient per quartet broadcast
+    together, so a spin array of shape (S, 1) gives S strings per quartet;
+    zero coefficients are skipped."""
     modes = np.stack(np.broadcast_arrays(*(2 * k + s for k, s in zip(quads, spins))), axis=-1)
     coef = np.broadcast_to(coef, modes.shape[:-1])
     keep = coef != 0.0
-    forms, sign = _reduce(modes[keep], dag)
-    # a vanishing string's form is not meaningful: drop it, whatever its coefficient
-    live = sign != 0.0
-    return forms[:, live], sign[live] * coef[keep][live]
-
-
-def _number_terms(per_mode) -> list:
-    return [(c, [(j, True), (j, False)]) for j, c in enumerate(per_mode)]
+    return modes[keep], dag, coef[keep]
 
 
 def mode_operator(basis: FockBasis, momentum, spin: int, kind: str) -> FockOperator:
@@ -497,8 +526,7 @@ def mode_operator(basis: FockBasis, momentum, spin: int, kind: str) -> FockOpera
 
 def number_operator(basis: FockBasis, spin=None) -> FockOperator:
     per_mode = [1.0 if spin is None or s == spin else 0.0 for _, s in basis.mode_order]
-    return make_operator(basis, _number_terms(per_mode), hermitian=True,
-                         number_conserving=True)
+    return _assemble(basis, [_Sum(number=per_mode, hermitian=True, number_conserving=True)])[0]
 
 
 def vhat_from_potential(lattice: LatticeConfig, potential) -> dict[Triple, float]:
@@ -532,7 +560,7 @@ def _vhat_table(lattice: LatticeConfig, vhat) -> np.ndarray:
 
 
 # the four spin pairs (s, t), as (4, 1) columns that broadcast against the
-# quartets: _block then writes one string per pair and quartet
+# quartets: _quartic then writes one string per pair and quartet
 _S, _T = np.array(list(itertools.product((SPIN_UP, SPIN_DOWN), repeat=2))).T[:, :, None]
 _NUMBER_LIKE = (True, True, False, False)
 
@@ -549,9 +577,9 @@ def build_hamiltonian(lattice: LatticeConfig, basis: FockBasis, vhat) -> FockOpe
     # a*_{k1 s} a*_{k2 t} a_{k3 t} a_{k4 s} V^(k1 - k4) / (2 L^3)
     coef = 1.0 / (2.0 * lattice.L ** 3) * vd[k1, k4]
     # mode 2 i + s has momentum n_i
-    parts = [_strings(_number_terms(np.repeat(np.square(lattice.k), 2)))]
-    parts.append(_block(quads, _NUMBER_LIKE, (_S, _T, _T, _S), coef))
-    return _operator(basis, *_join(parts), hermitian=True, number_conserving=True)
+    return _assemble(basis, [_Sum([_quartic(quads, _NUMBER_LIKE, (_S, _T, _T, _S), coef)],
+                                  number=np.repeat(np.square(lattice.k), 2),
+                                  hermitian=True, number_conserving=True)])[0]
 
 
 def ffg_index(lattice: LatticeConfig, basis: FockBasis) -> int:
@@ -571,19 +599,28 @@ def ph_transform(lattice: LatticeConfig, basis: FockBasis, states):
     determinant leaves empty (outside) or filled (inside), so R is a signed
     permutation from ph_sector(q) onto sector(N + q), with the overlap of
     R|0> and the determinant +1.
+
+    In closed form: let t_j be the mode c_j flips (2 reflect[i] + s inside
+    the ball, j outside) and hit_j bit j of x. t is a permutation, so
+    image = FFG ^ sum_j hit_j 2^{t_j}, and the sign is (-1) to the power
+    sum_j hit_j parity(FFG & (2^{t_j} - 1)) + #{j < j' : both hit,
+    t_{j'} < t_j}: each c_j, applied after the higher factors, passes the
+    determinant's modes below t_j and the higher hit targets below it.
+    Integer products over the occupation bits, so exact and loop free.
     """
     states = np.asarray(states, dtype=np.int64)
-    ins, reflect = lattice.inside.tolist(), lattice.reflect.tolist()
-    image = np.full(states.shape, ffg_index(lattice, basis), dtype=np.int64)
-    negative = np.zeros(states.shape, dtype=bool)
-    for j in reversed(range(basis.n_modes)):
-        # mode j = 2 i + s goes to the mode of -n_i inside the ball, else stays
-        i, s = divmod(j, 2)
-        t = 2 * reflect[i] + s if ins[s][i] else j
-        hit = (states >> j) & 1 == 1
-        negative ^= hit & (np.bitwise_count(image & ((1 << t) - 1)) & 1 == 1)
-        image = np.where(hit, image ^ (1 << t), image)
-    return image, np.where(negative, -1.0, 1.0)
+    j = np.arange(basis.n_modes)
+    i, s = np.divmod(j, 2)
+    t = np.where(lattice.inside[s, i], 2 * lattice.reflect[i] + s, j)
+    ffg = ffg_index(lattice, basis)
+    below = np.bitwise_count(ffg & (np.left_shift(1, t) - 1)) & 1
+    # per mode j, the higher modes whose targets lie below t_j
+    crossed = np.where((j > j[:, None]) & (t < t[:, None]), np.left_shift(1, j), 0).sum(axis=1)
+    hit = (states[:, None] >> j) & 1
+    image = ffg ^ np.sum(hit << t, axis=1)
+    odd = (np.bitwise_count(states & np.sum(below << j))
+           + np.sum(hit * np.bitwise_count(states[:, None] & crossed), axis=1))
+    return image, np.where(odd & 1 == 1, -1.0, 1.0)
 
 
 def ffg_energy(lattice: LatticeConfig, basis: FockBasis, h: FockOperator) -> float:
@@ -627,11 +664,10 @@ def build_corr_terms(lattice: LatticeConfig, basis: FockBasis, vhat) -> dict:
     out = ~ins
 
     # an [i, s] array ravels in mode order 2 i + s; inside and X are [s, i]
-    h0 = make_operator(
-        basis,
-        _number_terms(np.abs(np.square(lattice.k)[:, None]
-                             - np.square([lattice.kF_up, lattice.kF_down])).ravel()),
-        hermitian=True, number_conserving=True)
+    conserving = dict(hermitian=True, number_conserving=True)
+    h0 = _Sum(number=np.abs(np.square(lattice.k)[:, None]
+                            - np.square([lattice.kF_up, lattice.kF_down])).ravel(),
+              **conserving)
 
     # X dresses each mode with the mean field of the filled balls: direct
     # coupling to the total density minus the same-spin exchange fold. The
@@ -640,10 +676,7 @@ def build_corr_terms(lattice: LatticeConfig, basis: FockBasis, vhat) -> dict:
     # needs it.
     exchange = ins @ table / vol
     hartree = (lattice.N_up + lattice.N_down) * vhat[(0, 0, 0)] / vol
-    x = make_operator(
-        basis,
-        _number_terms(((hartree - exchange) * np.where(ins, -1.0, 1.0)).T.ravel()),
-        hermitian=True, number_conserving=True)
+    x = _Sum(number=((hartree - exchange) * np.where(ins, -1.0, 1.0)).T.ravel(), **conserving)
 
     # each block is a*_{k1} a*_{k2} a_{k3} a_{k4} (or with more creators)
     # over the momentum quartets: V^ at its transfer, an occupation mask on
@@ -652,40 +685,35 @@ def build_corr_terms(lattice: LatticeConfig, basis: FockBasis, vhat) -> dict:
     dag = _NUMBER_LIKE
     quads = k1, k2, k3, k4 = _quartets(lattice, dag)
     # one particle and one hole created at k1 + k2, a hole pair eaten
-    q1 = [_block(quads, dag, (s, s, t, t), vd[k1, neg[k2]]
-                 * (out[s, k1] & ins[s, k2] & ins[t, k3] & out[t, k4]))]
+    q1 = [_quartic(quads, dag, (s, s, t, t), vd[k1, neg[k2]]
+                   * (out[s, k1] & ins[s, k2] & ins[t, k3] & out[t, k4]))]
     # a hole pair (k2, k3) of spin t scattered against a spin-s pair
     # (k1, k4): +1/2 when both are holes, -1 when both are particles
     pair = 0.5 * (ins[s, k1] & ins[s, k4]) - 1.0 * (out[s, k1] & out[s, k4])
-    q1.append(_block(quads, dag, (s, t, t, s), pair * vd[k1, k4] * (ins[t, k2] & ins[t, k3])))
+    q1.append(_quartic(quads, dag, (s, t, t, s), pair * vd[k1, k4] * (ins[t, k2] & ins[t, k3])))
     # particle-particle scattering
-    q4 = [_block(quads, dag, (s, t, t, s), 0.5 * vd[k1, k4]
-                 * (out[s, k1] & out[t, k2] & out[t, k3] & out[s, k4]))]
+    q4 = [_quartic(quads, dag, (s, t, t, s), 0.5 * vd[k1, k4]
+                   * (out[s, k1] & out[t, k2] & out[t, k3] & out[s, k4]))]
 
     # particles k1, k2 and holes k3, k4 created, plus the adjoint; split
     # into equal and opposite spins
     dag = (True, True, True, True)
     quads = k1, k2, k3, k4 = _quartets(lattice, dag)
     q2 = 0.5 * vd[k1, neg[k4]] * (out[s, k1] & out[t, k2] & ins[t, k3] & ins[s, k4])
-    q2_par = [_block(quads, dag, (s, t, t, s), q2 * (s == t))]
-    q2_ud = [_block(quads, dag, (s, t, t, s), q2 * (s != t))]
+    q2_par = [_quartic(quads, dag, (s, t, t, s), q2 * (s == t))]
+    q2_ud = [_quartic(quads, dag, (s, t, t, s), q2 * (s != t))]
 
     # a particle-hole pair (k1, k3) created while a spin-t mode moves from
     # k4 to k2: +1 between holes, -1 between particles, plus the adjoint
     dag = (True, True, True, False)
     quads = k1, k2, k3, k4 = _quartets(lattice, dag)
     moved = 1.0 * (ins[t, k2] & ins[t, k4]) - 1.0 * (out[t, k2] & out[t, k4])
-    q3 = [_block(quads, dag, (s, t, s, t), moved * vd[k1, neg[k3]] * (out[s, k1] & ins[s, k3]))]
+    q3 = [_quartic(quads, dag, (s, t, s, t), moved * vd[k1, neg[k3]] * (out[s, k1] & ins[s, k3]))]
 
-    return {
-        "H0": h0,
-        "X": x,
-        "Q1": _operator(basis, *_join(q1), hermitian=True, number_conserving=True),
-        "Q2_par": _operator(basis, *_join(q2_par, plus_adjoint=True), hermitian=True),
-        "Q2_ud": _operator(basis, *_join(q2_ud, plus_adjoint=True), hermitian=True),
-        "Q3": _operator(basis, *_join(q3, plus_adjoint=True), hermitian=True),
-        "Q4": _operator(basis, *_join(q4), hermitian=True, number_conserving=True),
-    }
+    paired = dict(hermitian=True, plus_adjoint=True)
+    sums = {"H0": h0, "X": x, "Q1": _Sum(q1, **conserving), "Q2_par": _Sum(q2_par, **paired),
+            "Q2_ud": _Sum(q2_ud, **paired), "Q3": _Sum(q3, **paired), "Q4": _Sum(q4, **conserving)}
+    return dict(zip(sums, _assemble(basis, list(sums.values()))))
 
 
 def corr_hamiltonian(terms: dict) -> FockOperator:
@@ -695,6 +723,22 @@ def corr_hamiltonian(terms: dict) -> FockOperator:
                         coef=np.concatenate([t.coef for t in ops]),
                         forms=np.concatenate([t.forms for t in ops], axis=1),
                         hermitian=True)
+
+
+def nonzero_entries(ops, src) -> int:
+    """The nonzero entries of the operators' matrices on the sorted states
+    src, summed over the operators, as np.count_nonzero(op.on(src)) counts
+    them: one _images pass over their joined forms, each image keyed by
+    its operator, row and column, and each entry summed in on's order."""
+    joined = FockOperator(basis=ops[0].basis, coef=np.concatenate([o.coef for o in ops]),
+                          forms=np.concatenate([o.forms for o in ops], axis=1))
+    j, y, val, f = joined._images(src)
+    i = np.minimum(np.searchsorted(src, y), src.size - 1)
+    keep = src[i] == y
+    label = np.repeat(np.arange(len(ops)), [o.coef.size for o in ops])[f[keep]]
+    _, entries = _sum_equal(((label * src.size + i[keep]) * src.size + j[keep])[None],
+                            val[keep])
+    return int(np.count_nonzero(entries))
 
 
 def excitation_counts(lattice: LatticeConfig, basis: FockBasis, states):
@@ -712,28 +756,34 @@ def excitation_counts(lattice: LatticeConfig, basis: FockBasis, states):
 def _identity_residuals(lattice: LatticeConfig, basis: FockBasis, h: FockOperator,
                         terms: dict, charges) -> dict:
     """Residuals of R*HR = E_ffg + sum of the terms + sum_s kF_s^2 q_s on the
-    particle-hole sectors of the given per-spin charges q."""
+    particle-hole sectors of the given distinct per-spin charges q.
+
+    The sectors are transformed in one call, and h and the summed terms
+    are each materialized once, densely, on their union: both conserve the
+    per-spin charge, so the union matrix is block diagonal and each entry
+    is the one its sector alone gives. Four sectors hold at most 784
+    states (27 momenta: 729 + 27 + 27 + 1); every sector of the 14-mode
+    demo lattice together would be 2^14, so pass few at a time.
+    """
     total = corr_hamiltonian(terms)
-    e_ffg = ffg_energy(lattice, basis, h)
-    off = balanced = fit = 0.0
-    for q in charges:
-        src = ph_sector(lattice, basis, *q)
-        image, sign = ph_transform(lattice, basis, src)
-        order = np.argsort(image)
-        pos = np.empty_like(order)
-        pos[order] = np.arange(order.size)
-        conj = np.outer(sign, sign) * h.on(image[order])[np.ix_(pos, pos)]
-        diff = conj - total.on(src)
-        diag = diff.diagonal() - e_ffg
-        np.fill_diagonal(diff, 0.0)
-        # np.maximum keeps a NaN, where max(0.0, nan) would drop it
-        off = np.maximum(off, np.abs(diff).max())
-        if q[0] == q[1] == 0:
-            balanced = np.maximum(balanced, np.abs(diag).max())
-        expected = lattice.kF_up ** 2 * q[0] + lattice.kF_down ** 2 * q[1]
-        fit = np.maximum(fit, np.abs(diag - expected).max())
-    return {"offdiagonal": float(off), "balanced_diagonal": float(balanced),
-            "imbalance_fit": float(fit)}
+    src = np.sort(np.concatenate([ph_sector(lattice, basis, *q) for q in charges]))
+    up, up_holes, down, down_holes = excitation_counts(lattice, basis, src)
+    q_up, q_down = up - up_holes, down - down_holes
+    image, sign = ph_transform(lattice, basis, src)
+    by_image = np.argsort(image)
+    pos = np.empty_like(by_image)
+    pos[by_image] = np.arange(by_image.size)
+    conj = np.outer(sign, sign) * h.on(image[by_image])[np.ix_(pos, pos)]
+    # R maps the vacuum, state 0, onto the determinant: E_ffg on the diagonal
+    e_ffg = conj[0, 0] if src[0] == 0 else ffg_energy(lattice, basis, h)
+    diff = conj - total.on(src)
+    diag = diff.diagonal() - e_ffg
+    np.fill_diagonal(diff, 0.0)
+    expected = lattice.kF_up ** 2 * q_up + lattice.kF_down ** 2 * q_down
+    # max keeps a NaN, where Python's max(0.0, nan) would drop it
+    return {"offdiagonal": float(np.abs(diff).max(initial=0.0)),
+            "balanced_diagonal": float(np.abs(diag[(q_up == 0) & (q_down == 0)]).max(initial=0.0)),
+            "imbalance_fit": float(np.abs(diag - expected).max(initial=0.0))}
 
 
 def corr_identity_report(lattice: LatticeConfig, basis: FockBasis,
@@ -772,7 +822,9 @@ def q2_ud_from_pairs(lattice: LatticeConfig, basis: FockBasis, vhat) -> FockOper
         up = _pair_terms(lattice, p, SPIN_UP)
         down = _pair_terms(lattice, np.negative(p), SPIN_DOWN) if up else []
         terms += [(val / vol, ou + od) for _, ou in up for _, od in down]
-    return _operator(basis, *_join([_strings(terms)], plus_adjoint=True), hermitian=True)
+    # plus the adjoint: the factors reversed, each one's dagger flipped
+    terms += [(c, [(j, not d) for j, d in reversed(ops)]) for c, ops in terms]
+    return make_operator(basis, terms, hermitian=True)
 
 
 def build_generator(lattice: LatticeConfig, basis: FockBasis, which: str, *,
@@ -810,7 +862,8 @@ def build_generator(lattice: LatticeConfig, basis: FockBasis, which: str, *,
         keep &= w != 0.0
         val = eta.value(-unit * n[k2[keep]], -unit * n[k4[keep]], unit * p[keep])
         coef[keep] = w[keep] * val / lattice.L ** 3
-    return _operator(basis, *_block(quads, dag, (SPIN_UP, SPIN_UP, SPIN_DOWN, SPIN_DOWN), coef))
+    return _assemble(basis, [_Sum([_quartic(quads, dag, (SPIN_UP, SPIN_UP, SPIN_DOWN, SPIN_DOWN),
+                                            coef)])])[0]
 
 
 _VACUUM = np.zeros(1, dtype=np.int64)

@@ -90,6 +90,10 @@ def test_criterion_04_oracle_agreement():
 
 
 def test_criterion_05_ode_and_principal_value():
+    # warm the import path before timing: the first call imports
+    # scipy.integrate, ~0.5 s against a ~4 ms body
+    pv_quadratic_epsilon(3.0, 1.0, 1e-4)
+    pv_linear_epsilon(1.5, 0.7, 1e-4)
     t0 = time.perf_counter()
     res = [ode_check_f(x, h=1e-4) for x in (0.5, 2.0)]
     assert max(res) <= 1e-4
@@ -109,7 +113,7 @@ def test_criterion_05_ode_and_principal_value():
         worst_pv = max(worst_pv, diff)
     assert worst_pv <= 1e-4
     elapsed = time.perf_counter() - t0
-    report(5, 3.0, elapsed,
+    report(5, 0.2, elapsed,
            f"ode residual {max(res):.2e}, pv mismatch {worst_pv:.2e}")
 
 
@@ -200,7 +204,7 @@ def test_criterion_08_fock_exactness():
                                           float(l1), float(l2))
             assert e >= e_ground - 1e-10
     elapsed = time.perf_counter() - t0
-    report(8, 1.0, elapsed,
+    report(8, 0.3, elapsed,
            f"CAR {car:.1e}, unitarity {unitarity:.1e}, identity "
            f"{identity:.1e}, sector {sector:.1e}, 5x5 bound ok")
 

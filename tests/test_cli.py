@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyfermi import cli, quadrature
+from hyfermi import cli, fock, quadrature
 from hyfermi.cutoffs import CutoffConfig
 from hyfermi.hyformula import FermiParams, hy_energy_error
 
@@ -388,7 +388,7 @@ def test_fock_demo_contract(capsys):
                                capsys)
         assert code == 0
         payload, meta = parse_json_output(out)
-        metas.append({k: meta[k] for k in ("sector_states", "trial_block", "nnz")})
+        metas.append({k: meta[k] for k in ("sector_states", "trial_block", "nnz", "forms")})
         # per-stage wall times, outside the byte-identical-rerun guarantee
         assert set(meta["stages"]) == {"lattice", "sector", "H", "corr-terms", "PH",
                                        "identity", "scatter", "generators", "trial",
@@ -409,6 +409,28 @@ def test_fock_demo_contract(capsys):
     # duplicated block shows here
     assert metas[0]["nnz"] == 397
     assert metas[0] == metas[1]
+
+
+def test_fock_demo_forms_counts_merged_strings(capsys):
+    """`forms` is the number of merged ladder strings of H, the seven
+    correlation terms, B1 and B2, as fock-demo built them."""
+    built = []
+
+    def recording(build):
+        def wrapped(*args, **kwargs):
+            out = build(*args, **kwargs)
+            built.extend(out.values() if isinstance(out, dict) else [out])
+            return out
+        return wrapped
+
+    with contextlib.ExitStack() as stack:
+        for name in ("build_hamiltonian", "build_corr_terms", "build_generator"):
+            stack.enter_context(mock.patch.object(fock, name, recording(getattr(fock, name))))
+        code, out, _ = run_cli(["fock-demo", "--lambda-grid", "0"], capsys)
+    assert code == 0
+    assert len(built) == 10
+    _, meta = parse_json_output(out)
+    assert meta["forms"] == sum(op.coef.size for op in built) == 390
 
 
 def test_output_file_and_determinism(tmp_path, capsys):

@@ -8,6 +8,7 @@ operator identities are checked on every one of them, which covers the
 whole Fock space."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -281,12 +282,64 @@ def test_vacuum_action(demo):
 
 
 def test_flag_claims_are_verified(demo):
+    """A false claim raises naming the flag: a lone a_j, a sum claimed
+    Hermitian that is not, a lone a*_j claimed number conserving. A true
+    claim passes."""
     _, basis, _, _, _ = demo
-    j = basis.mode((1, 0, 0), fock.SPIN_UP)
-    with pytest.raises(ValueError):
+    i, j = basis.mode((0, 0, 0), fock.SPIN_UP), basis.mode((1, 0, 0), fock.SPIN_UP)
+    hop, back = [(i, True), (j, False)], [(j, True), (i, False)]
+    with pytest.raises(ValueError, match="claimed Hermitian is not"):
         fock.make_operator(basis, [(1.0, [(j, False)])], hermitian=True)
-    with pytest.raises(ValueError):
-        fock.make_operator(basis, [(1.0, [(j, False)])], number_conserving=True)
+    with pytest.raises(ValueError, match="claimed Hermitian is not"):
+        fock.make_operator(basis, [(1.0, hop), (0.5, back)], hermitian=True)
+    for ops in ([(j, False)], [(j, True)]):
+        with pytest.raises(ValueError, match="claimed number conserving is not"):
+            fock.make_operator(basis, [(1.0, ops)], number_conserving=True)
+    op = fock.make_operator(basis, [(1.0, hop), (1.0, back)], hermitian=True,
+                            number_conserving=True)
+    assert op.hermitian and op.number_conserving and op.coef.size == 2
+
+
+def _hop(a, b, coef=1.0):
+    """a*_a a_b as a one-string block of fock._Sum."""
+    return np.array([[a, b]]), (True, False), np.array([coef])
+
+
+def test_assembly_checks_each_operator_on_its_own(demo):
+    """Operators assembled together are checked one by one: a*_i a_j and
+    a*_j a_i sum to a Hermitian operator but neither is one, so a claim on
+    either raises, also when both claim it; a lone creator claimed number
+    conserving raises beside a number operator, in either order."""
+    _, basis, _, _, _ = demo
+    i, j = basis.mode((1, 0, 0), fock.SPIN_UP), basis.mode((0, 0, 0), fock.SPIN_UP)
+    for first, second in ((True, True), (True, False), (False, True)):
+        with pytest.raises(ValueError, match="claimed Hermitian is not"):
+            fock._assemble(basis, [fock._Sum([_hop(i, j)], hermitian=first),
+                                   fock._Sum([_hop(j, i)], hermitian=second)])
+    create = (np.array([[j]]), (True,), np.array([1.0]))
+    number = fock._Sum(number=np.ones(basis.n_modes), number_conserving=True)
+    for sums in ([fock._Sum([create], number_conserving=True), number],
+                 [number, fock._Sum([create], number_conserving=True)]):
+        with pytest.raises(ValueError, match="claimed number conserving is not"):
+            fock._assemble(basis, sums)
+
+
+def test_assembly_together_equals_apart(demo):
+    """True claims on every operator pass, and each operator assembled
+    with others has the forms and coefficients it has alone, bit for
+    bit: M + M* written out, M with plus_adjoint, and number terms."""
+    _, basis, _, _, _ = demo
+    i, j = basis.mode((1, 0, 0), fock.SPIN_UP), basis.mode((0, 0, 0), fock.SPIN_DOWN)
+    flags = dict(hermitian=True, number_conserving=True)
+    sums = [fock._Sum([_hop(i, j, 0.3), _hop(j, i, 0.3)], **flags),
+            fock._Sum([_hop(i, j, 0.3)], plus_adjoint=True, **flags),
+            fock._Sum([_hop(i, i, 2.0)], number=np.linspace(-1.0, 1.0, basis.n_modes), **flags)]
+    together = fock._assemble(basis, sums)
+    for s, op in zip(sums, together):
+        alone, = fock._assemble(basis, [s])
+        assert op.hermitian and op.number_conserving
+        assert np.array_equal(op.forms, alone.forms) and np.array_equal(op.coef, alone.coef)
+    assert np.array_equal(together[0].forms, together[1].forms)
 
 
 def test_vanishing_strings_leave_no_forms(demo):
@@ -310,7 +363,7 @@ def test_hamiltonian_flags_and_commutators(demo):
     assert h.hermitian and h.number_conserving
     for c in all_counts(lat):
         src = fock.sector(basis, *c)
-        _, image, _ = h._images(src)
+        _, image, _, _ = h._images(src)
         assert np.isin(image, src).all()
         m = h.on(src)
         assert absmax(m - m.T) <= 1e-12 * absmax(m)
@@ -409,7 +462,7 @@ def test_opstring_against_dense_reference(case):
     some = every[::3]
     assert np.abs(op.on(some[::-1], some) - ref[np.ix_(some, some[::-1])]).max() <= 1e-12
     # the adjoint of a form swaps its need and final rows
-    adj = fock._operator(basis, op.forms[[0, 2, 1, 3]], op.coef)
+    adj = fock.FockOperator(basis=basis, coef=op.coef, forms=op.forms[[0, 2, 1, 3]])
     assert np.abs(adj.on(every) - ref.T).max() <= 1e-12
 
 
@@ -472,6 +525,14 @@ def test_ffg_energy_against_wick(demo, asym):
 # --------------------------------------------------- correlation structure
 
 
+def every_sector_residuals(lat, basis, h, terms):
+    """_identity_residuals over every sector of the lattice, taken sector
+    by sector: all 64 of the demo lattice as one dense block would hold
+    2^14 states."""
+    per = [fock._identity_residuals(lat, basis, h, terms, [q]) for q in all_charges(lat)]
+    return {k: max(r[k] for r in per) for k in per[0]}
+
+
 def test_correlation_identity(demo, asym):
     """Conjugated Hamiltonian minus the correlation decomposition: zero
     off the diagonal, zero on the balanced diagonal, and exactly the
@@ -479,7 +540,7 @@ def test_correlation_identity(demo, asym):
     covers and on every sector of the lattice."""
     for lat, basis, _, h, terms in (demo, asym):
         for rep in (fock.corr_identity_report(lat, basis, h, terms),
-                    fock._identity_residuals(lat, basis, h, terms, all_charges(lat))):
+                    every_sector_residuals(lat, basis, h, terms)):
             assert set(rep) == {"offdiagonal", "balanced_diagonal", "imbalance_fit"}
             assert rep["offdiagonal"] <= 1e-10
             assert rep["balanced_diagonal"] <= 1e-10
@@ -507,6 +568,128 @@ def test_one_body_terms_match_per_triple_reference(demo, asym):
         for op, want in ((h, kin), (terms["H0"], h0), (terms["X"], x)):
             got = np.diagonal(op.on(single))
             assert np.allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+# SHA-256 of the bytes of forms (int64) and coef (float64) of every
+# operator, recorded before one reduce-and-merge pass built them all: the
+# pass must leave each column, its order and each coefficient sum as it was
+_DIGESTS = {
+    "demo": {
+        "H": ("cd3711566769fb09697591878968dcda38d15e374a15d0de03b2b4efde5da56f",
+              "37058600c1906dd4daedf247f199ad3201eeaa4a54ee888eeccf47695ae8c19e"),
+        "H0": ("928e59774eb7eee5c4e0a5d78f0ceea6155fb651b58741c43a42bcae541d8a4f",
+               "94e18822f65eaa6318e835b45448478dfea063cf377a5981b138420edc92e561"),
+        "X": ("928e59774eb7eee5c4e0a5d78f0ceea6155fb651b58741c43a42bcae541d8a4f",
+              "764ac3c32fa287d00429e5f30386e284e06048face8df2d05043b713656e2e71"),
+        "Q1": ("cc3e3e8df72e40cd07b04900d20169ffe9c0baf50fb46c9d938a1732bb371a97",
+               "43079cb7dc3c80ae146589a7972b451a927c6da4c9fa9b91671531761d913b7f"),
+        "Q2_par": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                   "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "Q2_ud": ("d4a27c51e0290e87eb290318c0899ecb884257707356ba7855f4ad648fc3972e",
+                  "9a483a867b778140a5ae68c9da326f7f848b14d36ef311222dbc0be4bed684f1"),
+        "Q3": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+               "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "Q4": ("043f779b2115b447540bd57c7ea4d1358c7221cf18e635f6ad6fefb2d3571fd9",
+               "52aece5f8b156338f0a430892d3a47b410d14f7873289b05de9bc31892faba17"),
+        "B1": ("4c5681d3dd1da48a23996246c0348263c9d45b185c77188de3c6ec2c7d2ae79a",
+               "02597055364f8059694714a0a988c5bf052a9d4ae08282bd95eff145526566cb"),
+        "B2": ("4c5681d3dd1da48a23996246c0348263c9d45b185c77188de3c6ec2c7d2ae79a",
+               "46071183dea9abf950c3a462a66e07de8c58f9d0f753663d221f4df5ae100ee0"),
+    },
+    "asym": {
+        "H": ("cd3711566769fb09697591878968dcda38d15e374a15d0de03b2b4efde5da56f",
+              "37058600c1906dd4daedf247f199ad3201eeaa4a54ee888eeccf47695ae8c19e"),
+        "H0": ("928e59774eb7eee5c4e0a5d78f0ceea6155fb651b58741c43a42bcae541d8a4f",
+               "4ed3113a0d436ce55aca13df4f525f4e1614a56db358a65ffdf7392dff8d7611"),
+        "X": ("928e59774eb7eee5c4e0a5d78f0ceea6155fb651b58741c43a42bcae541d8a4f",
+              "090fc9379e6b7a3a6a29d398841d4d17d11b109b28b2e3274a8bd6105c1dfde5"),
+        "Q1": ("cbb9ca84cfdd5473073010e3605790b951c9afa6503ef96879e2b16b89a91901",
+               "a2cb28007be128faab9c50f8627e096eef3336621fc3957b95f1bda840d05293"),
+        "Q2_par": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                   "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "Q2_ud": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "Q3": ("7003b007a86db7b015c7c285f30effcd40435128a93bea40002cbca3fd51a1a0",
+               "02a47916bd9b880fbfb3a6bf09044ecd4007a48d5f7bbeb52cbf19f090714030"),
+        "Q4": ("fbc6bc0bb384274f6d87ad9ac92ea35613e59b66aca5ec060a7318ae754b3e6b",
+               "62bc8b7f8f26d0a15b22b8f1b351da089ce2f97c0e37b2c1ad073cb8c36f1a27"),
+        # the down ball fills the lattice: no particle-hole pair to remove
+        "B1": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+               "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "B2": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+               "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    },
+}
+
+
+def _sha(a, dtype):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=dtype).tobytes()).hexdigest()
+
+
+def test_operator_digests(demo, asym):
+    sol = solve_scattering(POT)
+    cut = CutoffConfig(rho=0.225 ** 4.5)
+    psf = periodize_phi(sol, L, cutoff=cut)
+    for name, (lat, basis, _, h, terms) in (("demo", demo), ("asym", asym)):
+        eta = EtaFunction(a=sol.a, epsilon=cut.epsilon, kF_up=lat.kF_up, kF_down=lat.kF_down)
+        ops = {"H": h, **terms,
+               "B1": fock.build_generator(lat, basis, "B1", phi=psf),
+               "B2": fock.build_generator(lat, basis, "B2", eta=eta, cutoff=cut)}
+        got = {k: (_sha(op.forms, np.int64), _sha(op.coef, np.float64)) for k, op in ops.items()}
+        assert got == _DIGESTS[name]
+
+
+# the residuals recorded before the sectors were checked on one block
+_RESIDUALS = {
+    "demo": ({"offdiagonal": "0x1p-60", "balanced_diagonal": "0x1p-60",
+              "imbalance_fit": "0x1p-60"},
+             {"offdiagonal": "0x1p-60", "balanced_diagonal": "0x1p-60",
+              "imbalance_fit": "0x1.ap-48"}),
+    "asym": ({"offdiagonal": "0x1p-60", "balanced_diagonal": "0x1p-49",
+              "imbalance_fit": "0x1.4p-49"},
+             {"offdiagonal": "0x1p-60", "balanced_diagonal": "0x1p-49",
+              "imbalance_fit": "0x1.a8p-46"}),
+}
+
+
+def test_identity_residuals_unchanged(demo, asym):
+    """The report's four sectors on one block, and every sector of the
+    lattice, give the residuals the sector-by-sector check gave, exactly."""
+    for name, (lat, basis, _, h, terms) in (("demo", demo), ("asym", asym)):
+        report, every = ({k: float.fromhex(v) for k, v in want.items()}
+                         for want in _RESIDUALS[name])
+        assert fock.corr_identity_report(lat, basis, h, terms) == report
+        assert every_sector_residuals(lat, basis, h, terms) == every
+
+
+def _ph_by_mode(lat, basis, states):
+    """ph_transform as a loop over modes, highest first: each hit mode j
+    flips its target t_j in the image, passing the image's lower bits."""
+    ins, reflect = lat.inside.tolist(), lat.reflect.tolist()
+    image = np.full(states.shape, fock.ffg_index(lat, basis), dtype=np.int64)
+    negative = np.zeros(states.shape, dtype=bool)
+    for j in reversed(range(basis.n_modes)):
+        i, s = divmod(j, 2)
+        t = 2 * reflect[i] + s if ins[s][i] else j
+        hit = (states >> j) & 1 == 1
+        negative ^= hit & (np.bitwise_count(image & ((1 << t) - 1)) & 1 == 1)
+        image = np.where(hit, image ^ (1 << t), image)
+    return image, np.where(negative, -1.0, 1.0)
+
+
+def test_ph_transform_matches_mode_loop(demo, asym):
+    """The closed form equals the loop over modes on all 2^14 states, and
+    on a concatenation of sectors equals the sectors one by one."""
+    for lat, basis, _, _, _ in (demo, asym):
+        every = np.arange(basis.dimension, dtype=np.int64)
+        image, sign = fock.ph_transform(lat, basis, every)
+        want_image, want_sign = _ph_by_mode(lat, basis, every)
+        assert np.array_equal(image, want_image) and np.array_equal(sign, want_sign)
+        sectors = [fock.ph_sector(lat, basis, *q) for q in all_charges(lat)[::7]]
+        image, sign = fock.ph_transform(lat, basis, np.concatenate(sectors))
+        apart = [fock.ph_transform(lat, basis, x) for x in sectors]
+        assert np.array_equal(image, np.concatenate([y for y, _ in apart]))
+        assert np.array_equal(sign, np.concatenate([z for _, z in apart]))
 
 
 def test_identity_report_sees_the_imbalance(demo):
