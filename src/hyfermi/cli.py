@@ -273,20 +273,12 @@ def _fmt(v):
     return str(v)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    return obj
+def _json_default(obj):
+    """json.dumps' hook for numpy objects: arrays as lists, scalars as
+    Python numbers. A float64 is a float, so json never passes it here."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit(config, header, rows, payload, meta):
@@ -297,9 +289,9 @@ def _emit(config, header, rows, payload, meta):
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
     else:
-        buf.write(json.dumps(_jsonable(payload), indent=1))
+        buf.write(json.dumps(payload, indent=1, default=_json_default))
         buf.write("\n")
-    buf.write(json.dumps(_jsonable(meta)))
+    buf.write(json.dumps(meta, default=_json_default))
     buf.write("\n")
     text = buf.getvalue()
     if config.output_path:

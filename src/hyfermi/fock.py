@@ -22,10 +22,11 @@ checked operator by operator.
 Momenta are integer triples n standing for k = (2*pi/L) n, and mode 2i + s
 is momentum i with spin s. Every builder reads the Fermi-ball geometry from
 the lattice's read-only arrays over the momentum indices: the triples n,
-their norms k, inside[s] (k <= kF_s, so the boundary counts as occupied)
-and reflect, the index of -n. All interaction coefficients used here are
-real (radial potentials), so every matrix is real and Hermitian conjugation
-is plain transposition.
+their norms k, inside[s] (k <= kF_s, so the boundary counts as occupied),
+reflect, the index of -n, and d2, the squared transfers |n_i - n_j|^2.
+The potential is radial, so V^ is a real radial table: entry m is V^ at
+|n|^2 = m, and V^(n_i - n_j) is V^[d2[i, j]]. Every matrix is real and
+Hermitian conjugation is plain transposition.
 
 A basis state is an int64 whose bit j is the occupation of mode j. Nothing
 is built on all 2^n of them. H conserves the particle number of each spin;
@@ -87,7 +88,7 @@ def _norms(unit: float, n: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class LatticeConfig:
     """Finite symmetric momentum grid with completely filled Fermi balls,
-    its geometry held in the read-only arrays n, k, inside and reflect."""
+    its geometry held in the read-only arrays n, k, inside, reflect and d2."""
 
     L: float
     momenta: tuple[Triple, ...]
@@ -119,6 +120,10 @@ class LatticeConfig:
     @cached_property
     def reflect(self) -> np.ndarray:
         return _read_only(np.array([self.index[tuple(m)] for m in (-self.n).tolist()]))
+
+    @cached_property
+    def d2(self) -> np.ndarray:
+        return _read_only(np.sum(np.square(self.n[:, None] - self.n[None]), axis=2))
 
 
 def build_lattice(L: float, K_max: float, shell_up: float, shell_down: float) -> LatticeConfig:
@@ -529,34 +534,29 @@ def number_operator(basis: FockBasis, spin=None) -> FockOperator:
     return _assemble(basis, [_Sum(number=per_mode, hermitian=True, number_conserving=True)])[0]
 
 
-def vhat_from_potential(lattice: LatticeConfig, potential) -> dict[Triple, float]:
-    """Interaction coefficients V^(k) on the full grid difference set."""
-    diffs = (lattice.n[:, None] - lattice.n[None]).reshape(-1, 3)
-    norms, by_norm = np.unique(np.sum(diffs * diffs, axis=1), return_inverse=True)
-    values = fourier_V(potential, lattice.unit * np.sqrt(norms))
-    return dict(zip(map(tuple, diffs.tolist()), values[by_norm].tolist()))
-
-
-def _validate_vhat(vhat) -> None:
-    for n, val in vhat.items():
-        v = complex(val)
-        if v.imag != 0.0:
-            raise ValueError(f"V^({n}) must be real")
-        if not math.isfinite(v.real):
-            raise ValueError(f"V^({n}) must be finite, got {v.real}")
-        m = tuple(-c for c in n)
-        if m not in vhat:
-            raise ValueError(f"V^ missing the reflected transfer {m}")
-        if abs(vhat[m] - val) > 1e-12 * (1.0 + abs(val)):
-            raise ValueError(f"V^({n}) != V^({m}) breaks reflection symmetry")
+def vhat_from_potential(lattice: LatticeConfig, potential) -> np.ndarray:
+    """V^ as a read-only radial table over the grid's transfers: entry m is
+    V^ at |n|^2 = m, for m up to the largest |n_i - n_j|^2. Each realized
+    square is transformed once; a square the grid never realizes holds 0."""
+    m = np.unique(lattice.d2)
+    table = np.zeros(m[-1] + 1)
+    table[m] = fourier_V(potential, lattice.unit * np.sqrt(m))
+    return _read_only(table)
 
 
 def _vhat_table(lattice: LatticeConfig, vhat) -> np.ndarray:
-    """The validated V^(n_i - n_j) over pairs of momentum indices; a
-    transfer that vhat does not list counts as zero."""
-    _validate_vhat(vhat)
-    diffs = (lattice.n[:, None] - lattice.n[None]).reshape(-1, 3).tolist()
-    return np.array([vhat.get(tuple(d), 0.0) for d in diffs]).reshape(len(lattice.n), -1)
+    """V^(n_i - n_j) over pairs of momentum indices, read from the radial
+    table vhat; a table that is not 1-D and real, is too short for the
+    grid's transfers or holds a non-finite entry is refused."""
+    vhat = np.asarray(vhat)
+    if np.iscomplexobj(vhat):
+        raise ValueError("V^ must be real")
+    if vhat.ndim != 1 or vhat.size <= lattice.d2.max():
+        raise ValueError(f"V^ must be a 1-D table of at least {lattice.d2.max() + 1} "
+                         f"entries, one per |n|^2; got shape {vhat.shape}")
+    if not np.isfinite(vhat).all():
+        raise ValueError(f"V^ must be finite, got {vhat[~np.isfinite(vhat)][0]}")
+    return vhat.astype(np.float64)[lattice.d2]
 
 
 # the four spin pairs (s, t), as (4, 1) columns that broadcast against the
@@ -635,14 +635,14 @@ def ffg_energy_wick(lattice: LatticeConfig, vhat) -> float:
     Exact on the truncated model too: every contributing transfer connects two
     Fermi-ball momenta, so nothing is lost to the grid cutoff.
     """
+    table = _vhat_table(lattice, vhat)
     kin = exch = 0.0
     for ins in lattice.inside:
-        ball = lattice.n[ins]
         kin += float(np.sum(np.square(lattice.k[ins])))
         # same-spin exchange: V^(p - l) over pairs p, l of one ball
-        exch += sum(vhat[tuple(d)] for d in (ball[:, None] - ball[None]).reshape(-1, 3).tolist())
+        exch += sum(table[np.ix_(ins, ins)].ravel().tolist())
     n_tot = lattice.N_up + lattice.N_down
-    return kin + (vhat[(0, 0, 0)] * n_tot * n_tot - exch) / (2.0 * lattice.L ** 3)
+    return kin + (table[0, 0] * n_tot * n_tot - exch) / (2.0 * lattice.L ** 3)
 
 
 def build_corr_terms(lattice: LatticeConfig, basis: FockBasis, vhat) -> dict:
@@ -675,7 +675,7 @@ def build_corr_terms(lattice: LatticeConfig, basis: FockBasis, vhat) -> dict:
     # invisible in any fixed-number expectation, but the operator identity
     # needs it.
     exchange = ins @ table / vol
-    hartree = (lattice.N_up + lattice.N_down) * vhat[(0, 0, 0)] / vol
+    hartree = (lattice.N_up + lattice.N_down) * table[0, 0] / vol
     x = _Sum(number=((hartree - exchange) * np.where(ins, -1.0, 1.0)).T.ravel(), **conserving)
 
     # each block is a*_{k1} a*_{k2} a_{k3} a_{k4} (or with more creators)
@@ -813,10 +813,12 @@ def _pair_terms(lattice: LatticeConfig, p, spin: int) -> list:
 
 def q2_ud_from_pairs(lattice: LatticeConfig, basis: FockBasis, vhat) -> FockOperator:
     """Opposite-spin Q2 rebuilt from products of pair operators, for cross-checking."""
-    _validate_vhat(vhat)
     vol = lattice.L ** 3
+    # each distinct transfer p = n_i - n_j once, V^(p) read at its first pair
+    transfers, first = np.unique((lattice.n[:, None] - lattice.n[None]).reshape(-1, 3),
+                                 axis=0, return_index=True)
     terms = []
-    for p, val in vhat.items():
+    for p, val in zip(transfers, _vhat_table(lattice, vhat).ravel()[first].tolist()):
         if val == 0.0:
             continue
         up = _pair_terms(lattice, p, SPIN_UP)

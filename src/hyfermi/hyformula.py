@@ -18,30 +18,13 @@ def _t_of(x):
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
-def _F_direct(x):
-    t = _t_of(x)
+def _F_groups(x, t, sing):
+    """F from t = x^(1/3) and the branch's log-singular group: the
+    prefactor times the polynomial, logarithmic and singular groups."""
     pref = (6.0 * math.pi ** 2) ** (1.0 / 3.0) / 35.0
     poly = 6.0 * (15.0 * t - 4.0 * t ** 2 + 33.0 * t ** 3 + 33.0 * t ** 4
                   - 4.0 * t ** 5 + 15.0 * t ** 6)
     logs = 16.0 * t ** 7 * math.log(x) - 48.0 * (t ** 7 + 1.0) * math.log1p(t)
-    P = (1.0 - 6.0 * t ** 2 + 5.0 * t ** 3 + 5.0 * t ** 4 - 6.0 * t ** 5
-         + t ** 7)
-    sing = 21.0 * P * (math.log(abs(1.0 - t)) - math.log1p(t))
-    return pref * (poly + logs + sing)
-
-
-def _F_near_one(x):
-    # s = t - 1 via expm1 keeps the quadruple zero of P accurate;
-    # P(t) = s^4 (t^3 + 4t^2 + 4t + 1) and s^4 ln|s| -> 0
-    s = math.expm1(math.log(x) / 3.0)
-    t = 1.0 + s
-    pref = (6.0 * math.pi ** 2) ** (1.0 / 3.0) / 35.0
-    poly = 6.0 * (15.0 * t - 4.0 * t ** 2 + 33.0 * t ** 3 + 33.0 * t ** 4
-                  - 4.0 * t ** 5 + 15.0 * t ** 6)
-    logs = 16.0 * t ** 7 * math.log(x) - 48.0 * (t ** 7 + 1.0) * math.log1p(t)
-    Q = t ** 3 + 4.0 * t ** 2 + 4.0 * t + 1.0
-    lns = s ** 4 * math.log(abs(s)) if s != 0.0 else 0.0
-    sing = 21.0 * Q * (lns - s ** 4 * math.log1p(t))
     return pref * (poly + logs + sing)
 
 
@@ -60,8 +43,24 @@ def F_closed(x):
     if x > 8.0:
         return x ** (7.0 / 3.0) * F_closed(1.0 / x)
     if abs(x - 1.0) < _NEAR_ONE:
-        return _F_near_one(x)
-    return _F_direct(x)
+        # s = t - 1 via expm1 keeps the quadruple zero of P accurate;
+        # P(t) = s^4 (t^3 + 4t^2 + 4t + 1) and s^4 ln|s| -> 0
+        s = math.expm1(math.log(x) / 3.0)
+        t = 1.0 + s
+        Q = t ** 3 + 4.0 * t ** 2 + 4.0 * t + 1.0
+        lns = s ** 4 * math.log(abs(s)) if s != 0.0 else 0.0
+        return _F_groups(x, t, 21.0 * Q * (lns - s ** 4 * math.log1p(t)))
+    t = _t_of(x)
+    P = (1.0 - 6.0 * t ** 2 + 5.0 * t ** 3 + 5.0 * t ** 4 - 6.0 * t ** 5
+         + t ** 7)
+    return _F_groups(x, t, 21.0 * P * (math.log(abs(1.0 - t)) - math.log1p(t)))
+
+
+def _f_head(t):
+    """The polynomial head (9/14)t + (99/70)t^3 - (6/35)t^5 of f_aux and
+    its psi(t), the same in both branches."""
+    return ((9.0 / 14.0) * t + (99.0 / 70.0) * t ** 3 - (6.0 / 35.0) * t ** 5,
+            9.0 / 28.0 - 0.9 * t ** 2 + 0.75 * t ** 4)
 
 
 def f_aux(x, A=0.0):
@@ -77,23 +76,20 @@ def f_aux(x, A=0.0):
     if abs(x - 1.0) < _NEAR_ONE:
         s = math.expm1(math.log(x) / 3.0)
         t = 1.0 + s
-        psi = 9.0 / 28.0 - 0.9 * t ** 2 + 0.75 * t ** 4
+        head, psi = _f_head(t)
         # psi - (6/35) t^7 factored through its zero at t = 1
         h = (-0.9 * (t + 1.0)
              + 0.75 * (t ** 3 + t ** 2 + t + 1.0)
              - (6.0 / 35.0) * (t ** 6 + t ** 5 + t ** 4 + t ** 3
                                + t ** 2 + t + 1.0))
         lns = s * h * math.log(abs(s)) if s != 0.0 else 0.0
-        val = ((9.0 / 14.0) * t + (99.0 / 70.0) * t ** 3
-               - (6.0 / 35.0) * t ** 5
-               + lns
+        val = (head + lns
                - (psi + (6.0 / 35.0) * t ** 7) * math.log1p(t)
                + (12.0 / 35.0) * t ** 7 * math.log(t))
         return math.pi * val + gauge
     t = _t_of(x)
-    psi = 9.0 / 28.0 - 0.9 * t ** 2 + 0.75 * t ** 4
-    val = ((9.0 / 14.0) * t + (99.0 / 70.0) * t ** 3 - (6.0 / 35.0) * t ** 5
-           + psi * (math.log(abs(1.0 - t)) - math.log1p(t))
+    head, psi = _f_head(t)
+    val = (head + psi * (math.log(abs(1.0 - t)) - math.log1p(t))
            + (6.0 / 35.0) * t ** 7 * (2.0 * math.log(t)
                                       - math.log(abs(1.0 - t * t))))
     return math.pi * val + gauge

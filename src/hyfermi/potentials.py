@@ -231,9 +231,10 @@ def solve_scattering(potential):
     r_in = np.linspace(0.0, edge, _N_STEPS + 1)
     r_half = np.linspace(0.0, edge, 2 * _N_STEPS + 1)
     q_in = 0.5 * potential(r_half)
-    # a strong well overflows u to inf or nan; the finiteness check below
-    # reports that once, so numpy's warnings along the way are muted
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a strong well overflows u to inf or nan, and below R ~ 1e-158 the
+    # residual's h^2 underflows to 0; the checks below report either once,
+    # so numpy's warnings along the way are muted
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         u_in, w_end = _rk4_linear(q_in, 0.0, 1.0, h_in)
         # twice the step, on every other sample of q
         u_half, w_half = _rk4_linear(q_in[::2], 0.0, 1.0, 2.0 * h_in)
@@ -256,16 +257,15 @@ def solve_scattering(potential):
             raise RuntimeError("u'(matching_radius) <= 0; potential too "
                                "singular for the zero-energy reduction")
         a = rm - (u_raw[-1]) / c
+        # centered-difference consistency check on the interior of the support
+        lap = (u_in[2:] - 2.0 * u_in[1:-1] + u_in[:-2]) / h_in ** 2
+        rhs = q_in[2:-2:2] * u_in[1:-1]
+        scale = 1.0 + np.max(np.abs(rhs))
+        residual = float(np.max(np.abs(lap - rhs)) / scale)
     if not math.isfinite(a):
         raise RuntimeError(
             f"scattering length {a} is not finite: u overflowed inside the "
             f"support; potential too strong for the zero-energy reduction")
-
-    # centered-difference consistency check on the interior of the support
-    lap = (u_in[2:] - 2.0 * u_in[1:-1] + u_in[:-2]) / h_in ** 2
-    rhs = q_in[2:-2:2] * u_in[1:-1]
-    scale = 1.0 + np.max(np.abs(rhs))
-    residual = float(np.max(np.abs(lap - rhs)) / scale)
     if not residual <= 1e-3:
         raise RuntimeError(f"integration residual {residual:.3e} too large")
 
@@ -362,29 +362,20 @@ def fourier_V(potential, s):
 class PeriodicScatteringFunction:
     """Fourier data of the periodized scattering function on (2pi/L)Z^3.
 
-    coeff(n) is phi-hat at p = (2pi/L)*n for n in the cube |n_i| <= n_max
-    and 0 outside it; the zero mode is pinned to 0. phi-hat is radial, so
-    each request transforms its distinct nonzero |n|^2 in one batch.
-    cutoff_applied records whether the high-momentum cutoff has been
-    multiplied in.
+    phi-hat is radial, so coeffs reads it as a table by |n|^2: each request
+    transforms its distinct nonzero |n|^2 in one batch, at p = (2pi/L)|n|,
+    times the high-pass cutoff's chi_greater when one is set. The zero mode
+    is pinned to 0.
     """
 
     L: float
-    n_max: int
-    a: float
     solution: object = field(repr=False)
     cutoff: object = field(default=None, repr=False)
 
-    @property
-    def cutoff_applied(self) -> bool:
-        return self.cutoff is not None
-
     def coeffs(self, ns) -> np.ndarray:
-        """coeff(n) for each integer triple of ns, in one batch."""
+        """phi-hat at each integer triple of ns, in one batch."""
         n = np.asarray(ns, dtype=np.int64).reshape(-1, 3)
-        inside = np.all(np.abs(n) <= self.n_max, axis=1)
-        n2, inverse = np.unique(np.where(inside, np.sum(n * n, axis=1), 0), return_inverse=True)
-        # the zero mode, and every triple off the cube, stays at 0
+        n2, inverse = np.unique(np.sum(n * n, axis=1), return_inverse=True)
         live = n2 > 0
         s = (2.0 * np.pi / self.L) * np.sqrt(n2[live])
         vals = fourier_Vf(self.solution, s) / (2.0 * s ** 2)
@@ -394,11 +385,8 @@ class PeriodicScatteringFunction:
         table[live] = vals
         return table[inverse]
 
-    def coeff(self, n):
-        return float(self.coeffs([n])[0])
 
-
-def periodize_phi(solution, L, cutoff=None, n_max=24):
+def periodize_phi(solution, L, cutoff=None):
     """Fourier coefficients of the box-periodized scattering function.
 
     phi-hat(p) = F(V(1-phi))(|p|) / (2|p|^2) on p in (2pi/L)Z^3, zero mode
@@ -409,8 +397,7 @@ def periodize_phi(solution, L, cutoff=None, n_max=24):
     R = solution.potential.R
     if L <= 2.0 * R:
         raise ValueError(f"box side L = {L} must exceed twice the range {R}")
-    return PeriodicScatteringFunction(L=float(L), n_max=int(n_max), a=solution.a,
-                                      solution=solution, cutoff=cutoff)
+    return PeriodicScatteringFunction(L=float(L), solution=solution, cutoff=cutoff)
 
 
 def lambda_shift(r, p):

@@ -537,14 +537,11 @@ def lattice_nmax(L, cutoff):
     return int(math.ceil(extent))
 
 
-def lattice_sum_convergence(L_grid, cutoff, params=None):
+def lattice_sum_convergence(L_grid, cutoff):
     """Riemann-sum convergence of the cutoff kernel:
     (1/L^3) * sum over nonzero lattice momenta of chi_less^2/(2p^2)
     against its thermodynamic-limit integral. Every L is sized by
     lattice_nmax before the first sum."""
-    if params is not None and not math.isclose(params.rho, cutoff.rho,
-                                               rel_tol=1e-12):
-        raise ValueError("params density disagrees with cutoff density")
     c1, c2 = cutoff.c_lower, cutoff.c_upper
     rr, wr = _panels([c1, c2], 64)
     integral = (c1 + float(np.sum(wr * cutoff.chi_less(rr) ** 2))) \

@@ -86,7 +86,7 @@ def test_criterion_04_oracle_agreement():
         assert not res.flagged
         assert rel <= 5e-3
     elapsed = time.perf_counter() - t0
-    report(4, 0.3, elapsed, f"quadrature vs closed form, worst {worst:.2e}")
+    report(4, 0.1, elapsed, f"quadrature vs closed form, worst {worst:.2e}")
 
 
 def test_criterion_05_ode_and_principal_value():
@@ -131,7 +131,7 @@ def test_criterion_06_scattering_solver():
             assert rel <= 1e-8
             assert sol.a <= born_length(pot)
     elapsed = time.perf_counter() - t0
-    report(6, 1.0, elapsed, f"square-well grid, worst rel {worst:.2e}")
+    report(6, 0.1, elapsed, f"square-well grid, worst rel {worst:.2e}")
 
 
 def test_criterion_07_bethe_goldstone_degeneration():
@@ -220,7 +220,7 @@ def test_criterion_09_gap_scaling_slope():
     floor = 7.0 / 3.0 + min(cutoff.gamma, cutoff.delta) - 0.2
     assert slope >= floor
     elapsed = time.perf_counter() - t0
-    report(9, 0.3, elapsed, f"decay slope {slope:.4f} >= {floor:.4f}")
+    report(9, 0.1, elapsed, f"decay slope {slope:.4f} >= {floor:.4f}")
 
 
 def test_criterion_10_singular_boundedness():
@@ -232,6 +232,6 @@ def test_criterion_10_singular_boundedness():
         assert not row["flagged"]
     assert rows[0]["value"] < rows[-1]["value"]
     elapsed = time.perf_counter() - t0
-    report(10, 0.6, elapsed,
+    report(10, 0.25, elapsed,
            f"bound finite on grid, S(1e-3) = {rows[0]['value']:.4g} < "
            f"S(1) = {rows[-1]['value']:.4g}")

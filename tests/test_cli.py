@@ -466,6 +466,16 @@ def test_scatter_overflow_exits_one(capsys):
     assert err.startswith("error: ") and "not finite" in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_scatter_tiny_range_exits_one_without_a_warning(capsys):
+    """Below R ~ 1e-158 the step's square underflows to 0: the residual
+    check refuses the NaN, and numpy warns nothing on the way."""
+    code, out, err = run_cli(["scatter", "--R", "1e-160"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: integration residual nan too large\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["hy-eval", "--rho-up", "nan"],
     ["hy-eval", "--rho-up", "inf"],

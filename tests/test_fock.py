@@ -24,6 +24,7 @@ from hyfermi.cutoffs import CutoffConfig
 from hyfermi.potentials import (
     EtaFunction,
     RadialPotential,
+    fourier_V,
     fourier_Vf,
     periodize_phi,
     solve_scattering,
@@ -369,22 +370,47 @@ def test_hamiltonian_flags_and_commutators(demo):
         assert absmax(m - m.T) <= 1e-12 * absmax(m)
 
 
-def test_vhat_must_be_reflection_symmetric(demo):
+# every reader of a V^ table, called as reader(lattice, basis, vhat)
+_VHAT_READERS = (fock.build_hamiltonian, fock.build_corr_terms, fock.q2_ud_from_pairs,
+                 lambda lat, basis, vhat: fock.ffg_energy_wick(lat, vhat))
+
+
+def test_vhat_table_must_be_real_1d_and_cover_the_grid(demo):
+    """A 2-D, too short or complex table is refused by every reader of V^."""
     lat, basis, vhat, _, _ = demo
-    bad = dict(vhat)
-    key = next(k for k in bad if k != (0, 0, 0))
-    bad[key] = bad[key] + 0.1
-    with pytest.raises(ValueError):
-        fock.build_hamiltonian(lat, basis, bad)
+    # the demo's largest squared transfer is |(1, 0, 0) - (-1, 0, 0)|^2 = 4
+    bad = {r"got shape \(1, 5\)": vhat[None], "at least 5 entries": vhat[:-1],
+           "must be real": vhat + 0j}
+    for match, table in bad.items():
+        for read in _VHAT_READERS:
+            with pytest.raises(ValueError, match=match):
+                read(lat, basis, table)
 
 
 def test_vhat_must_be_finite(demo):
     lat, basis, vhat, _, _ = demo
-    bad = dict(vhat)
-    bad[(1, 0, 0)] = bad[(-1, 0, 0)] = math.nan
-    for build in (fock.build_hamiltonian, fock.build_corr_terms):
+    bad = vhat.copy()
+    bad[1] = math.nan
+    for read in _VHAT_READERS:
         with pytest.raises(ValueError, match="must be finite"):
-            build(lat, basis, bad)
+            read(lat, basis, bad)
+
+
+@pytest.mark.parametrize("pot", [POT, RadialPotential(kind="truncated-gaussian", V0=30.0, R=1.0)],
+                         ids=["square-well", "truncated-gaussian"])
+@pytest.mark.parametrize("shells, kmax", [((0.5, 0.5), 1.01), ((0.5, 1.2), 1.01),
+                                          ((0.5, 0.5), 1.42)], ids=["demo", "asym", "19"])
+def test_vhat_table_holds_fourier_v_bit_for_bit(pot, shells, kmax):
+    """Entry m of the table is fourier_V at |k| = unit sqrt(m), to the
+    bit, for every square |n_i - n_j|^2 the grid realizes; the rest hold 0."""
+    lat = fock.build_lattice(L, kmax, *shells)
+    table = fock.vhat_from_potential(lat, pot)
+    realized = sorted({sum((a - b) ** 2 for a, b in zip(n, m))
+                       for n in lat.momenta for m in lat.momenta})
+    assert not table.flags.writeable and table.size == realized[-1] + 1
+    want = fourier_V(pot, lat.unit * np.sqrt(realized))
+    assert all(table[m] == w for m, w in zip(realized, want.tolist()))
+    assert not np.delete(table, realized).any()
 
 
 def test_identity_report_keeps_a_nan(demo):
@@ -398,12 +424,11 @@ def test_identity_report_keeps_a_nan(demo):
 
 def test_free_ground_state_is_filled_shell(demo, asym):
     lat, basis, vhat, _, _ = demo
-    zero = {k: 0.0 for k in vhat}
-    h0 = fock.build_hamiltonian(lat, basis, zero)
+    h0 = fock.build_hamiltonian(lat, basis, np.zeros_like(vhat))
     assert fock.ground_energy(lat, basis, h0, 1, 1) == pytest.approx(0.0,
                                                                      abs=1e-14)
     lat2, basis2, vhat2, _, _ = asym
-    h2 = fock.build_hamiltonian(lat2, basis2, {k: 0.0 for k in vhat2})
+    h2 = fock.build_hamiltonian(lat2, basis2, np.zeros_like(vhat2))
     # filling all seven down modes costs the six unit-shell energies
     assert fock.ground_energy(lat2, basis2, h2, 1, 7) == pytest.approx(6.0)
 
@@ -556,10 +581,10 @@ def test_one_body_terms_match_per_triple_reference(demo, asym):
         kf = (lat.kF_up, lat.kF_down)
         k = {n: lat.unit * math.sqrt(sum(c * c for c in n)) for n in lat.momenta}
         ball = [[n for n in lat.momenta if k[n] <= kf[s]] for s in (0, 1)]
-        hartree = (lat.N_up + lat.N_down) * vhat[(0, 0, 0)] / vol
+        hartree = (lat.N_up + lat.N_down) * vhat[0] / vol
         kin, h0, x = [], [], []
         for n, s in basis.mode_order:
-            fold = sum(vhat[tuple(a - b for a, b in zip(n, m))] for m in ball[s]) / vol
+            fold = sum(vhat[d @ d] for d in np.subtract(n, ball[s])) / vol
             kin.append(k[n] ** 2)
             h0.append(abs(k[n] ** 2 - kf[s] ** 2))
             x.append((hartree - fold) * (-1.0 if n in ball[s] else 1.0))
@@ -703,12 +728,12 @@ def test_identity_report_sees_the_imbalance(demo):
     assert rep["balanced_diagonal"] <= 1e-10
 
 
-def test_q2_ud_dual_route(demo):
-    lat, basis, vhat, _, terms = demo
-    alt = fock.q2_ud_from_pairs(lat, basis, vhat)
-    for q in all_charges(lat):
-        src = fock.ph_sector(lat, basis, *q)
-        assert absmax(alt.on(src) - terms["Q2_ud"].on(src)) < 1e-12
+def test_q2_ud_dual_route(demo, asym):
+    for lat, basis, vhat, _, terms in (demo, asym):
+        alt = fock.q2_ud_from_pairs(lat, basis, vhat)
+        for q in all_charges(lat):
+            src = fock.ph_sector(lat, basis, *q)
+            assert absmax(alt.on(src) - terms["Q2_ud"].on(src)) < 1e-12
 
 
 def test_h0_and_q4_nonnegative(demo):

@@ -462,14 +462,6 @@ def test_lattice_sum_approaches_integral():
     assert diffs[-1] <= diffs[0] * (16.0 / 128.0) * 4.0
 
 
-def test_lattice_sum_rejects_mismatched_density():
-    cutoff = CutoffConfig(rho=3e-3)
-    with pytest.raises(ValueError):
-        lattice_sum_convergence([16.0], cutoff,
-                                params=FermiParams(rho_up=1e-3,
-                                                   rho_down=1e-3))
-
-
 def test_singular_bound_finite_and_ordered():
     rows = singular_integral_bound([1e-3, 0.5, 1.0])
     for r in rows:
