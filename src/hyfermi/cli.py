@@ -541,9 +541,8 @@ def _cmd_fock_demo(config):
 def _cmd_bg_solve(config):
     p = config.parameters
     pot = _potential(p)
-    kf_up = fermi_momentum(p["rho_up"]) if p["rho_up"] > 0.0 else 0.0
-    kf_down = fermi_momentum(p["rho_down"]) if p["rho_down"] > 0.0 else 0.0
-    sol = bethe_goldstone_solve(pot, kf_up, kf_down, tol=p["tol"])
+    sol = bethe_goldstone_solve(pot, fermi_momentum(p["rho_up"]),
+                                fermi_momentum(p["rho_down"]), tol=p["tol"])
     header = ("q", "G", "phi", "denominator")
     rows = list(zip(sol.nodes, sol.G, sol.phi, sol.denominators))
     payload = {

@@ -51,12 +51,16 @@ class CutoffConfig:
 
     def chi_less(self, p):
         """Low-momentum cut-off at |p| = p; 1 below c_lower, 0 above c_upper."""
-        u = np.clip((np.abs(p) - self.c_lower) / (self.c_upper - self.c_lower),
-                    0.0, 1.0)
-        return 1.0 - u ** 3 * (10.0 - 15.0 * u + 6.0 * u * u)
+        return quintic_step(p, self.c_lower, self.c_upper)
 
     def chi_greater(self, p):
         return 1.0 - self.chi_less(p)
+
+
+def quintic_step(p, lo, hi):
+    """1 - u^3 (10 - 15u + 6u^2), u = (|p| - lo)/(hi - lo) clipped to [0, 1]."""
+    u = np.clip((np.abs(p) - lo) / (hi - lo), 0.0, 1.0)
+    return 1.0 - u ** 3 * (10.0 - 15.0 * u + 6.0 * u * u)
 
 
 def fermi_momentum(rho_sigma):

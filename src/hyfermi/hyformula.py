@@ -9,7 +9,7 @@ F(x) = (4/pi)(6 pi^2)^(1/3) (f(x) + x^(7/3) f(1/x)).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 _NEAR_ONE = 1e-4
 
@@ -145,13 +145,7 @@ class HYEnergyBreakdown:
     error_order_exponent: float = 7.0 / 3.0 + 1.0 / 9.0
 
     def as_dict(self):
-        return {
-            "kinetic": self.kinetic,
-            "mean_field": self.mean_field,
-            "huang_yang": self.huang_yang,
-            "total": self.total,
-            "error_order_exponent": self.error_order_exponent,
-        }
+        return asdict(self)
 
 
 def _kinetic(params):

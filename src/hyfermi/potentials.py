@@ -9,7 +9,9 @@ a 2x2 map of (u, u'); the maps are built for all steps at once and
 composed by a log-depth scan, with no loop over the steps. Outside the
 support of V the solution is exactly linear and the scattering length is
 read off from a = r - u(r)/u'(r); the same march with half the steps
-gives its step-doubling error estimate.
+gives its step-doubling error estimate. Every integral over r runs on
+the Gauss panels of _radial_rule on [0, support], with u between grid
+nodes from one RK4 step (_u_at).
 """
 
 import json
@@ -110,28 +112,14 @@ class RadialPotential:
             out = np.where(r > radii[-1], 0.0, out)
         return out if out.ndim else float(out)
 
-    def radial_moment(self, power):
-        """integral of V(r) * r^power over [0, R]."""
-        if self.kind == "square-well":
-            return self.V0 * self.R ** (power + 1) / (power + 1)
-        if self.kind == "truncated-gaussian":
-            # the integrand is entire: 48 Gauss nodes on [0, R] are exact to
-            # rounding for the powers used here
-            r, w = _panels([0.0, self.R], 48)
-        else:
-            # V is constant below the first sample and linear between
-            # samples: 3 Gauss nodes per piece are exact for V * r^power,
-            # power <= 4
-            r, w = _panels(np.union1d(0.0, [p[0] for p in self.samples]), 3)
-        return float(np.sum(w * self(r) * r ** power))
-
 
 def born_length(potential):
     """First-Born approximation (8 pi)^-1 * integral of V over R^3.
 
     Upper bound for the scattering length of a nonnegative potential.
     """
-    return 0.5 * potential.radial_moment(2)
+    r, wv = _radial_rule(potential, 0.0)
+    return 0.5 * float(wv @ (r * r))
 
 
 @dataclass(frozen=True)
@@ -139,13 +127,15 @@ class ScatteringSolution:
     """Normalized zero-energy radial solution u(r) = r*(1 - phi(r)).
 
     u_profile is scaled so that u(r) = r - a exactly beyond the support
-    of V; slope is the raw u'(matching_radius) before rescaling; a_error
-    is the step-doubling estimate of the integrator's error in a.
+    of V, and du_profile is u' on the same grid (exactly 1 there); slope
+    is the raw u'(matching_radius) before rescaling; a_error is the
+    step-doubling estimate of the integrator's error in a.
     """
 
     a: float
     r_grid: np.ndarray
     u_profile: np.ndarray
+    du_profile: np.ndarray
     matching_radius: float
     slope: float
     residual: float
@@ -180,7 +170,8 @@ def _rk4_linear(q_half, u0, w0, h):
     (u, u'), whose columns are the step's increments from (1, 0) and
     (0, 1), for all steps at once. A Hillis-Steele inclusive scan (log2 n
     levels of elementwise products) turns the maps into their running
-    products, and u after step i is u0 + a_i u0 + b_i w0. The maps are
+    products, and after step i u = u0 + a_i u0 + b_i w0 and
+    u' = w0 + c_i u0 + d_i w0, returned at every node. The maps are
     kept as their difference from I: a step's a and d are O(h^2 q), and
     rounding 1 + a would repeat one error in every step of a constant q.
     """
@@ -206,7 +197,7 @@ def _rk4_linear(q_half, u0, w0, h):
         d2 += dd
         k *= 2
     return (np.concatenate([[u0], u0 + a * u0 + b * w0]),
-            w0 + c[-1] * u0 + d[-1] * w0)
+            np.concatenate([[w0], w0 + c * u0 + d * w0]))
 
 
 # RK4 steps across the support of V
@@ -235,24 +226,24 @@ def solve_scattering(potential):
     # residual's h^2 underflows to 0; the checks below report either once,
     # so numpy's warnings along the way are muted
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        u_in, w_end = _rk4_linear(q_in, 0.0, 1.0, h_in)
+        u_in, w_in = _rk4_linear(q_in, 0.0, 1.0, h_in)
+        c = w_in[-1]
         # twice the step, on every other sample of q
         u_half, w_half = _rk4_linear(q_in[::2], 0.0, 1.0, 2.0 * h_in)
         # exterior: u'' = 0, the continuation is exactly linear
         r_out = np.linspace(edge, rm, _N_STEPS // 8 + 1)
-        u_out = u_in[-1] + w_end * (r_out - edge)
+        u_out = u_in[-1] + c * (r_out - edge)
         r_grid = np.concatenate([r_in, r_out[1:]])
         u_raw = np.concatenate([u_in, u_out[1:]])
-        a_half = rm - (u_half[-1] + w_half * (rm - edge)) / w_half
+        a_half = rm - (u_half[-1] + w_half[-1] * (rm - edge)) / w_half[-1]
 
         # an overflow reaches the edge as inf or, through inf * 0 in the
         # scan, as nan
-        if not (math.isfinite(u_in[-1]) and math.isfinite(w_end)):
+        if not (math.isfinite(u_in[-1]) and math.isfinite(c)):
             raise RuntimeError(
-                f"u = {u_in[-1]}, u' = {w_end} at the edge of the support are "
+                f"u = {u_in[-1]}, u' = {c} at the edge of the support are "
                 f"not finite: u overflowed; potential too strong for the "
                 f"zero-energy reduction")
-        c = w_end
         if not c > 0.0:
             raise RuntimeError("u'(matching_radius) <= 0; potential too "
                                "singular for the zero-energy reduction")
@@ -270,38 +261,29 @@ def solve_scattering(potential):
         raise RuntimeError(f"integration residual {residual:.3e} too large")
 
     return ScatteringSolution(a=a, r_grid=r_grid, u_profile=u_raw / c,
+                              du_profile=np.concatenate([w_in / c, np.ones(r_out.size - 1)]),
                               matching_radius=rm, slope=c, residual=residual,
                               a_error=abs(a - a_half) / 15.0,
                               potential=potential)
 
 
+def _u_at(solution, r):
+    """u at radii r in [0, support]: one step of the solve's RK4 from the
+    grid node below each r, with q read at the step's start, its midpoint
+    and r; at a grid node the step is 0 and u is u_profile there."""
+    grid = solution.r_grid
+    i = np.searchsorted(grid, r, side="right") - 1
+    h = r - grid[i]
+    q = 0.5 * solution.potential(np.stack([grid[i], grid[i] + 0.5 * h, r]))
+    du, _ = _rk4_increment(*q, h, solution.u_profile[i], solution.du_profile[i])
+    return solution.u_profile[i] + du
+
+
 def scattering_length_from_integral(solution):
-    """a = (1/2) * integral of V(r) u(r) r dr, a quadrature cross-check."""
-    pot = solution.potential
-    mask = solution.r_grid <= pot.support
-    r = solution.r_grid[mask]
-    w = pot(r) * solution.u_profile[mask] * r
-    return 0.5 * float(_simpson_weights(r) @ w)
-
-
-def _simpson_weights(x):
-    """Composite Simpson weights on the nodes x, any spacing: sum(w * y) is
-    scipy's simpson(y, x=x) up to rounding. With an even number of
-    nodes the last interval takes the parabola through the last three."""
-    h = np.diff(x)
-    pairs = (x.size - 1) // 2 * 2
-    h0, h1 = h[0:pairs:2], h[1:pairs:2]
-    hs = h0 + h1
-    w = np.zeros(x.size)
-    w[0:pairs - 1:2] += hs / 6.0 * (2.0 - h1 / h0)
-    w[1:pairs:2] += hs ** 3 / (6.0 * h0 * h1)
-    w[2:pairs + 1:2] += hs / 6.0 * (2.0 - h0 / h1)
-    if x.size % 2 == 0:
-        h0, h1 = h[-2], h[-1]
-        w[-1] += (2.0 * h1 + 3.0 * h0) * h1 / (6.0 * (h0 + h1))
-        w[-2] += (h1 + 3.0 * h0) * h1 / (6.0 * h0)
-        w[-3] -= h1 ** 3 / (6.0 * h0 * (h0 + h1))
-    return w
+    """a = (1/2) * integral of V(r) u(r) r dr, a quadrature cross-check on
+    the Gauss panels of _radial_rule."""
+    r, wv = _radial_rule(solution.potential, 0.0)
+    return 0.5 * float(wv @ (_u_at(solution, r) * r))
 
 
 def _radial_transform(r, w, f, s):
@@ -319,13 +301,12 @@ def fourier_Vf(solution, s):
     """Radial Fourier transform of V * (1 - phi) at |p| = s (vectorized).
 
     Equals 8*pi*a at s = 0 and decays like 1/s^2; phi-hat(p) is this
-    divided by 2|p|^2. Simpson's rule on the solution's grid on the support.
+    divided by 2|p|^2. The Gauss panels of _radial_rule, with u at each
+    node from _u_at.
     """
-    pot = solution.potential
-    mask = solution.r_grid <= pot.support
-    r = solution.r_grid[mask]
     flat = np.atleast_1d(np.asarray(s, dtype=np.float64)).ravel()
-    out = _radial_transform(r, _simpson_weights(r), pot(r) * solution.u_profile[mask] * r, flat)
+    r, wv = _radial_rule(solution.potential, float(np.abs(flat).max(initial=0.0)))
+    out = _radial_transform(r, wv, _u_at(solution, r) * r, flat)
     return float(out[0]) if np.ndim(s) == 0 else out.reshape(np.shape(s))
 
 
@@ -461,18 +442,19 @@ class BGSolution:
 
 
 def _radial_rule(potential, q_max):
-    """Composite Gauss rule on [0, R] with V folded into the weights.
+    """Composite Gauss rule on [0, support] with V folded into the weights:
+    the one rule of every integral over r in this module.
 
     Panels of 12 nodes, at least 16 and enough that sin(pr) sin(qr) with
     p, q <= q_max turns by at most 10 radians across one: 12 nodes are
     then exact to rounding. The tabulated sample radii are added as edges,
-    so every panel sees a smooth V.
+    so every panel sees a smooth V; beyond the support V is 0.
     """
-    R = potential.R
-    edges = np.linspace(0.0, R, max(16, math.ceil(q_max * R / 5.0)) + 1)
+    edge = potential.support
+    edges = np.linspace(0.0, edge, max(16, math.ceil(q_max * edge / 5.0)) + 1)
     if potential.kind == "tabulated":
         radii = np.array([p[0] for p in potential.samples])
-        edges = np.union1d(edges, radii[(radii > 0.0) & (radii < R)])
+        edges = np.union1d(edges, radii[(radii > 0.0) & (radii < edge)])
     r, w = _panels(edges, 12)
     return r, w * potential(r)
 

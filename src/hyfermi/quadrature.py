@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cutoffs import CutoffConfig, fermi_momentum
+from .cutoffs import fermi_momentum, quintic_step
 from .hyformula import F_closed, f_aux
 
 @functools.lru_cache(maxsize=None)
@@ -201,18 +201,22 @@ def inner_pair(p, kf1, kf2, two_eps=0.0, power=1, n_gauss=16, n_levels=18):
         # p <= 0 contributes nothing; a NaN p stays NaN
         live = ~(p <= 0.0)
         two = _support(kf1, p)[2]
-        for rows in (np.flatnonzero(live & two), np.flatnonzero(live & ~two)):
-            if not rows.size:
-                continue
-            s, ws = _axis(kf1, p[rows], n_gauss, n_levels)
-            evals += s.size
-            step = max(1, _BLOCK // s.shape[1])
-            for i in range(0, rows.size, step):
-                r = rows[i:i + step]
-                pr = p[r, None]
-                beta = two_eps + pr * (pr + 2.0 * s[i:i + step])
-                out[r] = np.einsum("ij,ij->i", ws[i:i + step],
-                                   t_integral(beta, p[r], kf2, power))
+        # an extreme p over- or underflows p^2 and p^3, mostly in the closed
+        # form of a flat t-piece, which its Gauss sum overwrites; a NaN that
+        # survives still reaches the oracles' flags and the CLI's non-finite guard
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for rows in (np.flatnonzero(live & two), np.flatnonzero(live & ~two)):
+                if not rows.size:
+                    continue
+                s, ws = _axis(kf1, p[rows], n_gauss, n_levels)
+                evals += s.size
+                step = max(1, _BLOCK // s.shape[1])
+                for i in range(0, rows.size, step):
+                    r = rows[i:i + step]
+                    pr = p[r, None]
+                    beta = two_eps + pr * (pr + 2.0 * s[i:i + step])
+                    out[r] = np.einsum("ij,ij->i", ws[i:i + step],
+                                       t_integral(beta, p[r], kf2, power))
     return (float(out[0]), evals) if scalar else (out, evals)
 
 
@@ -512,9 +516,7 @@ def lattice_chi_sum(nmax, fac, c1, c2):
         n2 = n2[n2 > 0]
         r = fac * np.sqrt(n2)
         r = r[r < c2]
-        u = np.clip((r - c1) / (c2 - c1), 0.0, 1.0)
-        chi = 1.0 - u ** 3 * (10.0 - 15.0 * u + 6.0 * u * u)
-        acc += float(np.sum(chi * chi / (2.0 * r * r)))
+        acc += float(np.sum(quintic_step(r, c1, c2) ** 2 / (2.0 * r * r)))
     return acc
 
 

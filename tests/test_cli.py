@@ -476,6 +476,26 @@ def test_scatter_tiny_range_exits_one_without_a_warning(capsys):
     assert err == "error: integration residual nan too large\n"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p, value, error, evaluations", [
+    ("1e-110", 3.2378646946470213e-111, 4.167824711007114e-121, 170),
+    ("1e-200", 3.2378646946470213e-201, 4.167808021614428e-211, 170),
+    ("1e160", 0.0, 0.0, 112),
+    ("1e300", 0.0, 0.0, 112),
+], ids=["1e-110", "1e-200", "1e160", "1e300"])
+def test_quad_g_extreme_p_without_a_warning(p, value, error, evaluations, capsys):
+    """p^3 underflows or p^2 overflows in the closed form of a flat
+    t-piece, which the Gauss sum overwrites: the row is the same, exit 0,
+    and numpy warns nothing on the way."""
+    code, out, _ = run_cli(["quad-g", "--p", p], capsys)
+    assert code == 0
+    header, rows, _ = parse_csv_output(out)
+    row = dict(zip(header, rows[0]))
+    assert float(row["value"]) == value
+    assert float(row["error_estimate"]) == error
+    assert int(row["evaluations"]) == evaluations
+
+
 @pytest.mark.parametrize("argv", [
     ["hy-eval", "--rho-up", "nan"],
     ["hy-eval", "--rho-up", "inf"],

@@ -94,4 +94,4 @@ def test_truncated_gaussian_born_matches_erf_closed_form(V0, R):
     moment = V0 * (math.sqrt(math.pi) * math.erf(c * R) / (4.0 * c ** 3)
                    - R * math.exp(-(c * R) ** 2) / (2.0 * c ** 2))
     pot = RadialPotential(kind="truncated-gaussian", V0=V0, R=R)
-    assert born_length(pot) == pytest.approx(0.5 * moment, rel=1e-13, abs=0)
+    assert born_length(pot) == pytest.approx(0.5 * moment, rel=1e-15, abs=0)

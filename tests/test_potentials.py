@@ -13,7 +13,8 @@ from hyfermi.potentials import (
     EtaFunction,
     RadialPotential,
     _bg_radial_matrix,
-    _simpson_weights,
+    _radial_rule,
+    _u_at,
     bethe_goldstone_solve,
     born_length,
     fourier_V,
@@ -232,32 +233,35 @@ def test_fourier_vf_anchors():
     assert abs(hi) < 0.05 * 8.0 * math.pi * sol.a
 
 
-@pytest.mark.parametrize("n", [3, 4, 9, 10, 4001, 4000])
-@pytest.mark.parametrize("uniform", [True, False])
-def test_simpson_weights_match_scipy(n, uniform):
-    """Both node parities, even and uneven spacing."""
-    from scipy.integrate import simpson
+@pytest.mark.parametrize("V0,tol", [(1e-2, 1e-14), (4.0, 1e-14), (1e3, 2e-11)])
+def test_fourier_vf_matches_square_well_closed_form(V0, tol):
+    """Against 4 pi V0/(s(k^2 + s^2)) (sin sR - (s/k) tanh(kR) cos sR),
+    k^2 = V0/2, in mpmath, relative to the largest |value|. At V0 = 1e3
+    the RK4 error of u itself (k h = 0.006) sets the floor."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    R = 1.0
+    sol = solve_scattering(RadialPotential(kind="square-well", V0=V0, R=R))
+    s = np.geomspace(1e-3, 100.0, 200)
+    k = mpmath.sqrt(mpmath.mpf(V0) / 2)
+    want = np.array([float(4 * mpmath.pi * V0 / (x * (k ** 2 + x ** 2))
+                           * (mpmath.sin(x * R) - (x / k) * mpmath.tanh(k * R) * mpmath.cos(x * R)))
+                     for x in map(mpmath.mpf, s)])
+    assert np.abs(fourier_Vf(sol, s) - want).max() <= tol * np.abs(want).max()
 
-    rng = np.random.default_rng(n)
-    x = np.linspace(0.0, 1.3, n) if uniform else np.sort(rng.uniform(0.0, 2.0, n))
-    for y in (np.cos(3.0 * x) + x ** 2, x ** 3 - x):
-        want = simpson(y, x=x)
-        assert abs(_simpson_weights(x) @ y - want) <= 1e-14 * np.abs(y).max() * (x[-1] - x[0])
 
-
-@pytest.mark.parametrize("kind,V0,R", [("square-well", 4.0, 1.0),
-                                       ("truncated-gaussian", 30.0, 1.2)])
-def test_fourier_vf_matches_scipy_simpson(kind, V0, R):
-    from scipy.integrate import simpson
-
-    sol = solve_scattering(RadialPotential(kind=kind, V0=V0, R=R))
-    s = np.concatenate([[0.0], np.geomspace(1e-3, 60.0, 300)])
-    mask = sol.r_grid <= R
-    r = sol.r_grid[mask]
-    w = sol.potential(r) * sol.u_profile[mask] * r
-    want = simpson(4.0 * np.pi * w[None, :] * np.sinc(s[:, None] * r[None, :] / np.pi),
-                   x=r, axis=1)
-    assert np.abs(fourier_Vf(sol, s) - want).max() <= 1e-14 * np.abs(want).max()
+def test_u_at_reads_the_profile_on_the_grid_and_the_exact_u_between():
+    """On the solve's grid nodes _u_at is u_profile bit for bit; on the
+    Gauss nodes of _radial_rule a square well's u is sinh(kr)/(k cosh kR)."""
+    pot = RadialPotential(kind="square-well", V0=4.0, R=1.0)
+    sol = solve_scattering(pot)
+    inside = sol.r_grid <= pot.support
+    assert np.array_equal(_u_at(sol, sol.r_grid[inside]), sol.u_profile[inside])
+    r, _ = _radial_rule(pot, 100.0)
+    k = math.sqrt(2.0)
+    want = np.sinh(k * r) / (k * math.cosh(k))
+    assert np.abs(_u_at(sol, r) / want - 1.0).max() <= 1e-13
+    assert np.all(sol.du_profile[~inside] == 1.0)
 
 
 def test_periodize_phi_refuses_small_box():
@@ -413,34 +417,31 @@ def test_bg_solve_matches_lu():
     assert np.max(np.abs(sol.G - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def _linear_moment(a, b, va, vb, power):
-    # integral of (linear V from va at a to vb at b) * r^power over [a, b]
+def _linear_moment(a, b, va, vb):
+    # integral of (linear V from va at a to vb at b) * r^2 over [a, b]
     beta = (vb - va) / (b - a)
     alpha = va - beta * a
-    return (alpha * (b ** (power + 1) - a ** (power + 1)) / (power + 1)
-            + beta * (b ** (power + 2) - a ** (power + 2)) / (power + 2))
+    return alpha * (b ** 3 - a ** 3) / 3.0 + beta * (b ** 4 - a ** 4) / 4.0
 
 
-@pytest.mark.parametrize("power", [0, 1, 2, 3, 4])
-def test_tabulated_radial_moment_starts_at_zero(power):
+def test_tabulated_born_length_starts_at_zero():
     """Below the first sample V holds its first value, as every solver
-    sees it through __call__; the moment counts that core too."""
+    sees it through __call__; the Born length counts that core too."""
     flat = RadialPotential(kind="tabulated", R=1.0,
                            samples=((0.6, 2.0), (1.0, 2.0)))
     assert float(flat(0.3)) == 2.0
-    assert flat.radial_moment(power) == pytest.approx(2.0 / (power + 1),
-                                                      rel=1e-14)
+    assert born_length(flat) == pytest.approx(0.5 * 2.0 / 3.0, rel=1e-14)
     sloped = RadialPotential(kind="tabulated", R=1.2,
                              samples=((0.3, 3.0), (0.7, 1.0), (0.9, 0.0)))
-    want = (_linear_moment(0.0, 0.3, 3.0, 3.0, power)
-            + _linear_moment(0.3, 0.7, 3.0, 1.0, power)
-            + _linear_moment(0.7, 0.9, 1.0, 0.0, power))
-    assert sloped.radial_moment(power) == pytest.approx(want, rel=1e-14)
+    want = (_linear_moment(0.0, 0.3, 3.0, 3.0)
+            + _linear_moment(0.3, 0.7, 3.0, 1.0)
+            + _linear_moment(0.7, 0.9, 1.0, 0.0))
+    assert born_length(sloped) == pytest.approx(0.5 * want, rel=1e-14)
     from_zero = RadialPotential(kind="tabulated", R=1.0,
                                 samples=((0.0, 3.0), (0.7, 1.0), (0.9, 0.0)))
-    want = (_linear_moment(0.0, 0.7, 3.0, 1.0, power)
-            + _linear_moment(0.7, 0.9, 1.0, 0.0, power))
-    assert from_zero.radial_moment(power) == pytest.approx(want, rel=1e-14)
+    want = (_linear_moment(0.0, 0.7, 3.0, 1.0)
+            + _linear_moment(0.7, 0.9, 1.0, 0.0))
+    assert born_length(from_zero) == pytest.approx(0.5 * want, rel=1e-14)
 
 
 def test_tabulated_born_length_counts_the_core():
@@ -449,7 +450,7 @@ def test_tabulated_born_length_counts_the_core():
     assert born_length(pot) == pytest.approx(1.0 / 3.0, rel=1e-14)
 
 
-_SCIPY_REFERENCE_POTENTIALS = [
+_NON_SQUARE_POTENTIALS = [
     RadialPotential(kind="truncated-gaussian", V0=30.0, R=1.2),
     RadialPotential(kind="tabulated", R=1.1,
                     samples=((0.2, 3.0), (0.5, 2.5), (0.8, 0.5), (1.0, 0.0))),
@@ -461,7 +462,7 @@ _JUMP_POTENTIAL = RadialPotential(kind="tabulated", R=1.0,
                                   samples=((0.0, 5.0), (0.3, 4.0), (0.7, 1.0), (0.9, 0.5)))
 
 
-@pytest.mark.parametrize("pot", [*_SCIPY_REFERENCE_POTENTIALS, _JUMP_POTENTIAL],
+@pytest.mark.parametrize("pot", [*_NON_SQUARE_POTENTIALS, _JUMP_POTENTIAL],
                          ids=["truncated-gaussian", "tabulated", "tabulated-jump"])
 def test_fourier_v_matches_gauss_panels(pot):
     """A reference exact for piecewise-linear V: 24-node Gauss-Legendre
@@ -479,20 +480,31 @@ def test_fourier_v_matches_gauss_panels(pot):
     assert abs(fourier_V(pot, 0.0) - want[0]) <= 1e-14 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("pot", [RadialPotential(kind="square-well", V0=4.0,
-                                                 R=1.0),
-                                 *_SCIPY_REFERENCE_POTENTIALS],
-                         ids=lambda p: p.kind)
-def test_scattering_length_from_integral_matches_scipy_simpson(pot):
-    from scipy.integrate import simpson
-
+@pytest.mark.parametrize("pot", _NON_SQUARE_POTENTIALS, ids=lambda p: p.kind)
+def test_integral_route_matches_matching_route_to_rounding(pot):
+    """Where V's kinks sit on grid nodes, the integral route to a agrees
+    with the matching route to rounding."""
     sol = solve_scattering(pot)
-    mask = sol.r_grid <= pot.R
-    r = sol.r_grid[mask]
-    w = pot(r) * sol.u_profile[mask] * r
-    want = 0.5 * simpson(w, x=r)
-    assert abs(scattering_length_from_integral(sol) - want) \
-        <= 1e-14 * 0.5 * np.abs(w).max() * pot.R
+    assert scattering_length_from_integral(sol) == pytest.approx(sol.a, rel=1e-14)
+
+
+@pytest.mark.parametrize("pot", _NON_SQUARE_POTENTIALS, ids=lambda p: p.kind)
+def test_fourier_vf_at_zero_is_8_pi_a(pot):
+    """Where V's kinks sit on grid nodes, fourier_Vf at s = 0 is 8 pi a of
+    the matching route to rounding."""
+    sol = solve_scattering(pot)
+    assert fourier_Vf(sol, 0.0) == pytest.approx(8.0 * math.pi * sol.a, rel=1e-14)
+
+
+@pytest.mark.parametrize("V0,tol", [(1e-2, 1e-14), (4.0, 1e-14), (1e3, 2e-11)])
+def test_scattering_length_from_integral_matches_closed_form(V0, tol):
+    """The integral route against R - tanh(kR)/k, k^2 = V0/2, in mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    k = mpmath.sqrt(mpmath.mpf(V0) / 2)
+    want = float(1 - mpmath.tanh(k) / k)
+    sol = solve_scattering(RadialPotential(kind="square-well", V0=V0, R=1.0))
+    assert abs(scattering_length_from_integral(sol) - want) <= tol * want
 
 
 @pytest.mark.parametrize("kwargs", [
