@@ -75,7 +75,7 @@ _FLAGS = {
                                                   "nargs": "+"}),
 }
 
-_COMMON = ("config", "out", "format", "seed", "tol")
+_COMMON = ("config", "out", "format", "seed")
 _CUT = ("gamma", "delta")
 _POT = ("kind", "V0", "R", "potential_file")
 _DENS = ("rho_up", "rho_down")
@@ -148,7 +148,7 @@ def _config_value(key, value, kw):
 
 def _load_config_file(path, flags):
     """Read the JSON config; every key must name one of the command's
-    flags and its value must fit that flag."""
+    flags other than config, and its value must fit that flag."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -161,6 +161,9 @@ def _load_config_file(path, flags):
     config = {}
     for key, value in doc.items():
         name = str(key).replace("-", "_")
+        if name == "config":
+            raise UsageError(f"config file key {key!r}: a config file cannot "
+                             f"name another")
         if name not in flags:
             raise UsageError(f"unknown config file key {key!r}: not a flag "
                              f"of this command")
@@ -203,9 +206,10 @@ def _validate(config):
             if isinstance(v, float) and not math.isfinite(v):
                 raise UsageError(f"{key.replace('_', '-')} must be finite, "
                                  f"got {v}")
-    if p["tol"] is not None and not p["tol"] > 0.0:
+    tol = p.get("tol")
+    if tol is not None and not tol > 0.0:
         # a tolerance of zero or below can never be met
-        raise UsageError(f"tol must be positive, got {p['tol']}")
+        raise UsageError(f"tol must be positive, got {tol}")
     try:
         if "gamma" in p:
             # the exponent rules; each command's density is checked below
@@ -577,29 +581,30 @@ _COMMANDS = {
         ("x_min", "x_max", "x_count")),
     "verify-f": _Command(
         "closed form vs quadrature oracle for F", _cmd_verify_f,
-        ("x", "x_grid"), {"tol": 5e-3}),
+        ("tol", "x", "x_grid"), {"tol": 5e-3}),
     "quad-g": _Command(
         "pointwise momentum integrand g(x, p)", _cmd_quad_g,
-        ("x", "p"), {"tol": 1e-6}),
+        ("tol", "x", "p"), {"tol": 1e-6}),
     "gap-study": _Command(
         "regularized vs limit second-order integral along a density grid",
-        _cmd_gap_study, _CUT + _DENS + ("rho_min", "rho_max", "rho_count"),
+        _cmd_gap_study,
+        ("tol",) + _CUT + _DENS + ("rho_min", "rho_max", "rho_count"),
         {"tol": 1e-4}),
     "lattice-sum": _Command(
         "finite-box Riemann sum of the cutoff kernel vs its integral",
         _cmd_lattice_sum, _CUT + _DENS + ("L_grid",)),
     "singular-bound": _Command(
         "finiteness of the inverse-square pair dispersion integral",
-        _cmd_singular_bound, ("x_grid",),
+        _cmd_singular_bound, ("tol", "x_grid"),
         {"tol": 1e-3, "x_grid": [1e-3, 1e-2, 0.1, 0.5, 1.0]}),
     "fock-demo": _Command(
         "exact small-lattice check: identity residuals, trial energies, "
         "ground energy", _cmd_fock_demo,
-        _CUT + _POT + ("L", "kmax", "shells", "lambda_grid"),
+        ("tol",) + _CUT + _POT + ("L", "kmax", "shells", "lambda_grid"),
         {"tol": 1e-10, "format": "json"}),
     "bg-solve": _Command(
         "in-medium pair scattering equation on a radial grid", _cmd_bg_solve,
-        _POT + _DENS, {"tol": 1e-11}),
+        ("tol",) + _POT + _DENS, {"tol": 1e-11}),
 }
 
 COMMANDS = tuple(_COMMANDS)
@@ -650,7 +655,7 @@ def run(config):
         print(f"error: non-finite result {found}; nothing written",
               file=sys.stderr)
         return 1
-    tol = config.parameters["tol"]
+    tol = config.parameters.get("tol")
     meta = {"version": VERSION, "seed": config.parameters["seed"],
             "tolerances": {} if tol is None else {"tol": tol},
             "wall_time_ms": round(wall_ms, 3), **extra}

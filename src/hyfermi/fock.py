@@ -195,22 +195,8 @@ class FockBasis:
     mode_order: tuple[tuple[Triple, int], ...]
 
     @property
-    def dimension(self) -> int:
-        return 1 << self.n_modes
-
-    @cached_property
-    def mode_index(self) -> dict[tuple[Triple, int], int]:
-        return {m: j for j, m in enumerate(self.mode_order)}
-
-    @property
     def n_modes(self) -> int:
         return len(self.mode_order)
-
-    def mode(self, momentum: Triple, spin: int) -> int:
-        key = (tuple(int(c) for c in momentum), spin)
-        if key not in self.mode_index:
-            raise ValueError(f"unknown mode {key}")
-        return self.mode_index[key]
 
 
 def build_basis(lattice: LatticeConfig) -> FockBasis:
@@ -522,18 +508,6 @@ def _quartic(quads, dag, spins, coef):
     return modes[keep], dag, coef[keep]
 
 
-def mode_operator(basis: FockBasis, momentum, spin: int, kind: str) -> FockOperator:
-    if kind not in ("create", "annihilate"):
-        raise ValueError(f"kind must be 'create' or 'annihilate', got {kind!r}")
-    j = basis.mode(momentum, spin)
-    return make_operator(basis, [(1.0, [(j, kind == "create")])])
-
-
-def number_operator(basis: FockBasis, spin=None) -> FockOperator:
-    per_mode = [1.0 if spin is None or s == spin else 0.0 for _, s in basis.mode_order]
-    return _assemble(basis, [_Sum(number=per_mode, hermitian=True, number_conserving=True)])[0]
-
-
 def vhat_from_potential(lattice: LatticeConfig, potential) -> np.ndarray:
     """V^ as a read-only radial table over the grid's transfers: entry m is
     V^ at |n|^2 = m, for m up to the largest |n_i - n_j|^2. Each realized
@@ -799,34 +773,6 @@ def corr_identity_report(lattice: LatticeConfig, basis: FockBasis,
     """
     return _identity_residuals(lattice, basis, h, terms,
                                ((0, 0), (-1, 0), (0, -1), (-1, -1)))
-
-
-def _pair_terms(lattice: LatticeConfig, p, spin: int) -> list:
-    """The strings of the quasi-bosonic b_{p,sigma}: all particle-hole pair
-    removals at transfer p (an integer triple)."""
-    ins, reflect = lattice.inside[spin].tolist(), lattice.reflect.tolist()
-    # the index of n_i + p, None off the grid
-    moved = [lattice.index.get(tuple(m)) for m in (lattice.n + p).tolist()]
-    return [(1.0, [(2 * j + spin, False), (2 * reflect[i] + spin, False)])
-            for i, j in enumerate(moved) if ins[i] and j is not None and not ins[j]]
-
-
-def q2_ud_from_pairs(lattice: LatticeConfig, basis: FockBasis, vhat) -> FockOperator:
-    """Opposite-spin Q2 rebuilt from products of pair operators, for cross-checking."""
-    vol = lattice.L ** 3
-    # each distinct transfer p = n_i - n_j once, V^(p) read at its first pair
-    transfers, first = np.unique((lattice.n[:, None] - lattice.n[None]).reshape(-1, 3),
-                                 axis=0, return_index=True)
-    terms = []
-    for p, val in zip(transfers, _vhat_table(lattice, vhat).ravel()[first].tolist()):
-        if val == 0.0:
-            continue
-        up = _pair_terms(lattice, p, SPIN_UP)
-        down = _pair_terms(lattice, np.negative(p), SPIN_DOWN) if up else []
-        terms += [(val / vol, ou + od) for _, ou in up for _, od in down]
-    # plus the adjoint: the factors reversed, each one's dagger flipped
-    terms += [(c, [(j, not d) for j, d in reversed(ops)]) for c, ops in terms]
-    return make_operator(basis, terms, hermitian=True)
 
 
 def build_generator(lattice: LatticeConfig, basis: FockBasis, which: str, *,

@@ -14,10 +14,6 @@ from dataclasses import asdict, dataclass, field
 _NEAR_ONE = 1e-4
 
 
-def _t_of(x):
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
-
-
 def _F_groups(x, t, sing):
     """F from t = x^(1/3) and the branch's log-singular group: the
     prefactor times the polynomial, logarithmic and singular groups."""
@@ -50,7 +46,7 @@ def F_closed(x):
         Q = t ** 3 + 4.0 * t ** 2 + 4.0 * t + 1.0
         lns = s ** 4 * math.log(abs(s)) if s != 0.0 else 0.0
         return _F_groups(x, t, 21.0 * Q * (lns - s ** 4 * math.log1p(t)))
-    t = _t_of(x)
+    t = x ** (1.0 / 3.0)
     P = (1.0 - 6.0 * t ** 2 + 5.0 * t ** 3 + 5.0 * t ** 4 - 6.0 * t ** 5
          + t ** 7)
     return _F_groups(x, t, 21.0 * P * (math.log(abs(1.0 - t)) - math.log1p(t)))
@@ -63,16 +59,15 @@ def _f_head(t):
             9.0 / 28.0 - 0.9 * t ** 2 + 0.75 * t ** 4)
 
 
-def f_aux(x, A=0.0):
+def f_aux(x):
     """One-sided auxiliary function entering the symmetric form of F.
 
-    Defined up to A*(x^(7/3) - 1); the combination in F_from_f is
-    independent of A. The logarithmic coefficients conspire to a simple
+    Defined only up to A*(x^(7/3) - 1), which cancels in F_from_f; this
+    is the choice A = 0. The logarithmic coefficients conspire to a simple
     zero at x = 1, handled by the same factored-branch policy as F_closed.
     """
     if x <= 0.0:
         raise ValueError(f"argument must be positive, got {x}")
-    gauge = A * (x ** (7.0 / 3.0) - 1.0)
     if abs(x - 1.0) < _NEAR_ONE:
         s = math.expm1(math.log(x) / 3.0)
         t = 1.0 + s
@@ -86,25 +81,22 @@ def f_aux(x, A=0.0):
         val = (head + lns
                - (psi + (6.0 / 35.0) * t ** 7) * math.log1p(t)
                + (12.0 / 35.0) * t ** 7 * math.log(t))
-        return math.pi * val + gauge
-    t = _t_of(x)
+        return math.pi * val
+    t = x ** (1.0 / 3.0)
     head, psi = _f_head(t)
     val = (head + psi * (math.log(abs(1.0 - t)) - math.log1p(t))
            + (6.0 / 35.0) * t ** 7 * (2.0 * math.log(t)
                                       - math.log(abs(1.0 - t * t))))
-    return math.pi * val + gauge
+    return math.pi * val
 
 
-def F_from_f(x, A=0.0):
-    """Symmetric reassembly (4/pi)(6 pi^2)^(1/3) (f(x) + x^(7/3) f(1/x)).
-
-    The free constant A cancels between the two halves; it is exposed
-    only so the cancellation can be exercised.
-    """
+def F_from_f(x):
+    """Symmetric reassembly (4/pi)(6 pi^2)^(1/3) (f(x) + x^(7/3) f(1/x)),
+    in which f's gauge term A*(x^(7/3) - 1) cancels."""
     if x <= 0.0:
         raise ValueError(f"argument must be positive, got {x}")
     pref = (4.0 / math.pi) * (6.0 * math.pi ** 2) ** (1.0 / 3.0)
-    return pref * (f_aux(x, A) + x ** (7.0 / 3.0) * f_aux(1.0 / x, A))
+    return pref * (f_aux(x) + x ** (7.0 / 3.0) * f_aux(1.0 / x))
 
 
 @dataclass(frozen=True)

@@ -64,8 +64,10 @@ class RadialPotential:
 
     @classmethod
     def from_json(cls, source):
-        """Build from a JSON document (dict, JSON text, or path); an
-        unreadable file or a malformed document raises ValueError."""
+        """Build from a JSON document (dict, JSON text, or path) with the
+        keys kind, R and, for a tabulated kind, samples, else V0; an
+        unreadable file, a malformed document or any other key raises
+        ValueError."""
         if isinstance(source, dict):
             doc = source
         else:
@@ -81,6 +83,14 @@ class RadialPotential:
         if not isinstance(doc, dict) or "kind" not in doc:
             raise ValueError("a potential document is a JSON object with a "
                              "'kind' key")
+        # every key is read: a misspelt V0 must not fall back to 0
+        keys = ("kind", "R", "samples") if doc["kind"] == "tabulated" \
+            else ("kind", "V0", "R")
+        for key in doc:
+            if key not in keys:
+                raise ValueError(f"potential document key {key!r} is not read "
+                                 f"for kind {doc['kind']!r}; the keys are "
+                                 f"{', '.join(keys)}")
         samples = doc.get("samples")
         try:
             return cls(
@@ -100,16 +110,14 @@ class RadialPotential:
 
     def __call__(self, r):
         r = np.asarray(r, dtype=np.float64)
-        inside = r <= self.R
         if self.kind == "square-well":
-            out = np.where(inside, self.V0, 0.0)
+            out = np.where(r <= self.R, self.V0, 0.0)
         elif self.kind == "truncated-gaussian":
-            out = np.where(inside, self.V0 * np.exp(-((3.0 * r / self.R) ** 2)), 0.0)
+            out = np.where(r <= self.R, self.V0 * np.exp(-((3.0 * r / self.R) ** 2)), 0.0)
         else:
             radii = np.array([p[0] for p in self.samples])
             vals = np.array([p[1] for p in self.samples])
             out = np.interp(r, radii, vals, left=vals[0], right=0.0)
-            out = np.where(r > radii[-1], 0.0, out)
         return out if out.ndim else float(out)
 
 
@@ -277,13 +285,6 @@ def _u_at(solution, r):
     q = 0.5 * solution.potential(np.stack([grid[i], grid[i] + 0.5 * h, r]))
     du, _ = _rk4_increment(*q, h, solution.u_profile[i], solution.du_profile[i])
     return solution.u_profile[i] + du
-
-
-def scattering_length_from_integral(solution):
-    """a = (1/2) * integral of V(r) u(r) r dr, a quadrature cross-check on
-    the Gauss panels of _radial_rule."""
-    r, wv = _radial_rule(solution.potential, 0.0)
-    return 0.5 * float(wv @ (_u_at(solution, r) * r))
 
 
 def _radial_transform(r, w, f, s):

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cutoffs import fermi_momentum, quintic_step
-from .hyformula import F_closed, f_aux
+from .hyformula import F_closed
 
 @functools.lru_cache(maxsize=None)
 def _gauss(n):
@@ -345,116 +345,6 @@ def F_quadrature(x, tol=1e-3):
                             evaluations=evals,
                             elapsed=time.perf_counter() - t0,
                             flagged=not met, rung=rung)
-
-
-def p_integral_quadratic(a_coef, b_coef):
-    """Closed form of the unit-ball principal value integral of
-    1/(p^2 + a*p1 + b) for a^2 >= 4b."""
-    a, b = float(a_coef), float(b_coef)
-    if a * a < 4.0 * b:
-        raise ValueError("requires a^2 >= 4b")
-    d = math.sqrt(a * a - 4.0 * b)
-    for arg in (b - 1.0 - d, b - 1.0 + d, b + 1.0 - abs(a), b + 1.0 + abs(a)):
-        if arg == 0.0:
-            raise ValueError("singularity on the integration boundary")
-    out = 2.0 * math.pi
-    if d > 0.0:
-        out -= (math.pi / 2.0) * d * math.log(abs((b - 1.0 - d) / (b - 1.0 + d)))
-    if abs(a) < 1e-12:
-        # limit of the third term: log|(b+1-|a|)/(b+1+|a|)| ~ -2|a|/(b+1)
-        out += (math.pi / 2.0) * (a * a - 2.0 * b - 2.0) * (-2.0 / (b + 1.0))
-    else:
-        out += (math.pi / 2.0) * ((a * a - 2.0 * b - 2.0) / abs(a)) \
-            * math.log(abs((b + 1.0 - abs(a)) / (b + 1.0 + abs(a))))
-    return out
-
-
-def p_integral_linear(a_coef, b_coef):
-    """Closed form of the unit-ball principal value integral of
-    1/(a*p1 + b); kept exactly as derived and validated against the
-    smoothed oracle before use."""
-    a, b = float(a_coef), float(b_coef)
-    if a == 0.0:
-        raise ValueError("a must be nonzero")
-    if abs(b) == abs(a):
-        raise ValueError("singularity on the integration boundary")
-    return 2.0 * math.pi * b / a ** 2 - (math.pi / abs(a) ** 3) \
-        * (a * a - b * b) * math.log(abs((b - abs(a)) / (b + abs(a))))
-
-
-def pv_quadratic_epsilon(a_coef, b_coef, eps):
-    """Real part of the eps-smoothed ball integral of
-    1/(p^2 + a*p1 + b + i*eps); radial-angular reduction, one smooth 1D
-    quadrature. Extrapolate eps -> 0 to recover the principal value.
-    A test reference: it imports scipy, which only the `test` extra
-    installs."""
-    from scipy.integrate import quad
-
-    a, b = float(a_coef), float(b_coef)
-    if a == 0.0:
-        raise ValueError("reduction needs a != 0")
-
-    def integrand(r):
-        num = (r * r + b + a * r) ** 2 + eps * eps
-        den = (r * r + b - a * r) ** 2 + eps * eps
-        return r * math.log(num / den)
-
-    pts = []
-    disc = a * a - 4.0 * b
-    if disc >= 0.0:
-        for root in ((abs(a) - math.sqrt(disc)) / 2.0,
-                     (abs(a) + math.sqrt(disc)) / 2.0):
-            if 0.0 < root < 1.0:
-                pts.append(root)
-    val, _ = quad(integrand, 0.0, 1.0, points=pts or None,
-                  limit=400, epsabs=1e-13, epsrel=1e-12)
-    return (math.pi / a) * val
-
-
-def pv_linear_epsilon(a_coef, b_coef, eps):
-    """Real part of the eps-smoothed ball integral of 1/(a*p1 + b + i*eps).
-    A test reference: it imports scipy, which only the `test` extra
-    installs."""
-    from scipy.integrate import quad
-
-    a, b = float(a_coef), float(b_coef)
-    if a == 0.0:
-        raise ValueError("reduction needs a != 0")
-
-    def integrand(r):
-        num = (b + a * r) ** 2 + eps * eps
-        den = (b - a * r) ** 2 + eps * eps
-        return r * math.log(num / den)
-
-    root = abs(b / a)
-    pts = [root] if 0.0 < root < 1.0 else None
-    val, _ = quad(integrand, 0.0, 1.0, points=pts,
-                  limit=400, epsabs=1e-13, epsrel=1e-12)
-    return (math.pi / a) * val
-
-
-def ode_check_f(x, h=1e-4, A=0.0):
-    """Residual of the second-order equation satisfied by the auxiliary
-    function, via nested centered differences.
-
-    The gauge freedom A*(x^(7/3) - 1) is annihilated by the operator up
-    to stencil error, so the residual is A-independent to O(h^2).
-    """
-    if not 0.0 < x < math.inf:
-        raise ValueError("x must be positive and finite")
-    if abs(x - 1.0) < 10.0 * h:
-        raise ValueError("stencil straddles the removable point x = 1")
-    f = lambda z: f_aux(z, A)
-    fp_plus = (f(x + 2.0 * h) - f(x)) / (2.0 * h)
-    fp_minus = (f(x) - f(x - 2.0 * h)) / (2.0 * h)
-    H_plus = (x + h) ** (-4.0 / 3.0) * fp_plus
-    H_minus = (x - h) ** (-4.0 / 3.0) * fp_minus
-    lhs = -8.0 * math.pi * x ** (7.0 / 3.0) * (H_plus - H_minus) / (2.0 * h)
-    t = x ** (1.0 / 3.0)
-    rhs = 8.0 * math.pi ** 2 * (
-        2.0 + x ** (-1.0 / 3.0) * (x ** (2.0 / 3.0) - 1.0)
-        * (math.log(abs(1.0 - t)) - math.log1p(t)))
-    return abs(lhs - rhs)
 
 
 def gap_cutoff_study(params, cutoff, rho_grid, tol=1e-4):

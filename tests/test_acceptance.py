@@ -23,12 +23,15 @@ from hyfermi.potentials import (
 from hyfermi.quadrature import (
     F_quadrature,
     gap_cutoff_study,
+    singular_integral_bound,
+)
+
+from references import (
     ode_check_f,
     p_integral_linear,
     p_integral_quadratic,
     pv_linear_epsilon,
     pv_quadratic_epsilon,
-    singular_integral_bound,
 )
 
 LN2 = math.log(2.0)
@@ -162,14 +165,14 @@ def test_criterion_08_fock_exactness():
     # one particle fewer and one more of the mode's spin
     src = fock.sector(basis, lat.N_up, lat.N_down)
     car = 0.0
-    for momentum, spin in basis.mode_order:
+    for j, (_, spin) in enumerate(basis.mode_order):
         counts = [lat.N_up, lat.N_down]
         counts[spin] -= 1
         lower = fock.sector(basis, *counts)
         counts[spin] += 2
         upper = fock.sector(basis, *counts)
-        a_op = fock.mode_operator(basis, momentum, spin, "annihilate")
-        c_op = fock.mode_operator(basis, momentum, spin, "create")
+        a_op = fock.make_operator(basis, [(1.0, [(j, False)])])
+        c_op = fock.make_operator(basis, [(1.0, [(j, True)])])
         anti = (a_op.on(upper, src) @ c_op.on(src, upper)
                 + c_op.on(lower, src) @ a_op.on(src, lower) - np.eye(src.size))
         car = max(car, float(np.abs(anti).max()))

@@ -585,6 +585,8 @@ def test_config_values_take_their_flag_type(command, doc, want, tmp_path):
     ("singular-bound", {"x-grid": 0.5}),
     ("singular-bound", {"x-grid": []}),
     ("fock-demo", {"shells": [0.5]}),
+    # a config file cannot name another, even one that does not exist
+    ("hy-table", {"config": "nested.json", "x_count": 3}),
 ])
 def test_config_value_that_does_not_fit_its_flag_exits_two(command, doc,
                                                            tmp_path, capsys):
@@ -594,6 +596,22 @@ def test_config_value_that_does_not_fit_its_flag_exits_two(command, doc,
     assert code == 2
     assert out == ""
     assert repr(next(iter(doc))) in err
+
+
+@pytest.mark.parametrize("command", ["scatter", "hy-eval", "hy-table", "lattice-sum"])
+def test_tol_is_refused_where_nothing_reads_it(command, tmp_path, capsys):
+    """Only the six commands that read a tolerance take --tol or a config
+    key tol; the others exit 2 on either."""
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_config([command, "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"tol": 1e-3}))
+    code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "'tol'" in err
 
 
 @pytest.mark.parametrize("argv,word", [
@@ -651,8 +669,13 @@ def test_bg_solve_non_finite_phi_exits_one(monkeypatch, capsys):
     ('{"kind": "tabulated", "R": 1.0, "samples": [[0.2, NaN], [0.5, 1.0]]}',
      "samples must be finite"),
     ('{"kind": "tabulated", "R": 1.0, "samples": [null]}', "malformed"),
+    ('{"kind": "square-well", "v0": 100, "r": 2}', "key 'v0'"),
+    ('{"kind": "square-well", "V0": 4.0, "samples": [[0.5, 1.0]]}',
+     "key 'samples'"),
+    ('{"kind": "tabulated", "V0": 4.0, "samples": [[0.5, 1.0]]}', "key 'V0'"),
 ], ids=["missing-file", "no-kind", "not-an-object", "not-json", "V0-negative",
-        "kind-unknown", "V0-NaN", "R-NaN", "sample-NaN", "sample-null"])
+        "kind-unknown", "V0-NaN", "R-NaN", "sample-NaN", "sample-null",
+        "key-misspelt", "samples-on-square-well", "V0-on-tabulated"])
 def test_potential_file_problems_exit_two(text, word, tmp_path, capsys):
     path = tmp_path / "pot.json"
     if text is not None:

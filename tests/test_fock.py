@@ -30,6 +30,8 @@ from hyfermi.potentials import (
     solve_scattering,
 )
 
+from references import q2_ud_from_pairs
+
 L = 2.0 * math.pi
 POT = RadialPotential(kind="square-well", V0=0.4, R=1.0)
 
@@ -53,6 +55,23 @@ def shifted(counts, spin, by):
     out = list(counts)
     out[spin] += by
     return tuple(out)
+
+
+def mode(lat, n, spin):
+    """The mode of momentum n (a triple on the lattice) and spin."""
+    return 2 * lat.index[n] + spin
+
+
+def ladder(basis, j, create):
+    """a*_j (create) or a_j, as a one-string operator."""
+    return fock.make_operator(basis, [(1.0, [(j, create)])])
+
+
+def number_operator(basis):
+    """The total number operator, sum_j a*_j a_j."""
+    return fock.make_operator(basis, [(1.0, [(j, True), (j, False)])
+                                      for j in range(basis.n_modes)],
+                              hermitian=True, number_conserving=True)
 
 
 @pytest.fixture(scope="module")
@@ -175,12 +194,10 @@ def test_lattice_arrays_match_per_triple_reference(L_box, reach, up, down):
 
 def test_basis_mode_lookup(demo):
     lat, basis, _, _, _ = demo
-    assert basis.dimension == 16384
+    assert 1 << basis.n_modes == 16384
     for n in lat.momenta:
         for spin in (fock.SPIN_UP, fock.SPIN_DOWN):
-            assert basis.mode(n, spin) == 2 * lat.index[n] + spin
-    with pytest.raises(ValueError):
-        basis.mode((9, 9, 9), fock.SPIN_UP)
+            assert basis.mode_order[2 * lat.index[n] + spin] == (n, spin)
 
 
 def test_basis_refuses_oversized_lattice():
@@ -225,7 +242,7 @@ def test_sectors_partition_the_space(demo):
             assert states.dtype == np.int64 and np.all(np.diff(states) > 0)
             assert states.size == math.comb(m, a) * math.comb(m, b)
             seen.append(states)
-        assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(basis.dimension))
+        assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(1 << basis.n_modes))
     up, hu, pd, hd = fock.excitation_counts(lat, basis, fock.ph_sector(lat, basis, 2, -1))
     assert np.all(up - hu == 2) and np.all(pd - hd == -1)
 
@@ -246,7 +263,7 @@ def _full_space(op, basis, counts, spin, shift):
             rows.append(dst[i])
             cols.append(src[j])
             vals.append(m[i, j])
-    dim = basis.dimension
+    dim = 1 << basis.n_modes
     return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                          shape=(dim, dim))
 
@@ -257,27 +274,25 @@ def test_car_identities(demo):
     lat, basis, _, _, _ = demo
     counts = all_counts(lat)
     a, ad = [], []
-    for n, spin in basis.mode_order:
-        a.append(_full_space(fock.mode_operator(basis, n, spin, "annihilate"),
-                             basis, counts, spin, -1))
-        ad.append(_full_space(fock.mode_operator(basis, n, spin, "create"),
-                              basis, counts, spin, 1))
-    eye = sp.identity(basis.dimension, format="csr")
+    for j, (_, spin) in enumerate(basis.mode_order):
+        a.append(_full_space(ladder(basis, j, False), basis, counts, spin, -1))
+        ad.append(_full_space(ladder(basis, j, True), basis, counts, spin, 1))
+    eye = sp.identity(1 << basis.n_modes, format="csr")
     for k in range(basis.n_modes):
         assert abs(ad[k] - a[k].T).max() == 0.0
     for j, k in itertools.product(range(basis.n_modes), repeat=2):
         assert abs(a[j] @ ad[k] + ad[k] @ a[j] - (eye if j == k else 0 * eye)).max() == 0.0
         assert abs(a[j] @ a[k] + a[k] @ a[j]).max() == 0.0
     # each a_j lowers exactly the states that hold mode j
-    assert all(m.nnz == basis.dimension // 2 for m in a)
+    assert all(m.nnz == (1 << basis.n_modes) // 2 for m in a)
 
 
 def test_vacuum_action(demo):
-    _, basis, _, _, _ = demo
+    lat, basis, _, _, _ = demo
     vac = np.zeros(1, dtype=np.int64)
-    a = fock.mode_operator(basis, (0, 0, 0), fock.SPIN_UP, "annihilate")
-    ad = fock.mode_operator(basis, (0, 0, 0), fock.SPIN_UP, "create")
-    assert not a.on(vac, np.arange(basis.dimension)).any()
+    j = mode(lat, (0, 0, 0), fock.SPIN_UP)
+    a, ad = ladder(basis, j, False), ladder(basis, j, True)
+    assert not a.on(vac, np.arange(1 << basis.n_modes)).any()
     one = ad.on(vac, fock.sector(basis, 1, 0))
     assert np.count_nonzero(one) == 1
 
@@ -286,8 +301,8 @@ def test_flag_claims_are_verified(demo):
     """A false claim raises naming the flag: a lone a_j, a sum claimed
     Hermitian that is not, a lone a*_j claimed number conserving. A true
     claim passes."""
-    _, basis, _, _, _ = demo
-    i, j = basis.mode((0, 0, 0), fock.SPIN_UP), basis.mode((1, 0, 0), fock.SPIN_UP)
+    lat, basis, _, _, _ = demo
+    i, j = mode(lat, (0, 0, 0), fock.SPIN_UP), mode(lat, (1, 0, 0), fock.SPIN_UP)
     hop, back = [(i, True), (j, False)], [(j, True), (i, False)]
     with pytest.raises(ValueError, match="claimed Hermitian is not"):
         fock.make_operator(basis, [(1.0, [(j, False)])], hermitian=True)
@@ -311,8 +326,8 @@ def test_assembly_checks_each_operator_on_its_own(demo):
     a*_j a_i sum to a Hermitian operator but neither is one, so a claim on
     either raises, also when both claim it; a lone creator claimed number
     conserving raises beside a number operator, in either order."""
-    _, basis, _, _, _ = demo
-    i, j = basis.mode((1, 0, 0), fock.SPIN_UP), basis.mode((0, 0, 0), fock.SPIN_UP)
+    lat, basis, _, _, _ = demo
+    i, j = mode(lat, (1, 0, 0), fock.SPIN_UP), mode(lat, (0, 0, 0), fock.SPIN_UP)
     for first, second in ((True, True), (True, False), (False, True)):
         with pytest.raises(ValueError, match="claimed Hermitian is not"):
             fock._assemble(basis, [fock._Sum([_hop(i, j)], hermitian=first),
@@ -329,8 +344,8 @@ def test_assembly_together_equals_apart(demo):
     """True claims on every operator pass, and each operator assembled
     with others has the forms and coefficients it has alone, bit for
     bit: M + M* written out, M with plus_adjoint, and number terms."""
-    _, basis, _, _, _ = demo
-    i, j = basis.mode((1, 0, 0), fock.SPIN_UP), basis.mode((0, 0, 0), fock.SPIN_DOWN)
+    lat, basis, _, _, _ = demo
+    i, j = mode(lat, (1, 0, 0), fock.SPIN_UP), mode(lat, (0, 0, 0), fock.SPIN_DOWN)
     flags = dict(hermitian=True, number_conserving=True)
     sums = [fock._Sum([_hop(i, j, 0.3), _hop(j, i, 0.3)], **flags),
             fock._Sum([_hop(i, j, 0.3)], plus_adjoint=True, **flags),
@@ -346,8 +361,8 @@ def test_assembly_together_equals_apart(demo):
 def test_vanishing_strings_leave_no_forms(demo):
     """A string that is zero on every state contributes no form, even when
     its coefficient is not finite."""
-    _, basis, _, _, _ = demo
-    j = basis.mode((1, 0, 0), fock.SPIN_UP)
+    lat, basis, _, _, _ = demo
+    j = mode(lat, (1, 0, 0), fock.SPIN_UP)
     for coef in (1.0, math.inf, math.nan):
         op = fock.make_operator(basis, [(coef, [(j, True), (j, True)]),
                                         (coef, [(j, False), (j, True), (j, True)])])
@@ -371,7 +386,7 @@ def test_hamiltonian_flags_and_commutators(demo):
 
 
 # every reader of a V^ table, called as reader(lattice, basis, vhat)
-_VHAT_READERS = (fock.build_hamiltonian, fock.build_corr_terms, fock.q2_ud_from_pairs,
+_VHAT_READERS = (fock.build_hamiltonian, fock.build_corr_terms, q2_ud_from_pairs,
                  lambda lat, basis, vhat: fock.ffg_energy_wick(lat, vhat))
 
 
@@ -482,7 +497,7 @@ def test_opstring_against_dense_reference(case):
     basis = fock.FockBasis(mode_order=tuple(((j, 0, 0), 0) for j in range(n_modes)))
     op = fock.make_operator(basis, terms)
     ref = sum(coef * _dense_string(n_modes, ops) for coef, ops in terms)
-    every = np.arange(basis.dimension)
+    every = np.arange(1 << basis.n_modes)
     assert np.abs(op.on(every) - ref).max() <= 1e-12
     some = every[::3]
     assert np.abs(op.on(some[::-1], some) - ref[np.ix_(some, some[::-1])]).max() <= 1e-12
@@ -511,11 +526,11 @@ def test_ph_mode_images(demo):
     lat, basis, _, _, _ = demo
     charges = all_charges(lat)
     for j, (n, spin) in enumerate(basis.mode_order):
-        a_j = fock.mode_operator(basis, n, spin, "annihilate")
+        a_j = ladder(basis, j, False)
         # the rule itself, not the lattice's arrays: boundary modes are inside
         inside = lat.unit * math.sqrt(sum(c * c for c in n)) <= (lat.kF_up, lat.kF_down)[spin]
         neg = (-n[0], -n[1], -n[2])
-        want = fock.mode_operator(basis, neg, spin, "create") if inside else a_j
+        want = ladder(basis, mode(lat, neg, spin), True) if inside else a_j
         for q in charges:
             target = shifted(q, spin, -1)
             if target not in charges:
@@ -536,7 +551,7 @@ def test_ph_vacuum_is_determinant(demo):
     lat, basis, _, _, _ = demo
     image, sign = fock.ph_transform(lat, basis, np.zeros(1, dtype=np.int64))
     assert image[0] == fock.ffg_index(lat, basis) and sign[0] == 1.0
-    n_tot = fock.number_operator(basis)
+    n_tot = number_operator(basis)
     assert float(n_tot.on(image)[0, 0]) == pytest.approx(2.0)
 
 
@@ -706,7 +721,7 @@ def test_ph_transform_matches_mode_loop(demo, asym):
     """The closed form equals the loop over modes on all 2^14 states, and
     on a concatenation of sectors equals the sectors one by one."""
     for lat, basis, _, _, _ in (demo, asym):
-        every = np.arange(basis.dimension, dtype=np.int64)
+        every = np.arange(1 << basis.n_modes, dtype=np.int64)
         image, sign = fock.ph_transform(lat, basis, every)
         want_image, want_sign = _ph_by_mode(lat, basis, every)
         assert np.array_equal(image, want_image) and np.array_equal(sign, want_sign)
@@ -730,7 +745,7 @@ def test_identity_report_sees_the_imbalance(demo):
 
 def test_q2_ud_dual_route(demo, asym):
     for lat, basis, vhat, _, terms in (demo, asym):
-        alt = fock.q2_ud_from_pairs(lat, basis, vhat)
+        alt = q2_ud_from_pairs(lat, basis, vhat)
         for q in all_charges(lat):
             src = fock.ph_sector(lat, basis, *q)
             assert absmax(alt.on(src) - terms["Q2_ud"].on(src)) < 1e-12
@@ -758,14 +773,14 @@ def test_generators_annihilate_vacuum(demo, generators, ph_zero):
     _, basis, _, _, _ = demo
     vac = np.zeros(1, dtype=np.int64)
     for b in generators:
-        assert not b.on(vac, np.arange(basis.dimension)).any()
+        assert not b.on(vac, np.arange(1 << basis.n_modes)).any()
         assert np.count_nonzero(b.on(ph_zero)) > 0
 
 
 def test_generator_number_commutator(demo, generators, ph_zero):
     # [N, B - B*] = -4 (B + B*): each term moves four particles
     _, basis, _, _, _ = demo
-    n_tot = fock.number_operator(basis).on(ph_zero)
+    n_tot = number_operator(basis).on(ph_zero)
     for b in generators:
         m = b.on(ph_zero)
         k = m - m.T
@@ -966,7 +981,7 @@ def test_variational_bound_on_grid(demo, generators):
 
 def test_excitation_counts_on_determinant(demo):
     lat, basis, _, _, _ = demo
-    up_zero = basis.mode((0, 0, 0), fock.SPIN_UP)
+    up_zero = mode(lat, (0, 0, 0), fock.SPIN_UP)
     counts = fock.excitation_counts(lat, basis, [0, 1 << up_zero])
     for arr in counts:
         assert arr[0] == 0  # vacuum of the correlation frame

@@ -16,6 +16,8 @@ from hyfermi.hyformula import (
     hy_energy_error,
 )
 
+from references import f_gauged
+
 F1_ANCHOR = (48.0 / 35.0) * (11.0 - 2.0 * math.log(2.0)) \
     * (6.0 * math.pi ** 2) ** (1.0 / 3.0)
 
@@ -39,9 +41,11 @@ def test_two_codings_agree_on_grid():
 
 def test_gauge_term_drops_out_of_f_from_f():
     # f is only defined up to A*(x^(7/3) - 1); F must not see A
+    pref = (4.0 / math.pi) * (6.0 * math.pi ** 2) ** (1.0 / 3.0)
     for x in (0.3, 1.0, 2.5):
-        assert F_from_f(x, A=17.5) == pytest.approx(F_from_f(x, A=0.0),
-                                                    rel=1e-11)
+        gauged = pref * (f_gauged(x, 17.5)
+                         + x ** (7.0 / 3.0) * f_gauged(1.0 / x, 17.5))
+        assert gauged == pytest.approx(F_from_f(x), rel=1e-11)
 
 
 def test_reflection_law():

@@ -1,8 +1,9 @@
-"""Import cost: no hyfermi command loads scipy. The Fock layer, the
-Bethe-Goldstone solve and the quadrature rules of the potentials are numpy
-only; the principal-value oracles (pv_*_epsilon), the test references,
-are the only code that loads scipy, and only when called."""
+"""Import cost: no hyfermi command loads scipy, and no file of the library
+imports it: hyfermi needs numpy alone. scipy is loaded only by test code,
+such as the principal-value oracles (pv_*_epsilon) in tests/references.py,
+and only when called."""
 
+import ast
 import json
 import math
 import os
@@ -15,7 +16,9 @@ import pytest
 import hyfermi
 from hyfermi.potentials import RadialPotential, born_length
 
-SRC = str(Path(hyfermi.__file__).resolve().parents[1])
+PACKAGE = Path(hyfermi.__file__).resolve().parent
+SRC = str(PACKAGE.parent)
+TESTS = str(Path(__file__).resolve().parent)
 
 # runs the code in argv[1] after hyfermi.cli's output is swallowed, then
 # prints the exit code and the scipy modules that were loaded
@@ -33,7 +36,7 @@ print(json.dumps({"code": ns.get("code"), "scipy": sorted(
 
 def probe(code):
     env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = os.pathsep.join((SRC, TESTS, env.get("PYTHONPATH", "")))
     proc = subprocess.run([sys.executable, "-c", _PROBE, code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -68,10 +71,30 @@ def test_quick_commands_load_no_scipy(argv):
 
 def test_pv_oracle_loads_scipy_integrate():
     # positive control: the probe does see scipy when it loads
-    got = probe("from hyfermi.quadrature import pv_linear_epsilon\n"
+    got = probe("from references import pv_linear_epsilon\n"
                 "pv_linear_epsilon(1.5, 0.7, 1e-4)\n"
                 "code = 0")
     assert "scipy.integrate" in got["scipy"]
+
+
+def _imported_modules(tree):
+    """The module names of every import statement in tree, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_no_library_file_imports_scipy():
+    """hyfermi declares numpy as its one dependency: no file under the
+    package imports scipy, at module level or inside a function."""
+    files = sorted(PACKAGE.rglob("*.py"))
+    assert files
+    found = [f"{path.name}: {name}" for path in files
+             for name in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+             if name == "scipy" or name.startswith("scipy.")]
+    assert found == []
 
 
 def test_fock_reexports_resolve():

@@ -21,9 +21,10 @@ from hyfermi.potentials import (
     fourier_Vf,
     lambda_shift,
     periodize_phi,
-    scattering_length_from_integral,
     solve_scattering,
 )
+
+from references import scattering_length_from_integral
 
 
 def square_well_exact(V0, R):
@@ -528,8 +529,12 @@ def test_potential_validation_refuses_non_finite(kwargs):
     '{"kind": "tabulated", "samples": [null, [0.5, 1.0]]}',
     '{"kind": "tabulated", "samples": [[0.2, 1.0, 3.0]]}',
     '{"kind": "square-well", "V0": NaN}',
+    '{"kind": "square-well", "v0": 100, "r": 2}',
+    '{"kind": "square-well", "V0": 4.0, "samples": [[0.5, 1.0]]}',
+    '{"kind": "tabulated", "V0": 4.0, "samples": [[0.5, 1.0]]}',
 ], ids=["missing-file", "no-kind", "truncated", "V0-null",
-        "sample-null", "sample-triple", "V0-NaN"])
+        "sample-null", "sample-triple", "V0-NaN", "key-misspelt",
+        "samples-on-square-well", "V0-on-tabulated"])
 def test_from_json_refusals_are_value_errors(source):
     with pytest.raises(ValueError):
         RadialPotential.from_json(source)

@@ -26,14 +26,17 @@ from hyfermi.quadrature import (
     lattice_chi_sum,
     lattice_nmax,
     lattice_sum_convergence,
+    singular_integral_bound,
+    slice_measure,
+    t_integral,
+)
+
+from references import (
     ode_check_f,
     p_integral_linear,
     p_integral_quadratic,
     pv_linear_epsilon,
     pv_quadratic_epsilon,
-    singular_integral_bound,
-    slice_measure,
-    t_integral,
 )
 
 
