@@ -19,7 +19,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -50,7 +50,7 @@ _FLAGS = {
     "gamma": (1.0 / 9.0, {"type": float}),
     "delta": (16.0 / 63.0, {"type": float}),
     "kind": ("square-well",
-             {"choices": ("square-well", "truncated-gaussian", "tabulated")}),
+             {"choices": ("square-well", "truncated-gaussian")}),
     "V0": (4.0, {"type": float}),
     "R": (1.0, {"type": float}),
     "potential_file": (None, {"help": "JSON potential document; overrides "
@@ -361,7 +361,7 @@ def _cmd_hy_eval(config):
     params = FermiParams(rho_up=p["rho_up"], rho_down=p["rho_down"])
     bd = hy_energy(params, sol.a)
     payload = {"rho_up": params.rho_up, "rho_down": params.rho_down,
-               "a": sol.a, "a_error": sol.a_error, **bd.as_dict(),
+               "a": sol.a, "a_error": sol.a_error, **asdict(bd),
                "energy_error": hy_energy_error(params, sol.a, sol.a_error)}
     header = tuple(payload)
     rows = [tuple(payload.values())]
@@ -396,10 +396,7 @@ def _cmd_verify_f(config):
         records.append({"x": float(x), "F_quadrature": res.value,
                         "F_closed": fc,
                         "rel_diff": abs(res.value - fc) / abs(fc),
-                        "error_estimate": res.error_estimate,
-                        "evaluations": res.evaluations,
-                        "elapsed": res.elapsed, "rung": res.rung,
-                        "flagged": res.flagged})
+                        **asdict(res)})
     header = ("x", "F_quadrature", "F_closed", "rel_diff",
               "error_estimate", "evaluations")
     rows, payload = _table(header, records)

@@ -9,9 +9,22 @@ F(x) = (4/pi)(6 pi^2)^(1/3) (f(x) + x^(7/3) f(1/x)).
 """
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 _NEAR_ONE = 1e-4
+
+# the largest float x whose x^(7/3) is a float; 1.285771548238104e132,
+# the rounded (float max)^(3/7), already overflows
+_X_MAX = 1.285771548238101e132
+
+
+def _refuse_overflow(x, reciprocal=False):
+    """Raise OverflowError naming x, before any arithmetic on it, when
+    x^(7/3) (with reciprocal, also x^(-7/3)) lies beyond the float range."""
+    if x > _X_MAX or reciprocal and 1.0 / x > _X_MAX:
+        sign = "-" if x < 1.0 else ""
+        raise OverflowError(
+            f"x^({sign}7/3) lies beyond the float range at x = {x}")
 
 
 def _F_groups(x, t, sing):
@@ -34,6 +47,7 @@ def F_closed(x):
     """
     if x < 0.0:
         raise ValueError(f"density ratio must be nonnegative, got {x}")
+    _refuse_overflow(x)
     if x == 0.0:
         return 0.0
     if x > 8.0:
@@ -95,6 +109,7 @@ def F_from_f(x):
     in which f's gauge term A*(x^(7/3) - 1) cancels."""
     if x <= 0.0:
         raise ValueError(f"argument must be positive, got {x}")
+    _refuse_overflow(x, reciprocal=True)
     pref = (4.0 / math.pi) * (6.0 * math.pi ** 2) ** (1.0 / 3.0)
     return pref * (f_aux(x) + x ** (7.0 / 3.0) * f_aux(1.0 / x))
 
@@ -112,18 +127,6 @@ class FermiParams:
                 raise ValueError(f"{name} must be nonnegative, got "
                                  f"{getattr(self, name)}")
 
-    @property
-    def rho(self):
-        return self.rho_up + self.rho_down
-
-    @property
-    def kF_up(self):
-        return (6.0 * math.pi ** 2 * self.rho_up) ** (1.0 / 3.0)
-
-    @property
-    def kF_down(self):
-        return (6.0 * math.pi ** 2 * self.rho_down) ** (1.0 / 3.0)
-
 
 @dataclass(frozen=True)
 class HYEnergyBreakdown:
@@ -135,9 +138,6 @@ class HYEnergyBreakdown:
     huang_yang: float
     total: float
     error_order_exponent: float = 7.0 / 3.0 + 1.0 / 9.0
-
-    def as_dict(self):
-        return asdict(self)
 
 
 def _kinetic(params):

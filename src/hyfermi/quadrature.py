@@ -20,20 +20,20 @@ The oracles (g_pointwise and the p-integrated F_quadrature,
 singular_integral_bound and gap_cutoff_study) climb one ladder of
 rules, _RUNGS, from coarse to fine and stop at the first rung whose
 difference to the one below, plus the tail term, meets tol; that sum is
-the error estimate and the rung is reported. The ``evaluations`` they
-report count (p, s) node pairs over every rung climbed, one closed-form
-t-integral each.
+the error estimate. _ladder returns the timed QuadratureResult with the
+rung reached; _p_ladder feeds it the p-rules. ``evaluations`` counts the
+(p, s) node pairs over every rung climbed, one closed-form t-integral each.
 """
 
 import functools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .cutoffs import fermi_momentum, quintic_step
-from .hyformula import F_closed
+from .hyformula import F_closed, _refuse_overflow
 
 @functools.lru_cache(maxsize=None)
 def _gauss(n):
@@ -220,23 +220,6 @@ def inner_pair(p, kf1, kf2, two_eps=0.0, power=1, n_gauss=16, n_levels=18):
     return (float(out[0]), evals) if scalar else (out, evals)
 
 
-def _composite_p(fn, edges, n_p):
-    """Gauss panels over [edges]; wide segments are split geometrically.
-    fn takes every node of the rule at once and returns (values,
-    evaluations); the values are summed panel by panel, in order."""
-    refined = [edges[0]]
-    for a, b in zip(edges[:-1], edges[1:]):
-        m = max(2, int(math.ceil(math.log2(b / a)))) \
-            if a > 0.0 and b / a > 4.0 else 1
-        refined += [a * (b / a) ** (i / m) for i in range(1, m)] + [b]
-    nodes, weights = _panels(refined, n_p)
-    values, evals = fn(nodes)
-    total = 0.0
-    for ww, vv in zip(weights.reshape(-1, n_p), values.reshape(-1, n_p)):
-        total += float(ww @ vv)
-    return total, evals
-
-
 # the rule ladder of the p-integrated oracles, coarse to fine: Gauss nodes
 # per s-panel, dyadic levels into the corner, Gauss nodes per p-panel
 _RUNGS = ((6, 6, 8), (8, 8, 12), (12, 12, 18), (16, 16, 28), (22, 20, 40),
@@ -249,9 +232,10 @@ def _ladder(rule, tol, scale, shift=0.0, tail_err=0.0, floor=1e-300):
 
     The estimate at rung k >= 1 is scale * |I_k - I_(k-1)| + tail_err; the
     climb stops at the first rung where it is at most tol*max(floor,
-    |value|), or at the top. A NaN tol never stops it. Returns (value,
-    estimate, evaluations, rung, met).
+    |value|), or at the top, flagged. A NaN tol never stops it. Returns
+    the QuadratureResult, timed over the climb.
     """
+    t0 = time.perf_counter()
     evals = 0
     for rung, (n_g, n_l, n_p) in enumerate(_RUNGS):
         cur, n = rule(n_g, n_l, n_p)
@@ -263,7 +247,33 @@ def _ladder(rule, tol, scale, shift=0.0, tail_err=0.0, floor=1e-300):
             if met:
                 break
         prev = cur
-    return value, err, evals, rung, met
+    return QuadratureResult(value=value, error_estimate=err,
+                            evaluations=evals,
+                            elapsed=time.perf_counter() - t0,
+                            flagged=not met, rung=rung)
+
+
+def _p_ladder(weight, edges, kf1, kf2, two_eps, power, tol, scale,
+              shift=0.0, tail_err=0.0, floor=1e-300):
+    """_ladder over the p-integral of weight(p, v), v = inner_pair(p, kf1,
+    kf2, two_eps, power), on Gauss panels between the sorted edges; a
+    segment wider than a factor 4 is split geometrically, once per call.
+    Each rung is one inner_pair call, its panels summed in order."""
+    refined = [edges[0]]
+    for a, b in zip(edges[:-1], edges[1:]):
+        m = max(2, int(math.ceil(math.log2(b / a)))) \
+            if a > 0.0 and b / a > 4.0 else 1
+        refined += [a * (b / a) ** (i / m) for i in range(1, m)] + [b]
+
+    def rule(n_g, n_l, n_p):
+        p, w = _panels(refined, n_p)
+        v, n = inner_pair(p, kf1, kf2, two_eps, power, n_g, n_l)
+        total = 0.0
+        for ww, vv in zip(w.reshape(-1, n_p), weight(p, v).reshape(-1, n_p)):
+            total += float(ww @ vv)
+        return total, n
+
+    return _ladder(rule, tol, scale, shift, tail_err, floor)
 
 
 def g_domain(x, p):
@@ -282,25 +292,10 @@ def g_pointwise(x, p, tol=1e-6):
     p-integrated oracles, against tol * max(1, |g|).
     """
     g_domain(x, p)
-    t0 = time.perf_counter()
     y = x ** (1.0 / 3.0)
-    value, err, evals, rung, met = _ladder(
+    return _ladder(
         lambda n_g, n_l, n_p: inner_pair(p, 1.0, y, 0.0, 1, n_g, n_l),
         tol, 9.0 / (8.0 * math.pi ** 2), floor=1.0)
-    return QuadratureResult(value=value, error_estimate=err,
-                            evaluations=evals,
-                            elapsed=time.perf_counter() - t0,
-                            flagged=not met, rung=rung)
-
-
-def _g_tail_coeffs(x):
-    # large-p expansion g = x/p^2 + c4/p^4 + c6/p^6 + c8/p^8 + ..., from the
-    # moments of the slice measures once both shells are full balls (c8 is
-    # 9/(16 pi^2) times their sixth moment)
-    c4 = (x + x ** (5.0 / 3.0)) / 5.0
-    c6 = (3.0 / 35.0) * (x + x ** (7.0 / 3.0)) + (6.0 / 25.0) * x ** (5.0 / 3.0)
-    c8 = (x + x ** 3) / 21.0 + (9.0 / 35.0) * (x ** (5.0 / 3.0) + x ** (7.0 / 3.0))
-    return c4, c6, c8
 
 
 def F_quadrature(x, tol=1e-3):
@@ -313,38 +308,28 @@ def F_quadrature(x, tol=1e-3):
     """
     if not 0.0 < x < math.inf:
         raise ValueError("x must be positive and finite")
+    _refuse_overflow(x)
     if x > 1.0:
         inner = F_quadrature(1.0 / x, tol)
         scale = x ** (7.0 / 3.0)
-        return QuadratureResult(value=scale * inner.value,
-                                error_estimate=scale * inner.error_estimate,
-                                evaluations=inner.evaluations,
-                                elapsed=inner.elapsed, flagged=inner.flagged,
-                                rung=inner.rung)
-    t0 = time.perf_counter()
+        return replace(inner, value=scale * inner.value,
+                       error_estimate=scale * inner.error_estimate)
     y = x ** (1.0 / 3.0)
     p_cut = 50.0
     gpref = 9.0 / (8.0 * math.pi ** 2)
-
-    edges = sorted({0.0, 2.0 * y, 2.0, 6.0, p_cut})
-
-    def rule(n_g, n_l, n_p):
-        def fn(p):
-            v, n = inner_pair(p, 1.0, y, 0.0, 1, n_g, n_l)
-            return x - p * p * gpref * v, n
-        return _composite_p(fn, edges, n_p)
-
-    c4, c6, c8 = _g_tail_coeffs(x)
+    # large-p expansion g = x/p^2 + c4/p^4 + c6/p^6 + c8/p^8 + ..., from the
+    # moments of the slice measures once both shells are full balls (c8 is
+    # 9/(16 pi^2) times their sixth moment)
+    c4 = (x + x ** (5.0 / 3.0)) / 5.0
+    c6 = (3.0 / 35.0) * (x + x ** (7.0 / 3.0)) + (6.0 / 25.0) * x ** (5.0 / 3.0)
+    c8 = (x + x ** 3) / 21.0 + (9.0 / 35.0) * (x ** (5.0 / 3.0) + x ** (7.0 / 3.0))
     # the error term keeps the c6 size: the next omitted term alone reads
     # below the true distance to F_closed
     tail = -(c4 / p_cut + c6 / (3.0 * p_cut ** 3) + c8 / (5.0 * p_cut ** 5))
     pref = (4.0 / math.pi) * (6.0 * math.pi ** 2) ** (1.0 / 3.0) * 4.0 * math.pi
-    value, err, evals, rung, met = _ladder(
-        rule, tol, pref, pref * tail, pref * abs(c6) / p_cut ** 5, floor=1.0)
-    return QuadratureResult(value=value, error_estimate=err,
-                            evaluations=evals,
-                            elapsed=time.perf_counter() - t0,
-                            flagged=not met, rung=rung)
+    return _p_ladder(lambda p, v: x - p * p * gpref * v,
+                     sorted({0.0, 2.0 * y, 2.0, 6.0, p_cut}), 1.0, y, 0.0, 1,
+                     tol, pref, pref * tail, pref * abs(c6) / p_cut ** 5, 1.0)
 
 
 def gap_cutoff_study(params, cutoff, rho_grid, tol=1e-4):
@@ -360,37 +345,21 @@ def gap_cutoff_study(params, cutoff, rho_grid, tol=1e-4):
     x = params.rho_down / params.rho_up
     rows = []
     for rho in rho_grid:
-        t0 = time.perf_counter()
         cc = cutoff.with_rho(rho)
         rho_up = rho / (1.0 + x)
-        rho_dn = rho - rho_up
-        ku, kd = fermi_momentum(rho_up), fermi_momentum(rho_dn)
+        ku, kd = fermi_momentum(rho_up), fermi_momentum(rho - rho_up)
         vol_pair = (4.0 * math.pi / 3.0) ** 2 * (ku * kd) ** 3
-        two_eps = 2.0 * cc.epsilon
-
         edges = sorted({0.0, 2.0 * kd, 2.0 * ku, cc.c_lower, cc.c_upper})
-        edges = [e for e in edges if e <= cc.c_upper]
-
-        def rule(n_g, n_l, n_p):
-            def fn(p):
-                v, n = inner_pair(p, ku, kd, two_eps, 1, n_g, n_l)
-                chi2 = cc.chi_less(p) ** 2
-                return p * p * chi2 * (v - vol_pair / (2.0 * p * p)), n
-            return _composite_p(fn, edges, n_p)
-
-        i_reg, err, evals, rung, met = _ladder(rule, tol, 4.0 * math.pi)
+        res = asdict(_p_ladder(
+            lambda p, v: p * p * cc.chi_less(p) ** 2
+            * (v - vol_pair / (2.0 * p * p)),
+            [e for e in edges if e <= cc.c_upper], ku, kd, 2.0 * cc.epsilon, 1,
+            tol, 4.0 * math.pi))
+        i_reg = res.pop("value")
         i_lim = -8.0 * math.pi ** 7 * rho_up ** (7.0 / 3.0) * F_closed(x)
-        rows.append({
-            "rho": rho,
-            "i_regularized": i_reg,
-            "i_limit": i_lim,
-            "diff": abs(i_reg - i_lim),
-            "error_estimate": err,
-            "evaluations": evals,
-            "rung": rung,
-            "elapsed": time.perf_counter() - t0,
-            "flagged": not met or cc.c_lower <= max(ku, kd),
-        })
+        rows.append({"rho": rho, "i_regularized": i_reg, "i_limit": i_lim,
+                     "diff": abs(i_reg - i_lim), **res,
+                     "flagged": res["flagged"] or cc.c_lower <= max(ku, kd)})
     return rows
 
 
@@ -461,37 +430,21 @@ def singular_integral_bound(x_grid, tol=1e-3):
     Numerical to the cut radius 30, then the analytic moment tail; the
     result stays finite down to tiny x and grows with x.
     """
-    p_cut = 30.0
-    rows = []
     for x in x_grid:
         if not 0.0 < x <= 1.0:
-            raise ValueError("x must lie in (0, 1]")
-        t0 = time.perf_counter()
-
-        edges = sorted({0.0, 2.0 * x, 2.0, 6.0, p_cut})
-
-        def rule(n_g, n_l, n_p):
-            def fn(p):
-                v, n = inner_pair(p, 1.0, x, 0.0, 2, n_g, n_l)
-                return p * p * v, n
-            return _composite_p(fn, edges, n_p)
-
-        m0 = lambda kf: (4.0 * math.pi / 3.0) * kf ** 3
-        m2 = lambda kf: (4.0 * math.pi / 15.0) * kf ** 5
-        m4 = lambda kf: (4.0 * math.pi / 35.0) * kf ** 7
+            raise ValueError(f"x values must lie in (0, 1], got {x}")
+    p_cut = 30.0
+    m0 = lambda kf: (4.0 * math.pi / 3.0) * kf ** 3
+    m2 = lambda kf: (4.0 * math.pi / 15.0) * kf ** 5
+    m4 = lambda kf: (4.0 * math.pi / 35.0) * kf ** 7
+    rows = []
+    for x in x_grid:
         tail = math.pi * (m0(1.0) * m0(x) / p_cut
                           + (m2(1.0) * m0(x) + m0(1.0) * m2(x)) / p_cut ** 3)
         tail_err = math.pi * (m4(1.0) * m0(x) + m0(1.0) * m4(x)
                               + 6.0 * m2(1.0) * m2(x)) / p_cut ** 5
-        value, err, evals, rung, met = _ladder(rule, tol, 4.0 * math.pi,
-                                               tail, tail_err)
-        rows.append({
-            "x": x,
-            "value": value,
-            "error_estimate": err,
-            "evaluations": evals,
-            "rung": rung,
-            "elapsed": time.perf_counter() - t0,
-            "flagged": not met,
-        })
+        res = _p_ladder(lambda p, v: p * p * v,
+                        sorted({0.0, 2.0 * x, 2.0, 6.0, p_cut}), 1.0, x, 0.0,
+                        2, tol, 4.0 * math.pi, tail, tail_err)
+        rows.append({"x": x, **asdict(res)})
     return rows

@@ -466,6 +466,21 @@ def test_scatter_overflow_exits_one(capsys):
     assert err.startswith("error: ") and "not finite" in err
 
 
+@pytest.mark.parametrize("argv, x", [
+    (["hy-table", "--x-min", "1e-200", "--x-max", "1e200", "--x-count", "3"],
+     "x^(-7/3) lies beyond the float range at x = 1e-200"),
+    (["verify-f", "--x-grid", "1e200"],
+     "x^(7/3) lies beyond the float range at x = 1e+200"),
+])
+def test_x_whose_power_overflows_exits_one_naming_it(argv, x, capsys):
+    """F_from_f needs x^(-7/3) and x^(7/3), F_quadrature x^(7/3), as
+    floats; the refusal names the x."""
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {x}\n"
+
+
 @pytest.mark.filterwarnings("error")
 def test_scatter_tiny_range_exits_one_without_a_warning(capsys):
     """Below R ~ 1e-158 the step's square underflows to 0: the residual
@@ -697,10 +712,19 @@ def test_every_potential_command_validates_its_file(command, tmp_path,
     assert "cannot read potential file" in err
 
 
-def test_tabulated_kind_without_samples_exits_two(capsys):
-    code, out, err = run_cli(["scatter", "--kind", "tabulated"], capsys)
+def test_tabulated_kind_without_samples_exits_two(tmp_path, capsys):
+    """Only a potential file supplies samples: --kind offers no tabulated
+    choice, and a config key kind = tabulated exits 2 naming the key."""
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_config(["scatter", "--kind", "tabulated"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'tabulated'" in capsys.readouterr().err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"kind": "tabulated"}))
+    code, out, err = run_cli(["scatter", "--config", str(cfg)], capsys)
     assert code == 2
-    assert "needs samples" in err
+    assert out == ""
+    assert "'kind'" in err
 
 
 def test_potential_file_runs(tmp_path, capsys):

@@ -2,11 +2,13 @@
 reflection law, and the energy breakdown."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from hyfermi.hyformula import (
+    _X_MAX,
     F_closed,
     F_from_f,
     FermiParams,
@@ -15,6 +17,7 @@ from hyfermi.hyformula import (
     hy_energy,
     hy_energy_error,
 )
+from hyfermi.quadrature import F_quadrature
 
 from references import f_gauged
 
@@ -134,3 +137,22 @@ def test_scattering_length_must_be_a_nonnegative_number(a):
         hy_energy(params, a)
     with pytest.raises(ValueError, match="scattering length"):
         baseline_energies(params, a, 1.0)
+
+
+def test_x_max_is_the_last_x_whose_power_is_a_float():
+    assert math.isfinite(_X_MAX ** (7.0 / 3.0))
+    with pytest.raises(OverflowError):
+        math.nextafter(_X_MAX, math.inf) ** (7.0 / 3.0)
+    assert F_closed(_X_MAX) > 0.0 and F_from_f(_X_MAX) > 0.0
+
+
+@pytest.mark.parametrize("fn", [F_closed, F_from_f, F_quadrature])
+@pytest.mark.parametrize("x", [math.nextafter(_X_MAX, math.inf), 1e200])
+def test_x_whose_power_overflows_is_refused_naming_it(fn, x):
+    with pytest.raises(OverflowError, match=re.escape(f"x = {x}")):
+        fn(x)
+
+
+def test_f_from_f_refuses_x_whose_inverse_power_overflows():
+    with pytest.raises(OverflowError, match=re.escape("x^(-7/3)")):
+        F_from_f(1e-200)

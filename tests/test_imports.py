@@ -118,3 +118,39 @@ def test_truncated_gaussian_born_matches_erf_closed_form(V0, R):
                    - R * math.exp(-(c * R) ** 2) / (2.0 * c ** 2))
     pot = RadialPotential(kind="truncated-gaussian", V0=V0, R=R)
     assert born_length(pot) == pytest.approx(0.5 * moment, rel=1e-15, abs=0)
+
+
+def _unused_imports(tree):
+    """The names that tree's import statements bind (other than
+    __future__'s) and that no name or attribute base in tree reads."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in used)
+
+
+def test_no_library_module_imports_an_unused_name():
+    """Every name a module under the package imports is read in it; the
+    re-exports of __init__.py are exempt."""
+    files = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+    assert files
+    found = [f"{path.name}:{line}: {name}" for path in files
+             for line, name in _unused_imports(
+                 ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+
+
+def test_unused_import_scan_sees_an_unused_name():
+    # positive control: a bound-but-unread name is found, a read one and a
+    # __future__ import are not
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os.path\nfrom dataclasses import asdict, field\n"
+                     "os.path.join(asdict)\n")
+    assert _unused_imports(tree) == [(3, "field")]

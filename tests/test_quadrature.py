@@ -18,7 +18,7 @@ from hyfermi.quadrature import (
     _RUNGS,
     F_quadrature,
     _axis,
-    _composite_p,
+    _p_ladder,
     _panels,
     g_pointwise,
     gap_cutoff_study,
@@ -170,8 +170,8 @@ def test_inner_pair_array_matches_scalar_loop(power, two_eps, kf1, kf2):
 
 
 def composite_p_per_panel(fn, edges, n_p):
-    """_composite_p as it was: one fn call per p-panel, the panel sums
-    added in order."""
+    """The composite p-rule as a loop: one fn call per p-panel, the panel
+    sums added in order."""
     refined = [edges[0]]
     for a, b in zip(edges[:-1], edges[1:]):
         m = max(2, int(math.ceil(math.log2(b / a)))) \
@@ -200,22 +200,33 @@ _P_RULES = [
 @pytest.mark.parametrize("kf1, kf2, two_eps, power, edges", _P_RULES)
 @pytest.mark.parametrize("rung", range(len(_RUNGS)))
 def test_composite_p_one_call_matches_per_panel_loop(kf1, kf2, two_eps,
-                                                     power, edges, rung):
-    """One fn call per rule, with the same total, bit for bit, and the
-    same evaluations as a call per p-panel: inner_pair's rows do not
-    depend on how the p-nodes are batched."""
+                                                     power, edges, rung,
+                                                     monkeypatch):
+    """_p_ladder makes one inner_pair call per rung, with the same total,
+    bit for bit, and the same evaluations as a call per p-panel:
+    inner_pair's rows do not depend on how the p-nodes are batched. The
+    ladder is cut to rung 0 and the rung under test, at scale 1."""
     n_g, n_l, n_p = _RUNGS[rung]
+    monkeypatch.setattr(quadrature, "_RUNGS", (_RUNGS[0], _RUNGS[rung]))
     calls = []
 
+    def counted(p, *args):
+        out = inner_pair(p, *args)
+        calls.append((p.size, out[1]))
+        return out
+
+    monkeypatch.setattr(quadrature, "inner_pair", counted)
+    got = _p_ladder(lambda p, v: p * p * v, edges, kf1, kf2, two_eps, power,
+                    math.nan, 1.0)
+    assert len(calls) == 2 and calls[1][0] % n_p == 0 and calls[1][0] > n_p
+
     def fn(p):
-        calls.append(p.size)
         v, n = inner_pair(p, kf1, kf2, two_eps, power, n_g, n_l)
         return p * p * v, n
 
-    got = _composite_p(fn, edges, n_p)
-    assert len(calls) == 1 and calls[0] % n_p == 0 and calls[0] > n_p
     want = composite_p_per_panel(fn, edges, n_p)
-    assert got == want
+    assert (got.value, got.evaluations - calls[0][1]) == want
+    assert got.rung == 1 and got.flagged
 
 
 @pytest.mark.parametrize("call", [
@@ -238,6 +249,15 @@ def test_p_integrated_oracles_call_inner_pair_once_per_rung(call,
     out = call()
     rung = out.rung if hasattr(out, "rung") else out[0]["rung"]
     assert rung >= 2 and len(calls) == rung + 1
+
+
+def test_singular_bound_checks_the_grid_before_any_integral(monkeypatch):
+    calls = []
+    monkeypatch.setattr(quadrature, "inner_pair",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=r"got 2\.0"):
+        singular_integral_bound([0.5, 2.0])
+    assert calls == []
 
 
 def test_axis_refuses_p_on_both_sides_of_2kf():
@@ -326,10 +346,16 @@ def test_f_quadrature_monotone():
 
 
 def test_f_quadrature_reflects_large_arguments():
+    """x = 2 is x = 0.5 reflected: value and estimate scale by 2^(7/3),
+    the work counts and the flag are carried over."""
     big = F_quadrature(2.0)
     small = F_quadrature(0.5)
-    assert big.value == pytest.approx(2.0 ** (7.0 / 3.0) * small.value,
-                                      rel=1e-12)
+    scale = 2.0 ** (7.0 / 3.0)
+    assert big.value == pytest.approx(scale * small.value, rel=1e-12)
+    assert big.error_estimate == pytest.approx(scale * small.error_estimate,
+                                               rel=1e-12)
+    assert (big.evaluations, big.rung, big.flagged) \
+        == (small.evaluations, small.rung, small.flagged)
 
 
 # ---------------------------------------------------- principal-value forms
