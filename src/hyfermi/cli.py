@@ -6,8 +6,11 @@ default and argparse keywords, _COMMANDS every subcommand its help,
 flags, per-command defaults and handler. Every parameter resolves with
 precedence flag > config file > default; the config file is a flat JSON
 object whose keys mirror the long flag names (dashes or underscores both
-accepted). Every output ends with a one-line JSON metadata record so
-downstream tooling can recover the seed and tolerances that produced it.
+accepted). _validate checks only the rules no library object owns; every
+other input is refused by the library call that uses it, and run maps
+the exception's type to the exit code. Every output ends with a one-line
+JSON metadata record so downstream tooling can recover the seed and
+tolerances that produced it.
 """
 
 import argparse
@@ -82,7 +85,7 @@ _DENS = ("rho_up", "rho_down")
 
 
 class UsageError(Exception):
-    """Bad flags or a violated parameter constraint; exit code 2."""
+    """A flag or config-file value that parsing refuses; exit code 2."""
 
 
 @dataclass
@@ -193,71 +196,39 @@ def parse_config(argv):
     del params["config"]
     config = RunConfig(command=name, output_path=params.pop("out"),
                        output_format=params.pop("format"), parameters=params)
-    _validate(config)
     return config
 
 
 def _validate(config):
-    """Every exit-2 check, before any work. The library's constructors and
-    counts check what they own; their ValueError becomes a UsageError."""
+    """The rules no library object owns, before any work: finite numbers, a
+    positive tol, gap-study's density grid, hy-table's grid, the density
+    flags, and --kind/--V0/--R even where a potential file overrides them.
+    Every other input is refused by the library call that uses it."""
     p, cmd = config.parameters, config.command
     for key, value in p.items():
         for v in value if isinstance(value, list) else [value]:
             if isinstance(v, float) and not math.isfinite(v):
-                raise UsageError(f"{key.replace('_', '-')} must be finite, "
+                raise ValueError(f"{key.replace('_', '-')} must be finite, "
                                  f"got {v}")
     tol = p.get("tol")
     if tol is not None and not tol > 0.0:
         # a tolerance of zero or below can never be met
-        raise UsageError(f"tol must be positive, got {tol}")
-    try:
-        if "gamma" in p:
-            # the exponent rules; each command's density is checked below
-            CutoffConfig(rho=1.0, gamma=p["gamma"], delta=p["delta"])
-        if "kind" in p:
-            # the flags are checked even where a potential file overrides
-            # them
-            RadialPotential(kind="square-well", V0=p["V0"], R=p["R"])
-            _potential(p)
-        if "rho_up" in p:
-            FermiParams(rho_up=p["rho_up"], rho_down=p["rho_down"])
-        if cmd == "gap-study":
-            # the decay slope is fitted over at least two distinct densities
-            if not 0.0 < p["rho_min"] < p["rho_max"]:
-                raise UsageError(
-                    f"need 0 < rho-min < rho-max, got {p['rho_min']}, "
-                    f"{p['rho_max']}")
-            if not (p["rho_up"] > 0.0 and p["rho_down"] > 0.0):
-                raise UsageError("gap-study needs both densities positive")
-            if p["rho_count"] < 2:
-                raise UsageError(f"rho-count must be at least 2 to fit a "
-                                 f"decay slope, got {p['rho_count']}")
-        if cmd == "verify-f":
-            for x in p["x_grid"]:
-                if not x > 0.0:
-                    raise UsageError(f"x must be positive, got {x}")
-        if cmd == "singular-bound":
-            for x in p["x_grid"]:
-                if not 0.0 < x <= 1.0:
-                    raise UsageError(f"x values must lie in (0, 1], got {x}")
-        if cmd == "lattice-sum":
-            cutoff = CutoffConfig(rho=p["rho_up"] + p["rho_down"],
-                                  gamma=p["gamma"], delta=p["delta"])
-            for L in p["L_grid"]:
-                quadrature.lattice_nmax(L, cutoff)
-        if cmd == "hy-table" and not (p["x_count"] >= 1 and p["x_min"] > 0.0
-                                      and p["x_max"] >= p["x_min"]):
-            raise UsageError("need 0 < x-min <= x-max and x-count >= 1")
-        if cmd == "quad-g":
-            quadrature.g_domain(p["x"], p["p"])
-        if cmd == "fock-demo":
-            # closed-shell and size refusals; the size is counted, nothing
-            # is enumerated
-            fock.build_basis(fock.build_lattice(p["L"], p["kmax"],
-                                                p["shells"][0],
-                                                p["shells"][1]))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise ValueError(f"tol must be positive, got {tol}")
+    if "kind" in p:
+        RadialPotential(kind="square-well", V0=p["V0"], R=p["R"])
+    if "rho_up" in p:
+        FermiParams(rho_up=p["rho_up"], rho_down=p["rho_down"])
+    if cmd == "gap-study":
+        # the decay slope is fitted over at least two distinct densities
+        if not 0.0 < p["rho_min"] < p["rho_max"]:
+            raise ValueError(f"need 0 < rho-min < rho-max, got {p['rho_min']}, "
+                             f"{p['rho_max']}")
+        if p["rho_count"] < 2:
+            raise ValueError(f"rho-count must be at least 2 to fit a decay "
+                             f"slope, got {p['rho_count']}")
+    if cmd == "hy-table" and not (p["x_count"] >= 1 and p["x_min"] > 0.0
+                                  and p["x_max"] >= p["x_min"]):
+        raise ValueError("need 0 < x-min <= x-max and x-count >= 1")
 
 
 def _potential(params):
@@ -341,8 +312,7 @@ def _ladder_meta(tol, records, value):
 
 
 def _cmd_scatter(config):
-    p = config.parameters
-    pot = _potential(p)
+    pot = _potential(config.parameters)
     sol = solve_scattering(pot)
     born = born_length(pot)
     header = ("r", "u", "phi")
@@ -356,9 +326,8 @@ def _cmd_scatter(config):
 
 def _cmd_hy_eval(config):
     p = config.parameters
-    pot = _potential(p)
-    sol = solve_scattering(pot)
     params = FermiParams(rho_up=p["rho_up"], rho_down=p["rho_down"])
+    sol = solve_scattering(_potential(p))
     bd = hy_energy(params, sol.a)
     payload = {"rho_up": params.rho_up, "rho_down": params.rho_down,
                "a": sol.a, "a_error": sol.a_error, **asdict(bd),
@@ -389,6 +358,11 @@ def _cmd_hy_table(config):
 def _cmd_verify_f(config):
     p = config.parameters
     tol = p["tol"]
+    # the grid is refused before its first integral, so an x whose power
+    # overflows (exit 1) cannot hide a nonpositive one after it
+    for x in p["x_grid"]:
+        if not x > 0.0:
+            raise ValueError(f"x must be positive, got {x}")
     records = []
     for x in p["x_grid"]:
         res = quadrature.F_quadrature(float(x), tol=tol)
@@ -465,11 +439,13 @@ def _cmd_singular_bound(config):
             _ladder_meta(p["tol"], result, "value"), summary)
 
 
-def _demo_crossover_density(lattice, gamma):
-    # place the chi window around the first nonzero shell so both the
-    # high-pass and low-pass generators see nontrivial support
+def _demo_cutoff(lattice, gamma, delta):
+    """The cutoff whose chi window sits around the first nonzero shell, so
+    both generators see nontrivial support; gamma and delta are checked
+    (at rho = 1) before the density divides by 1/3 - gamma."""
+    rule = CutoffConfig(rho=1.0, gamma=gamma, delta=delta)
     target = 0.225 * 2.0 * math.pi / lattice.L
-    return target ** (1.0 / (1.0 / 3.0 - gamma))
+    return rule.with_rho(target ** (1.0 / (1.0 / 3.0 - gamma)))
 
 
 def _cmd_fock_demo(config):
@@ -477,12 +453,14 @@ def _cmd_fock_demo(config):
     tol = p["tol"]
     stages = {}
     with _stage(stages, "lattice"):
+        # every input is built, and refused, before the first operator
         lat = fock.build_lattice(p["L"], p["kmax"], p["shells"][0],
                                  p["shells"][1])
+        basis = fock.build_basis(lat)
+        cutoff = _demo_cutoff(lat, p["gamma"], p["delta"])
         pot = _potential(p)
         vhat = fock.vhat_from_potential(lat, pot)
     with _stage(stages, "sector"):
-        basis = fock.build_basis(lat)
         physics = fock.sector(basis, lat.N_up, lat.N_down)
         ph = fock.ph_sector(lat, basis, 0, 0)
     with _stage(stages, "H"):
@@ -496,8 +474,6 @@ def _cmd_fock_demo(config):
     with _stage(stages, "scatter"):
         sol = solve_scattering(pot)
     with _stage(stages, "generators"):
-        cutoff = CutoffConfig(rho=_demo_crossover_density(lat, p["gamma"]),
-                              gamma=p["gamma"], delta=p["delta"])
         psf = periodize_phi(sol, lat.L, cutoff=cutoff)
         eta = EtaFunction(a=sol.a, epsilon=cutoff.epsilon, kF_up=lat.kF_up,
                           kF_down=lat.kF_down)
@@ -637,14 +613,21 @@ def _nonfinite(obj, path):
 
 
 def run(config):
-    """Execute a parsed RunConfig; returns the process exit code."""
-    t0 = time.perf_counter()
+    """Validate and execute a parsed RunConfig; returns the exit code. A
+    ValueError is a refused input: `usage error: ...`, exit 2. RuntimeError,
+    ArithmeticError and LinAlgError (a ValueError, so caught first) are
+    failed computations: `error: ...`, exit 1. Neither writes output."""
     try:
+        _validate(config)
+        t0 = time.perf_counter()
         code, header, rows, payload, extra, summary = \
             _COMMANDS[config.command].handler(config)
-    except (RuntimeError, ValueError, ArithmeticError) as exc:
+    except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     wall_ms = (time.perf_counter() - t0) * 1000.0
     found = (_nonfinite(dict(zip(header, zip(*rows))), "column")
              or _nonfinite(payload, "payload"))
@@ -665,10 +648,10 @@ def run(config):
 def main(argv=None):
     try:
         config = parse_config(sys.argv[1:] if argv is None else argv)
-        return run(config)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    return run(config)
 
 
 if __name__ == "__main__":

@@ -307,7 +307,7 @@ def F_quadrature(x, tol=1e-3):
     reflected through the symmetry law first.
     """
     if not 0.0 < x < math.inf:
-        raise ValueError("x must be positive and finite")
+        raise ValueError(f"x must be positive and finite, got {x}")
     _refuse_overflow(x)
     if x > 1.0:
         inner = F_quadrature(1.0 / x, tol)
@@ -341,7 +341,8 @@ def gap_cutoff_study(params, cutoff, rho_grid, tol=1e-4):
     difference should vanish like rho^(7/3 + min(gamma, delta)).
     """
     if params.rho_up <= 0.0 or params.rho_down <= 0.0:
-        raise ValueError("both densities must be positive for the study")
+        raise ValueError(f"both densities must be positive for the study, "
+                         f"got {params}")
     x = params.rho_down / params.rho_up
     rows = []
     for rho in rho_grid:
@@ -402,12 +403,12 @@ def lattice_sum_convergence(L_grid, cutoff):
     """Riemann-sum convergence of the cutoff kernel:
     (1/L^3) * sum over nonzero lattice momenta of chi_less^2/(2p^2)
     against its thermodynamic-limit integral. Every L is sized by
-    lattice_nmax before the first sum."""
+    lattice_nmax before any work."""
+    sizes = [lattice_nmax(L, cutoff) for L in L_grid]
     c1, c2 = cutoff.c_lower, cutoff.c_upper
     rr, wr = _panels([c1, c2], 64)
     integral = (c1 + float(np.sum(wr * cutoff.chi_less(rr) ** 2))) \
         / (4.0 * math.pi ** 2)
-    sizes = [lattice_nmax(L, cutoff) for L in L_grid]
     rows = []
     for L, nmax in zip(L_grid, sizes):
         t0 = time.perf_counter()

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from hyfermi import cli, fock, quadrature
 from hyfermi.cutoffs import CutoffConfig
 from hyfermi.hyformula import FermiParams, hy_energy_error
+from hyfermi.potentials import RadialPotential
 
 
 def run_cli(argv, capsys):
@@ -49,16 +50,84 @@ def test_parse_defaults():
     assert p["seed"] == 42
 
 
-def test_parse_rejects_bad_cutoff_pair():
-    with pytest.raises(cli.UsageError) as err:
-        cli.parse_config(["gap-study", "--gamma", "0.2", "--delta", "1.7"])
-    assert "8*gamma" in str(err.value)
+def test_parse_rejects_bad_cutoff_pair(capsys):
+    code, out, err = run_cli(["gap-study", "--gamma", "0.2", "--delta", "1.7"],
+                             capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: ") and "8*gamma" in err
 
 
-def test_parse_rejects_split_shell():
-    with pytest.raises(cli.UsageError) as err:
-        cli.parse_config(["fock-demo", "--shells", "1.0", "0.5"])
-    assert "closed-shell" in str(err.value)
+def test_parse_rejects_split_shell(capsys):
+    code, out, err = run_cli(["fock-demo", "--shells", "1.0", "0.5"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: ") and "closed-shell" in err
+
+
+def test_fock_demo_box_not_holding_the_range_exits_two(capsys):
+    """periodize_phi refuses L <= 2R; the CLI prints its message and exits
+    2, like every other refused input."""
+    code, out, err = run_cli(["fock-demo", "--R", "4", "--lambda-grid", "0"],
+                             capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: ")
+    assert f"L = {2.0 * math.pi}" in err and "twice the range 4.0" in err
+
+
+@pytest.mark.parametrize("argv", [["--gamma", "0.2", "--delta", "1.7"],
+                                  ["--gamma", "0.3333333333333333"],
+                                  ["--gamma", "0.334"]])
+def test_fock_demo_refuses_cutoff_exponents_before_any_operator(argv, capsys):
+    """gamma and delta are refused in the lattice stage: no Hamiltonian is
+    built, also at gamma = 1/3, where the crossover density would divide
+    by zero, and just above it, where it would overflow."""
+    with mock.patch.object(fock, "build_hamiltonian") as build:
+        code, out, err = run_cli(["fock-demo", *argv], capsys)
+    assert build.call_count == 0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: ") and "gamma" in err
+
+
+@pytest.mark.parametrize("command", ["scatter", "hy-eval", "bg-solve",
+                                     "fock-demo"])
+def test_potential_file_is_read_once(command, tmp_path, capsys):
+    path = tmp_path / "pot.json"
+    path.write_text(json.dumps({"kind": "square-well", "V0": 2.0, "R": 1.0}))
+    real = RadialPotential.from_json
+    with mock.patch.object(RadialPotential, "from_json",
+                           side_effect=real) as read:
+        code, _, _ = run_cli([command, "--potential-file", str(path)], capsys)
+    assert code == 0
+    assert read.call_count == 1
+
+
+def test_fock_demo_builds_its_lattice_once(capsys):
+    with mock.patch.object(fock, "build_lattice",
+                           side_effect=fock.build_lattice) as build:
+        code, _, _ = run_cli(["fock-demo", "--lambda-grid", "0"], capsys)
+    assert code == 0
+    assert build.call_count == 1
+
+
+@pytest.mark.parametrize("exc, code, prefix", [
+    (np.linalg.LinAlgError("Singular matrix"), 1, "error: "),
+    (ValueError("refused input"), 2, "usage error: "),
+])
+def test_exception_type_sets_the_exit_code(exc, code, prefix, monkeypatch,
+                                           capsys):
+    """LinAlgError is a ValueError but a failed computation, so exit 1; any
+    other ValueError from a handler is a refused input, so exit 2."""
+    def raising(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "bethe_goldstone_solve", raising)
+    got, out, err = run_cli(["bg-solve"], capsys)
+    assert got == code
+    assert out == ""
+    assert err == f"{prefix}{exc}\n"
 
 
 def test_oversized_lattice_exits_two(capsys):
@@ -310,7 +379,9 @@ def test_verify_f_refuses_x_with_x_grid(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["--x", "0"], ["--x", "-1"],
                                   ["--x-grid", "-2"],
-                                  ["--x-grid", "0.5", "0"]])
+                                  ["--x-grid", "0.5", "0"],
+                                  # refused before the overflow of 1e200
+                                  ["--x-grid", "1e200", "-1"]])
 def test_verify_f_nonpositive_x_exits_two(argv, capsys):
     code, out, err = run_cli(["verify-f", *argv], capsys)
     assert code == 2
@@ -561,6 +632,16 @@ def test_lattice_sum_rejects_nonpositive_box(grid, capsys):
     assert code == 2
     assert out == ""
     assert "L values must be positive" in err
+
+
+def test_lattice_sum_sizes_its_boxes_before_any_work(capsys):
+    """Densities whose sum overflows make the cutoff radii infinite: the
+    box is refused by its size before the integral meets inf - inf."""
+    code, out, err = run_cli(["lattice-sum", "--rho-up", "1.7e308",
+                              "--rho-down", "1.7e308"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: ") and "half-width inf" in err
 
 
 def test_lattice_sum_refuses_an_oversized_box(capsys):
