@@ -20,6 +20,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -96,6 +97,11 @@ class RunConfig:
     output_format: str = "csv"
 
 
+# a flag value that is a negative number, in exponent notation too: left
+# to argparse alone, -1e-3 reads as an unknown option
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 @functools.cache
 def _parser():
     """The argparse tree of every command, built once per process from the
@@ -109,6 +115,7 @@ def _parser():
     sub = top.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         for flag in _COMMON + command.flags:
             p.add_argument("--" + flag.replace("_", "-"), **_FLAGS[flag][1])
     return top

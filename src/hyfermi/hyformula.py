@@ -153,6 +153,9 @@ def hy_energy(params, a):
     """
     if not a >= 0.0:
         raise ValueError(f"scattering length must be nonnegative, got {a}")
+    # as a Python float, a product that overflows is inf and a power
+    # raises OverflowError, where a numpy scalar would warn first
+    a = float(a)
     kin = _kinetic(params)
     mf = 8.0 * math.pi * a * params.rho_up * params.rho_down
     hi, lo = max(params.rho_up, params.rho_down), min(params.rho_up,

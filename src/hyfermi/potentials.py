@@ -420,16 +420,23 @@ class EtaFunction:
 class BGSolution:
     """Discretized solution of the two-particle in-medium scattering
     equation: G at the radial momentum nodes, which lie strictly above the
-    Pauli floor max(kF_up, kF_down) >= 0. The pair dispersion and
-    phi = G over it are derived on each access, not stored. mode is
-    always "radial", the one case bethe_goldstone_solve solves."""
+    Pauli floor max(kF_up, kF_down) >= 0 and below q_max. The nodes, the
+    pair dispersion and phi = G over it are derived on each access, not
+    stored. mode is always "radial", the one case bethe_goldstone_solve
+    solves."""
 
     mode: str
-    nodes: np.ndarray
+    q_max: float
     G: np.ndarray
     residual: float
     kF_up: float
     kF_down: float
+
+    @property
+    def nodes(self):
+        """The solver's momentum nodes, rebuilt bit for bit."""
+        return _bg_grid(max(self.kF_up, self.kF_down), self.q_max,
+                        _BG_NODES)[0]
 
     @property
     def denominators(self):
@@ -460,6 +467,14 @@ def _radial_rule(potential, q_max):
     return r, w * potential(r)
 
 
+def _bg_grid(kf_floor, q_max, n_radial):
+    """Momentum nodes and weights of the Bethe-Goldstone grid: Gauss panels
+    between the Pauli floor and q_max, graded toward the floor."""
+    edges = kf_floor + (q_max - kf_floor) * np.array(
+        [0.0, 0.03, 0.1, 0.3, 0.6, 1.0])
+    return _panels(edges, max(8, n_radial // (len(edges) - 1)))
+
+
 def _bg_radial_matrix(potential, kf_floor, n_radial, q_max):
     """Collocation matrix for the spherically symmetric case r = r' = 0.
 
@@ -470,14 +485,15 @@ def _bg_radial_matrix(potential, kf_floor, n_radial, q_max):
         int_{-1}^{1} FV(|p - q mu|) dmu = (8 pi / pq) int_0^R V sin(pr) sin(qr) dr,
         FV(q) = (4 pi / q) int_0^R V(r) r sin(qr) dr,
 
-    so one radial rule turns M into S diag(wV) S^T with S = sin(q_i r_k).
+    so one radial rule turns M into A A^T with A = S diag(sqrt(wV)),
+    S = sin(q_i r_k): V >= 0 makes wV >= 0, and numpy hands the product
+    to BLAS as a symmetric one.
     """
-    edges = kf_floor + (q_max - kf_floor) * np.array(
-        [0.0, 0.03, 0.1, 0.3, 0.6, 1.0])
-    q, w = _panels(edges, max(8, n_radial // (len(edges) - 1)))
+    q, w = _bg_grid(kf_floor, q_max, n_radial)
     r, wv = _radial_rule(potential, q_max)
     S = np.sin(q[:, None] * r[None, :])
-    M = ((S * wv) @ S.T) * (w / q) / (np.pi * q[:, None])
+    A = S * np.sqrt(wv)
+    M = (A @ A.T) * (w / q) / (np.pi * q[:, None])
     return q, M, (4.0 * np.pi / q) * (S @ (wv * r))
 
 
@@ -490,17 +506,27 @@ def bethe_goldstone_solve(potential, kF_up, kF_down, tol=1e-11):
 
     Only the radial case is solved: both hole momenta at the origin
     (r = r' = 0), where the problem is spherically symmetric and is
-    collocated on a radial grid whose Pauli floor is max(kF_up, kF_down).
-    The dense system (I + M) G = FV is solved directly; a residual above
-    tol * max(1, max|G|) raises.
+    collocated on a radial grid from the Pauli floor max(kF_up, kF_down)
+    to q_max = 80 / R; a floor that is negative or not below a finite
+    q_max raises ValueError. The dense system (I + M) G = FV is solved
+    directly; a residual above tol * max(1, max|G|), or one that is not a
+    number because the system over- or underflowed, raises RuntimeError.
     """
-    nodes, M, FV_nodes = _bg_radial_matrix(
-        potential, max(kF_up, kF_down), _BG_NODES, 80.0 / potential.R)
-    G = np.linalg.solve(np.eye(len(FV_nodes)) + M, FV_nodes)
-    residual = float(np.max(np.abs(G - (FV_nodes - M @ G))))
+    kf_floor, q_max = max(kF_up, kF_down), 80.0 / potential.R
+    if not 0.0 <= kf_floor < q_max < math.inf:
+        raise ValueError(f"Pauli floor max(kF_up, kF_down) = {kf_floor} must "
+                         f"be nonnegative and below the grid's finite "
+                         f"q_max = 80/R = {q_max}")
+    # an extreme V0 or R overflows the build; the residual check below
+    # reports it once, and numpy warns nothing on the way
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        _, M, FV_nodes = _bg_radial_matrix(potential, kf_floor, _BG_NODES,
+                                           q_max)
+        G = np.linalg.solve(np.eye(len(FV_nodes)) + M, FV_nodes)
+        residual = float(np.max(np.abs(G - (FV_nodes - M @ G))))
     bound = tol * max(1.0, float(np.max(np.abs(G))))
     if not residual <= bound:
         raise RuntimeError(f"Bethe-Goldstone residual {residual:.3e} above "
                            f"tol * max(1, max|G|) = {bound:.3e}")
-    return BGSolution(mode="radial", nodes=nodes, G=G, residual=residual,
+    return BGSolution(mode="radial", q_max=q_max, G=G, residual=residual,
                       kF_up=float(kF_up), kF_down=float(kF_down))

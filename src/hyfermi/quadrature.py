@@ -16,16 +16,25 @@ one inner_pair call on a (p, s) array. The denominator vanishes only at
 the corner s = t = -p/2, reachable when p <= 2*min(kF, kF'); the s
 panels are graded dyadically into that corner.
 
+From p_far = max(2*max(kF, kF'), (kF + kF')/_R_MAX) on, both shells are
+full balls and the pair integral is a convergent series in the balls'
+even moments, summed to rounding with no quadrature (the far field).
+
 The oracles (g_pointwise and the p-integrated F_quadrature,
 singular_integral_bound and gap_cutoff_study) climb one ladder of
 rules, _RUNGS, from coarse to fine and stop at the first rung whose
-difference to the one below, plus the tail term, meets tol; that sum is
-the error estimate. _ladder returns the timed QuadratureResult with the
-rung reached; _p_ladder feeds it the p-rules. ``evaluations`` counts the
-(p, s) node pairs over every rung climbed, one closed-form t-integral each.
+difference to the one below, summed panel by panel in absolute value,
+plus the far field's truncation bound, meets tol; that sum is the error
+estimate. F_quadrature and
+singular_integral_bound integrate p on [0, p_far] and add [p_far, inf)
+in closed form (_far_field). _ladder returns the timed QuadratureResult
+with the rung reached; _p_ladder feeds it the p-rules. ``evaluations``
+counts the (p, s) node pairs over every rung climbed, one closed-form
+t-integral each, and one per far-field p-node.
 """
 
 import functools
+import itertools
 import math
 import time
 from dataclasses import asdict, dataclass, replace
@@ -176,6 +185,94 @@ def t_integral(beta, p, kf, power):
     return total.reshape(shape) if shape else float(total[0, 0])
 
 
+# The far field. Once p >= 2*max(kf1, kf2) both slice measures are the
+# balls' pi*(kf^2 - s^2), and with beta = 2p^2 + two_eps
+#
+#     inner_pair = beta^-k * sum_m c_m W_2m (2p/beta)^2m,
+#
+# c_m = 1 for power k = 1 and 2m + 1 for k = 2, W_2m the even moments of
+# s + t over the two balls. From p_far on, r = 2p(kf1 + kf2)/beta <=
+# (kf1 + kf2)/p is at most _R_MAX; the terms are positive and W_2m <=
+# (kf1 + kf2)^2m W_0, so the remainder after n terms is at most
+# W_0 beta^-k _remainder(r^2, n, k).
+_R_MAX = 0.75
+
+
+def _remainder(q, n, power):
+    """sum over m >= n of c_m q^m, for q < 1, in closed form."""
+    if power == 1:
+        return q ** n / (1.0 - q)
+    return q ** n * ((2 * n + 1) / (1.0 - q) + 2.0 * q / (1.0 - q) ** 2)
+
+
+# terms of every far-field series: the fewest whose remainder at r = _R_MAX
+# lies below rounding for either power
+_TERMS = next(n for n in itertools.count(1)
+              if _remainder(_R_MAX ** 2, n, 2) < 2.0 ** -53)
+
+
+def _far_edge(kf1, kf2):
+    """p_far: where the far-field series of inner_pair takes over."""
+    return max(2.0 * max(kf1, kf2), (kf1 + kf2) / _R_MAX)
+
+
+@functools.lru_cache(maxsize=None)
+def _series_weights(n):
+    """The even exponents j = 2m, (2m)! and (2m+1)(2m+3)(2m)!/3 for m < n,
+    built once per n; callers must not write to the shared arrays."""
+    j = 2.0 * np.arange(n)
+    fact = np.cumprod(np.maximum(1.0, np.arange(2.0 * n - 1.0)))[::2]
+    return j, fact, (j + 1.0) * (j + 3.0) * fact / 3.0
+
+
+def _ball_moments(kf1, kf2):
+    """W_0 and w_m = W_2m / (W_0 (kf1 + kf2)^2m) for m < _TERMS, each in
+    [0, 1], so that no moment over- or underflows.
+
+    The j-th moment of s over the ball of radius k is mu_j(k) =
+    4 pi k^(j+3)/((j+1)(j+3)), and W_2m = sum_i C(2m, 2i) mu_2i(kf1)
+    mu_(2m-2i)(kf2): one convolution of the mu_2i/(2i)!.
+    """
+    j, fact, den = _series_weights(_TERMS)
+    big = kf1 + kf2
+    w = np.convolve((kf1 / big) ** j / den,
+                    (kf2 / big) ** j / den)[:_TERMS] * fact
+    return (4.0 * math.pi / 3.0) ** 2 * (kf1 * kf2) ** 3, w
+
+
+def _series_rows(p, kf1, kf2, two_eps, power):
+    """inner_pair at p-nodes p >= _far_edge(kf1, kf2), row by row: the
+    far-field series cut after _TERMS terms."""
+    w0, w = _ball_moments(kf1, kf2)
+    j = _series_weights(_TERMS)[0]
+    c = w if power == 1 else (j + 1.0) * w
+    beta = 2.0 * p * p + two_eps
+    r = 2.0 * p * (kf1 + kf2) / beta
+    return w0 / beta ** power * np.einsum("ij,j->i", r[:, None] ** j, c)
+
+
+def _far_field(kf1, kf2, power):
+    """p_far, the integral of p^2 inner_pair(p, kf1, kf2, 0, power) over
+    [p_far, inf) summed term by term, and a bound on the terms past _TERMS.
+
+    At two_eps = 0, r = (kf1 + kf2)/p and term m integrates to
+    W_0 2^-k c_m w_m r^2m p_far^(3-2k) / (2m + 2k - 3), r at p_far;
+    c_m / (2m + 2k - 3) <= 1 bounds the rest by _remainder(r^2, _TERMS, 1).
+    For power 1 the m = 0 term, W_0/(2p^2), diverges and is left out: the
+    caller subtracts it from its integrand.
+    """
+    p_far = _far_edge(kf1, kf2)
+    w0, w = _ball_moments(kf1, kf2)
+    j = _series_weights(_TERMS)[0]
+    r = (kf1 + kf2) / p_far
+    terms = w * r ** j
+    if power == 1:
+        terms = terms[1:] / (j[1:] - 1.0)
+    scale = w0 * 2.0 ** -power * p_far ** (3 - 2 * power)
+    return (p_far, scale * float(np.sum(terms)),
+            scale * _remainder(r * r, _TERMS, 1))
+
+
 # (p, s) node pairs per block of inner_pair: keeps each 12-node temporary
 # of the flat t-pieces near 1.5 MB
 _BLOCK = 1 << 14
@@ -186,12 +283,14 @@ def inner_pair(p, kf1, kf2, two_eps=0.0, power=1, n_gauss=16, n_levels=18):
     the two slice measures; the core of every study below.
 
     s runs over the graded Gauss axis of the kf1 shell, the t-integral over
-    the kf2 shell is exact. p is a scalar or a 1-D array (every p-node of
-    a rule); returns the value (a float, or one per p) and the number of
-    s-nodes summed over all p. The axis branch (p < 2*kf1) and the t-split
-    (p < 2*kf2) are taken per p, so 2*kf need not be a panel edge. Each
-    row is computed on its own, so how the p-nodes are batched changes no
-    bit of the result.
+    the kf2 shell is exact; from _far_edge(kf1, kf2) on a row is the
+    far-field series instead. p is a scalar or a 1-D array (every p-node
+    of a rule); returns the value (a float, or one per p) and the number
+    of s-nodes summed over all p, a series row counting as one. The axis
+    branch (p < 2*kf1), the t-split (p < 2*kf2) and the series are taken
+    per p, so neither 2*kf nor p_far need be a panel edge. Each row is
+    computed on its own, so how the p-nodes are batched changes no bit of
+    the result.
     """
     scalar = np.ndim(p) == 0
     p = np.atleast_1d(np.asarray(p, dtype=np.float64))
@@ -200,12 +299,17 @@ def inner_pair(p, kf1, kf2, two_eps=0.0, power=1, n_gauss=16, n_levels=18):
     if kf1 > 0.0 and kf2 > 0.0:
         # p <= 0 contributes nothing; a NaN p stays NaN
         live = ~(p <= 0.0)
+        far = p >= _far_edge(kf1, kf2)
         two = _support(kf1, p)[2]
         # an extreme p over- or underflows p^2 and p^3, mostly in the closed
         # form of a flat t-piece, which its Gauss sum overwrites; a NaN that
         # survives still reaches the oracles' flags and the CLI's non-finite guard
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for rows in (np.flatnonzero(live & two), np.flatnonzero(live & ~two)):
+            if far.any():
+                out[far] = _series_rows(p[far], kf1, kf2, two_eps, power)
+                evals += int(far.sum())
+            for rows in (np.flatnonzero(live & two),
+                         np.flatnonzero(live & ~two & ~far)):
                 if not rows.size:
                     continue
                 s, ws = _axis(kf1, p[rows], n_gauss, n_levels)
@@ -226,27 +330,31 @@ _RUNGS = ((6, 6, 8), (8, 8, 12), (12, 12, 18), (16, 16, 28), (22, 20, 40),
           (28, 24, 56))
 
 
-def _ladder(rule, tol, scale, shift=0.0, tail_err=0.0, floor=1e-300):
-    """scale * I + shift, with I = rule(n_gauss, n_levels, n_p) climbing
-    _RUNGS until the estimate meets tol; rule returns (I, evaluations).
+def _ladder(rule, tol, scale, shift=0.0, far_err=0.0, floor=1e-300):
+    """scale * I + shift, with I the sum of the parts that rule(n_gauss,
+    n_levels, n_p) returns, climbing _RUNGS until the estimate meets tol;
+    rule returns (parts, evaluations), parts a list of floats.
 
-    The estimate at rung k >= 1 is scale * |I_k - I_(k-1)| + tail_err; the
-    climb stops at the first rung where it is at most tol*max(floor,
-    |value|), or at the top, flagged. A NaN tol never stops it. Returns
-    the QuadratureResult, timed over the climb.
+    The estimate at rung k >= 1 is scale times the sum over parts of
+    |part_k - part_(k-1)|, plus far_err: summed part by part, errors of
+    opposite sign in two panels cannot cancel in it. The climb stops at
+    the first rung where it is at most tol*max(floor, |value|), or at the
+    top, flagged. A NaN tol never stops it. Returns the QuadratureResult,
+    timed over the climb.
     """
     t0 = time.perf_counter()
     evals = 0
     for rung, (n_g, n_l, n_p) in enumerate(_RUNGS):
-        cur, n = rule(n_g, n_l, n_p)
+        parts, n = rule(n_g, n_l, n_p)
         evals += n
         if rung:
-            value = scale * cur + shift
-            err = scale * abs(cur - prev) + tail_err
+            value = scale * sum(parts) + shift
+            err = (scale * sum(abs(a - b) for a, b in zip(parts, prev))
+                   + far_err)
             met = err <= tol * max(floor, abs(value))
             if met:
                 break
-        prev = cur
+        prev = parts
     return QuadratureResult(value=value, error_estimate=err,
                             evaluations=evals,
                             elapsed=time.perf_counter() - t0,
@@ -254,11 +362,12 @@ def _ladder(rule, tol, scale, shift=0.0, tail_err=0.0, floor=1e-300):
 
 
 def _p_ladder(weight, edges, kf1, kf2, two_eps, power, tol, scale,
-              shift=0.0, tail_err=0.0, floor=1e-300):
+              shift=0.0, far_err=0.0, floor=1e-300):
     """_ladder over the p-integral of weight(p, v), v = inner_pair(p, kf1,
     kf2, two_eps, power), on Gauss panels between the sorted edges; a
     segment wider than a factor 4 is split geometrically, once per call.
-    Each rung is one inner_pair call, its panels summed in order."""
+    Each rung is one inner_pair call; its parts are the panel sums, in
+    order."""
     refined = [edges[0]]
     for a, b in zip(edges[:-1], edges[1:]):
         m = max(2, int(math.ceil(math.log2(b / a)))) \
@@ -268,12 +377,10 @@ def _p_ladder(weight, edges, kf1, kf2, two_eps, power, tol, scale,
     def rule(n_g, n_l, n_p):
         p, w = _panels(refined, n_p)
         v, n = inner_pair(p, kf1, kf2, two_eps, power, n_g, n_l)
-        total = 0.0
-        for ww, vv in zip(w.reshape(-1, n_p), weight(p, v).reshape(-1, n_p)):
-            total += float(ww @ vv)
-        return total, n
+        return [float(ww @ vv) for ww, vv in
+                zip(w.reshape(-1, n_p), weight(p, v).reshape(-1, n_p))], n
 
-    return _ladder(rule, tol, scale, shift, tail_err, floor)
+    return _ladder(rule, tol, scale, shift, far_err, floor)
 
 
 def g_domain(x, p):
@@ -293,18 +400,21 @@ def g_pointwise(x, p, tol=1e-6):
     """
     g_domain(x, p)
     y = x ** (1.0 / 3.0)
-    return _ladder(
-        lambda n_g, n_l, n_p: inner_pair(p, 1.0, y, 0.0, 1, n_g, n_l),
-        tol, 9.0 / (8.0 * math.pi ** 2), floor=1.0)
+
+    def rule(n_g, n_l, n_p):
+        v, n = inner_pair(p, 1.0, y, 0.0, 1, n_g, n_l)
+        return [v], n
+
+    return _ladder(rule, tol, 9.0 / (8.0 * math.pi ** 2), floor=1.0)
 
 
 def F_quadrature(x, tol=1e-3):
     """F(x) rebuilt from the p-resolved pair integral, independent of the
     closed form.
 
-    Integrates 4*pi*p^2*(x/p^2 - g(x, p)) to the cut radius 50, then adds
-    the analytic tail from the large-p moments. Arguments beyond 1 are
-    reflected through the symmetry law first.
+    Integrates 4*pi*p^2*(x/p^2 - g(x, p)) over [0, p_far] and adds the far
+    field [p_far, inf) term by term, where x/p^2 cancels the series' first
+    term. Arguments beyond 1 are reflected through the symmetry law first.
     """
     if not 0.0 < x < math.inf:
         raise ValueError(f"x must be positive and finite, got {x}")
@@ -315,23 +425,19 @@ def F_quadrature(x, tol=1e-3):
         return replace(inner, value=scale * inner.value,
                        error_estimate=scale * inner.error_estimate)
     y = x ** (1.0 / 3.0)
-    p_cut = 50.0
     gpref = 9.0 / (8.0 * math.pi ** 2)
-    # large-p expansion g = x/p^2 + c4/p^4 + c6/p^6 + c8/p^8 + ..., from the
-    # moments of the slice measures once both shells are full balls (c8 is
-    # 9/(16 pi^2) times their sixth moment)
-    c4 = (x + x ** (5.0 / 3.0)) / 5.0
-    c6 = (3.0 / 35.0) * (x + x ** (7.0 / 3.0)) + (6.0 / 25.0) * x ** (5.0 / 3.0)
-    c8 = (x + x ** 3) / 21.0 + (9.0 / 35.0) * (x ** (5.0 / 3.0) + x ** (7.0 / 3.0))
-    # the error term keeps the c6 size: the next omitted term alone reads
-    # below the true distance to F_closed
-    tail = -(c4 / p_cut + c6 / (3.0 * p_cut ** 3) + c8 / (5.0 * p_cut ** 5))
+    p_far, far, far_err = _far_field(1.0, y, 1)
     pref = (4.0 / math.pi) * (6.0 * math.pi ** 2) ** (1.0 / 3.0) * 4.0 * math.pi
     return _p_ladder(lambda p, v: x - p * p * gpref * v,
-                     sorted({0.0, 2.0 * y, 2.0, 6.0, p_cut}), 1.0, y, 0.0, 1,
-                     tol, pref, pref * tail, pref * abs(c6) / p_cut ** 5, 1.0)
+                     sorted({0.0, 2.0 * y, 2.0, p_far}), 1.0, y, 0.0, 1,
+                     tol, pref, -pref * gpref * far, pref * gpref * far_err,
+                     1.0)
 
 
+# an extreme rho overflows the pair volume and the limit value: the
+# non-finite row still reaches the CLI's guard, and numpy warns nothing
+# on the way
+@np.errstate(over="ignore", invalid="ignore")
 def gap_cutoff_study(params, cutoff, rho_grid, tol=1e-4):
     """Regularized vs limiting second-order integral along a density grid.
 
@@ -428,24 +534,18 @@ def singular_integral_bound(x_grid, tol=1e-3):
     """Finiteness check of the doubly Pauli-constrained integral of the
     inverse squared pair dispersion; the minority radius is x itself.
 
-    Numerical to the cut radius 30, then the analytic moment tail; the
-    result stays finite down to tiny x and grows with x.
+    Numerical over [0, p_far], then the far field term by term; the result
+    stays finite down to tiny x and grows with x.
     """
     for x in x_grid:
         if not 0.0 < x <= 1.0:
             raise ValueError(f"x values must lie in (0, 1], got {x}")
-    p_cut = 30.0
-    m0 = lambda kf: (4.0 * math.pi / 3.0) * kf ** 3
-    m2 = lambda kf: (4.0 * math.pi / 15.0) * kf ** 5
-    m4 = lambda kf: (4.0 * math.pi / 35.0) * kf ** 7
     rows = []
     for x in x_grid:
-        tail = math.pi * (m0(1.0) * m0(x) / p_cut
-                          + (m2(1.0) * m0(x) + m0(1.0) * m2(x)) / p_cut ** 3)
-        tail_err = math.pi * (m4(1.0) * m0(x) + m0(1.0) * m4(x)
-                              + 6.0 * m2(1.0) * m2(x)) / p_cut ** 5
+        p_far, far, far_err = _far_field(1.0, x, 2)
         res = _p_ladder(lambda p, v: p * p * v,
-                        sorted({0.0, 2.0 * x, 2.0, 6.0, p_cut}), 1.0, x, 0.0,
-                        2, tol, 4.0 * math.pi, tail, tail_err)
+                        sorted({0.0, 2.0 * x, 2.0, p_far}), 1.0, x, 0.0, 2,
+                        tol, 4.0 * math.pi, 4.0 * math.pi * far,
+                        4.0 * math.pi * far_err)
         rows.append({"x": x, **asdict(res)})
     return rows

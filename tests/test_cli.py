@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyfermi import cli, fock, quadrature
+from hyfermi import cli, fock, potentials, quadrature
 from hyfermi.cutoffs import CutoffConfig
 from hyfermi.hyformula import FermiParams, hy_energy_error
 from hyfermi.potentials import RadialPotential
@@ -566,13 +566,14 @@ def test_scatter_tiny_range_exits_one_without_a_warning(capsys):
 @pytest.mark.parametrize("p, value, error, evaluations", [
     ("1e-110", 3.2378646946470213e-111, 4.167824711007114e-121, 170),
     ("1e-200", 3.2378646946470213e-201, 4.167808021614428e-211, 170),
-    ("1e160", 0.0, 0.0, 112),
-    ("1e300", 0.0, 0.0, 112),
+    ("1e160", 0.0, 0.0, 2),
+    ("1e300", 0.0, 0.0, 2),
 ], ids=["1e-110", "1e-200", "1e160", "1e300"])
 def test_quad_g_extreme_p_without_a_warning(p, value, error, evaluations, capsys):
-    """p^3 underflows or p^2 overflows in the closed form of a flat
-    t-piece, which the Gauss sum overwrites: the row is the same, exit 0,
-    and numpy warns nothing on the way."""
+    """p^3 underflows in the closed form of a flat t-piece, which the
+    Gauss sum overwrites; p^2 overflows in the far-field series, one
+    evaluation per rung, whose value then underflows to 0: the row is the
+    same, exit 0, and numpy warns nothing on the way."""
     code, out, _ = run_cli(["quad-g", "--p", p], capsys)
     assert code == 0
     header, rows, _ = parse_csv_output(out)
@@ -595,6 +596,20 @@ def test_non_finite_flag_exits_two(argv, capsys):
     assert code == 2
     assert out == ""
     assert "must be finite" in err
+
+
+@pytest.mark.parametrize("argv, key, want", [
+    (["fock-demo", "--lambda-grid", "-1e-3", "0.5"], "lambda_grid",
+     [-1e-3, 0.5]),
+    (["verify-f", "--x-grid", "0.5", "-2.5E+2"], "x_grid", [0.5, -250.0]),
+    (["scatter", "--R", "-.5e-1"], "R", -0.05),
+    (["scatter", "--V0", "-3"], "V0", -3.0),
+])
+def test_negative_numbers_in_exponent_notation_are_flag_values(argv, key,
+                                                               want):
+    """argparse alone reads -1e-3 as an unknown option and exits 2 with
+    'expected at least one argument'; it is a value like -0.001."""
+    assert cli.parse_config(argv).parameters[key] == want
 
 
 @pytest.mark.parametrize("doc", [{"V0": float("nan")},
@@ -736,21 +751,57 @@ def test_non_finite_result_exits_one(monkeypatch, capsys):
 
 def test_bg_solve_non_finite_phi_exits_one(monkeypatch, capsys):
     """phi gets no exemption from the non-finite guard: a node at q = 0
-    makes it G/0, and bg-solve exits 1 naming it."""
-    real = cli.bethe_goldstone_solve
+    makes it G/0, and bg-solve exits 1 naming it. The solution rebuilds
+    its nodes through the node rule, so the zero node goes in there, once
+    the solve is done."""
+    real_solve, real_grid = cli.bethe_goldstone_solve, potentials._bg_grid
 
-    def with_node_at_zero(*args, **kwargs):
-        sol = real(*args, **kwargs)
-        nodes = sol.nodes.copy()
+    def grid_with_node_at_zero(*args):
+        nodes, weights = real_grid(*args)
+        nodes = nodes.copy()
         nodes[0] = 0.0
-        return dataclasses.replace(sol, nodes=nodes)
+        return nodes, weights
 
-    monkeypatch.setattr(cli, "bethe_goldstone_solve", with_node_at_zero)
+    def solve_then_zero_a_node(*args, **kwargs):
+        sol = real_solve(*args, **kwargs)
+        monkeypatch.setattr(potentials, "_bg_grid", grid_with_node_at_zero)
+        return sol
+
+    monkeypatch.setattr(cli, "bethe_goldstone_solve", solve_then_zero_a_node)
     with np.errstate(divide="ignore"):
         code, out, err = run_cli(["bg-solve"], capsys)
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "phi" in err
+
+
+@pytest.mark.parametrize("argv", [["--rho-up", "1e5"], ["--rho-up", "1e308"],
+                                  ["--R", "1e308"], ["--R", "1e-308"]])
+def test_bg_solve_floor_not_below_the_grid_top_exits_two(argv, capsys):
+    """kF_up = 181 at rho_up = 1e5 lies above the grid's top 80/R = 80,
+    1e308 makes kF infinite, R = 1e308 puts 80/R below the default kF and
+    R = 1e-308 makes it infinite: each is refused before any work,
+    naming both numbers."""
+    code, out, err = run_cli(["bg-solve", *argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: Pauli floor") and "80/R" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bg-solve", "--R", "1e308", "--rho-up", "0", "--rho-down", "0"],
+    ["bg-solve", "--V0", "1e308"],
+    ["gap-study", "--rho-count", "2", "--rho-max", "1e200"],
+    ["hy-eval", "--rho-up", "4.4e153", "--rho-down", "4.4e153"],
+], ids=["bg-R", "bg-V0", "gap-rho", "hy-rho"])
+def test_overflow_exits_one_without_a_warning(argv, capsys):
+    """The computation overflows; the residual check, the non-finite guard
+    or an OverflowError reports it once, and numpy warns nothing on the
+    way (tier-1 turns a RuntimeWarning into a failure)."""
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("text, word", [

@@ -392,18 +392,33 @@ def test_bg_pauli_blocking_raises_amplitude():
 
 @pytest.mark.parametrize("kf_up, kf_down", [(0.0, 0.0), (0.9, 0.4)])
 def test_bg_solution_keeps_only_nodes_and_g(kf_up, kf_down):
-    """phi and the pair dispersion are derived from nodes and G, bit for
-    bit as the solver used to store them; the nodes lie above the Pauli
-    floor, so the dispersion is positive and phi finite."""
-    sol = bethe_goldstone_solve(RadialPotential(kind="square-well", V0=4.0,
-                                                R=1.0), kf_up, kf_down)
+    """A solution stores q_max and G, not the nodes: they are rebuilt, bit
+    for bit, as the solver's grid, and phi and the pair dispersion are
+    derived from them; the nodes lie above the Pauli floor, so the
+    dispersion is positive and phi finite."""
+    pot = RadialPotential(kind="square-well", V0=4.0, R=1.0)
+    sol = bethe_goldstone_solve(pot, kf_up, kf_down)
     assert [f.name for f in dataclasses.fields(sol)] == [
-        "mode", "nodes", "G", "residual", "kF_up", "kF_down"]
+        "mode", "q_max", "G", "residual", "kF_up", "kF_down"]
+    grid, _, _ = _bg_radial_matrix(pot, max(kf_up, kf_down), 240, 80.0)
+    assert sol.q_max == 80.0
+    assert sol.nodes.tobytes() == grid.tobytes()
     assert np.all(sol.nodes > max(kf_up, kf_down))
     lam_p = 2.0 * sol.nodes ** 2
     old_phi = np.where(lam_p > 0.0, sol.G / lam_p, np.nan)
     assert sol.denominators.tobytes() == lam_p.tobytes()
     assert sol.phi.tobytes() == old_phi.tobytes()
+
+
+@pytest.mark.parametrize("kf_up, kf_down", [(80.0, 0.0), (0.0, 95.0),
+                                            (math.inf, 0.0), (math.nan, 0.0),
+                                            (-1.0, -1.0)])
+def test_bg_solve_refuses_a_floor_off_the_grid(kf_up, kf_down):
+    """The nodes run from the Pauli floor up to 80/R; a floor at or above
+    that top, or not a nonnegative number, is refused before any work."""
+    pot = RadialPotential(kind="square-well", V0=4.0, R=1.0)
+    with pytest.raises(ValueError, match=r"Pauli floor .* q_max = 80/R = 80\.0"):
+        bethe_goldstone_solve(pot, kf_up, kf_down)
 
 
 def test_bg_solve_matches_lu():

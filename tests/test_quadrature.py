@@ -15,11 +15,16 @@ from hyfermi.cutoffs import CutoffConfig
 from hyfermi.hyformula import F_closed, FermiParams
 from hyfermi.quadrature import (
     _MAX_LATTICE_NMAX,
+    _R_MAX,
     _RUNGS,
     F_quadrature,
     _axis,
+    _ball_moments,
+    _far_edge,
+    _far_field,
     _p_ladder,
     _panels,
+    _remainder,
     g_pointwise,
     gap_cutoff_study,
     inner_pair,
@@ -145,13 +150,107 @@ def test_t_integral_array_matches_scalars():
 @pytest.mark.parametrize("two_eps", [0.0, 1e-3])
 def test_inner_pair_matches_2d_sum(power, two_eps):
     """The exact t-integral against the 2D node-pair sum at high order,
-    corner reachable (p <= 2 min(kf)) or not."""
+    corner reachable (p <= 2 min(kf)) or not; from p_far on the row is
+    the far-field series, one evaluation."""
     for p in (0.3, 1.0, 1.5, 2.5, 7.0):
         for kf2 in (0.3, 0.8, 1.0):
             want = pair_sum_2d(p, 1.0, kf2, two_eps, power, 24, 30)
             got, n = inner_pair(p, 1.0, kf2, two_eps, power)
             assert got == pytest.approx(want, rel=1e-12)
-            assert n == len(_axis(1.0, p, 16, 18)[0])
+            assert n == (1 if p >= _far_edge(1.0, kf2)
+                         else len(_axis(1.0, p, 16, 18)[0]))
+
+
+# (kf1, kf2): p_far is 2*kf1, (kf1 + kf2)/_R_MAX, or both at once
+_FAR_SHELLS = [(1.0, 0.3), (1.0, 0.8), (1.0, 1.0), (0.4, 1.0), (1.0, 0.5)]
+
+
+@pytest.mark.parametrize("power", [1, 2])
+@pytest.mark.parametrize("two_eps", [0.0, 1e-3])
+def test_series_rows_match_2d_sum_across_p_far(power, two_eps):
+    """Series rows (p >= p_far) and axis rows just below p_far against the
+    2D node-pair sum, which is exact to rounding once no corner is
+    reachable."""
+    for kf1, kf2 in _FAR_SHELLS:
+        p_far = _far_edge(kf1, kf2)
+        for f in (1.0 - 1e-3, 1.0 - 1e-12, 1.0, 1.0 + 1e-3, 1.5, 40.0):
+            p = p_far * f
+            want = pair_sum_2d(p, kf1, kf2, two_eps, power, 24, 30)
+            got, n = inner_pair(p, kf1, kf2, two_eps, power)
+            assert abs(got - want) <= 1e-13 * want, (kf1, kf2, f)
+            assert (n == 1) == (f >= 1.0)
+
+
+def test_series_terms_reach_rounding():
+    """_TERMS is the fewest terms whose remainder at r = _R_MAX lies below
+    rounding, and the moments it scales stay in [0, 1] with w_0 = 1."""
+    q = _R_MAX ** 2
+    assert _remainder(q, quadrature._TERMS, 2) < 2.0 ** -53
+    assert _remainder(q, quadrature._TERMS - 1, 2) >= 2.0 ** -53
+    assert _remainder(q, quadrature._TERMS, 1) < 2.0 ** -53
+    for kf1, kf2 in _FAR_SHELLS + [(1.0, 1e-3), (1e-3, 1.0)]:
+        w0, w = _ball_moments(kf1, kf2)
+        assert w0 == pytest.approx((4.0 * math.pi / 3.0) ** 2
+                                   * (kf1 * kf2) ** 3, rel=1e-15)
+        assert w[0] == 1.0 and np.all((w >= 0.0) & (w <= 1.0))
+        assert np.all(np.diff(w) <= 0.0)
+
+
+def test_remainder_is_the_closed_tail_sum():
+    for q in (0.1, 0.5, _R_MAX ** 2):
+        for n in (0, 3, 20):
+            m = np.arange(n, 2000)
+            assert _remainder(q, n, 1) == pytest.approx(
+                float(np.sum(q ** m)), rel=1e-13)
+            assert _remainder(q, n, 2) == pytest.approx(
+                float(np.sum((2 * m + 1) * q ** m)), rel=1e-13)
+
+
+@pytest.mark.parametrize("power", [1, 2])
+@pytest.mark.parametrize("two_eps", [0.0, 1e-3])
+@pytest.mark.parametrize("terms", [2, 4, 8, 16])
+def test_truncation_bound_covers_the_actual_remainder(power, two_eps, terms,
+                                                      monkeypatch):
+    """The series cut after a few terms falls short of the 2D node-pair
+    sum by at least its first omitted term (every term is positive) and
+    by at most the bound W_0 beta^-k _remainder(r^2, terms, k)."""
+    for kf1, kf2 in _FAR_SHELLS:
+        w0, w = _ball_moments(kf1, kf2)
+        for p in (_far_edge(kf1, kf2), 2.0 * _far_edge(kf1, kf2)):
+            want = pair_sum_2d(p, kf1, kf2, two_eps, power, 24, 30)
+            beta = 2.0 * p * p + two_eps
+            q = (2.0 * p * (kf1 + kf2) / beta) ** 2
+            scale = w0 * beta ** -power
+            first = scale * (1 if power == 1 else 2 * terms + 1) \
+                * w[terms] * q ** terms
+            bound = scale * _remainder(q, terms, power)
+            with monkeypatch.context() as m:
+                m.setattr(quadrature, "_TERMS", terms)
+                got, _ = inner_pair(p, kf1, kf2, two_eps, power)
+            rounding = 1e-14 * want
+            assert first - rounding <= want - got <= bound + rounding
+
+
+@pytest.mark.parametrize("power", [1, 2])
+@pytest.mark.parametrize("kf1, kf2", _FAR_SHELLS)
+def test_far_field_matches_p_quadrature(power, kf1, kf2):
+    """_far_field against Gauss panels in u = p_far/p over (0, 1] of the
+    2D node-pair sum. For power 1 the m = 0 term W_0/(2p^2) is taken out
+    exactly: p^2 (1/den - 1/(2p^2)) = -p (s + t)/den at two_eps = 0."""
+    p_far, far, far_err = _far_field(kf1, kf2, power)
+    assert p_far == _far_edge(kf1, kf2)
+    u, wu = _panels([0.0, 0.25, 0.5, 1.0], 24)
+    f = []
+    for p in p_far / u:
+        s, ws = _axis(kf1, p, 24, 30)
+        t, wt = _axis(kf2, p, 24, 30)
+        st = s[:, None] + t[None, :]
+        den = 2.0 * p * p + 2.0 * p * st
+        f.append(-p * float(ws @ (st / den) @ wt) if power == 1
+                 else p * p * float(ws @ den ** -2 @ wt))
+    want = float(np.sum(wu * p_far / u ** 2 * np.array(f)))
+    assert far == pytest.approx(want, rel=1e-14)
+    assert 0.0 < far_err < 1e-16 * abs(far)
 
 
 @pytest.mark.parametrize("power", [1, 2])
@@ -188,8 +287,9 @@ def composite_p_per_panel(fn, edges, n_p):
 
 
 # (kf1, kf2, two_eps, power, edges): the pair integrands of F_quadrature
-# (x = 0.3) and singular_integral_bound (x = 0.05), and a gapped one with
-# unequal shells, whose rule has nodes on both sides of each 2kf
+# (x = 0.3) and singular_integral_bound (x = 0.05) carried far beyond
+# p_far, so that axis and series rows share one call, and a gapped one
+# with unequal shells, whose rule has nodes on both sides of each 2kf
 _P_RULES = [
     (1.0, 0.3 ** (1.0 / 3.0), 0.0, 1, [0.0, 2.0 * 0.3 ** (1.0 / 3.0), 2.0, 6.0, 50.0]),
     (1.0, 0.05, 0.0, 2, [0.0, 0.1, 2.0, 6.0, 30.0]),
@@ -290,22 +390,46 @@ def test_f_quadrature_against_closed_form():
 
 
 @pytest.mark.parametrize("x", [0.1, 0.5, 1.0])
-def test_f_quadrature_tail_through_c8(x):
-    """With the c8/p_cut^5 term in the closed tail, the finest rung lands
-    within 1e-11 of F_closed (the tail without it is off by 1e-10..5e-10)."""
+def test_f_quadrature_finest_rung_meets_f_closed(x):
+    """With the far field summed to rounding, the finest rung lands within
+    1e-12 of F_closed; the c8-truncated tail of a cut radius 50 left
+    1e-11."""
     res = F_quadrature(x, 1e-13)
-    assert abs(res.value - F_closed(x)) <= 1e-11 * F_closed(x)
+    assert abs(res.value - F_closed(x)) <= 1e-12 * F_closed(x)
 
 
-HONESTY_X = [*np.geomspace(0.02, 8.0, 40), 1.0 - 5e-5, 1.0 + 5e-5]
+# 150 log-spaced x across both branches of the reflection, and both sides
+# of the near-1 branch
+HONESTY_X = [*np.geomspace(1e-3, 8.0, 150), 1.0 - 1e-4, 1.0 + 1e-4]
 
 
 @pytest.mark.parametrize("tol", [5e-3, 1e-6, 1e-9])
 def test_f_quadrature_error_estimate_is_honest(tol):
-    """Wherever the ladder stops, F_closed lies within the estimate."""
+    """Wherever the ladder stops, F_closed lies within the estimate, and
+    the ladder stops before the top."""
     for x in map(float, HONESTY_X):
         res = F_quadrature(x, tol)
         assert abs(res.value - F_closed(x)) <= res.error_estimate, x
+        assert not res.flagged, x
+
+
+def test_f_quadrature_default_tolerance_is_far_inside_it():
+    """At the CLI's tol 5e-3 every x stops at rung 1, within 1e-7 of
+    F_closed."""
+    for x in map(float, HONESTY_X):
+        res = F_quadrature(x, 5e-3)
+        assert res.rung == 1
+        assert abs(res.value - F_closed(x)) <= 1e-7 * F_closed(x), x
+
+
+def test_f_quadrature_estimate_carries_a_short_far_field(monkeypatch):
+    """With the far-field series cut after three terms, its bound joins
+    the estimate and still covers the distance to F_closed."""
+    monkeypatch.setattr(quadrature, "_TERMS", 3)
+    for x in (1e-3, 0.1, 0.5, 1.0):
+        res = F_quadrature(x, 1e-9)
+        err = abs(res.value - F_closed(x))
+        assert 1e-9 * F_closed(x) < err <= res.error_estimate, x
 
 
 def test_ladder_stops_at_tol():
@@ -318,13 +442,17 @@ def test_ladder_stops_at_tol():
     assert top.rung == len(_RUNGS) - 1 and top.flagged
 
 
+# a log sweep, and a fine one below x = 1, where the panels [2x, 2] are short
+SINGULAR_X = [*np.geomspace(1e-3, 1.0, 12), *np.linspace(0.97, 1.0, 31)]
+
+
 @pytest.mark.parametrize("tol", [1e-3, 1e-6])
 def test_singular_error_estimate_is_honest(tol):
-    grid = [1e-3, 1e-2, 0.1, 0.5, 0.9, 1.0]
-    top = singular_integral_bound(grid, tol=0.0)
-    for row, ref in zip(singular_integral_bound(grid, tol=tol), top):
-        assert ref["rung"] == len(_RUNGS) - 1
-        assert abs(row["value"] - ref["value"]) <= row["error_estimate"]
+    xs = [float(x) for x in SINGULAR_X]
+    ref = singular_integral_bound(xs, tol=1e-12)
+    for x, row, want in zip(xs, singular_integral_bound(xs, tol=tol), ref):
+        assert abs(row["value"] - want["value"]) <= row["error_estimate"], x
+        assert not row["flagged"], x
 
 
 @pytest.mark.parametrize("tol", [1e-4, 1e-7])
@@ -333,9 +461,8 @@ def test_singular_error_estimate_is_honest(tol):
 def test_gap_error_estimate_is_honest(tol, rho_up, rho_down, rho):
     params = FermiParams(rho_up=rho_up, rho_down=rho_down)
     cutoff = CutoffConfig(rho=rho)
-    (ref,) = gap_cutoff_study(params, cutoff, [rho], tol=0.0)
+    (ref,) = gap_cutoff_study(params, cutoff, [rho], tol=1e-12)
     (row,) = gap_cutoff_study(params, cutoff, [rho], tol=tol)
-    assert ref["rung"] == len(_RUNGS) - 1
     assert abs(row["i_regularized"] - ref["i_regularized"]) \
         <= row["error_estimate"]
 
