@@ -38,6 +38,7 @@ from .potentials import (
     RadialPotential,
     bethe_goldstone_solve,
     born_length,
+    check_box,
     periodize_phi,
     solve_scattering,
 )
@@ -466,6 +467,7 @@ def _cmd_fock_demo(config):
         basis = fock.build_basis(lat)
         cutoff = _demo_cutoff(lat, p["gamma"], p["delta"])
         pot = _potential(p)
+        check_box(lat.L, pot)
         vhat = fock.vhat_from_potential(lat, pot)
     with _stage(stages, "sector"):
         physics = fock.sector(basis, lat.N_up, lat.N_down)

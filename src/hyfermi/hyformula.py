@@ -145,14 +145,26 @@ def _kinetic(params):
         params.rho_up ** (5.0 / 3.0) + params.rho_down ** (5.0 / 3.0))
 
 
+def _refuse_density_overflow(params):
+    """Raise OverflowError naming both densities, before any arithmetic on
+    them, when the larger one's rho^(7/3) lies beyond the float range;
+    below that bound every power of a density that hy_energy takes fits."""
+    if max(params.rho_up, params.rho_down) > _X_MAX:
+        raise OverflowError(
+            f"rho^(7/3) lies beyond the float range at rho_up = "
+            f"{params.rho_up}, rho_down = {params.rho_down}")
+
+
 def hy_energy(params, a):
     """Three-term upper-bound energy density for scattering length a.
 
     The second-order term is routed through the majority component so
-    that swapping the densities returns bit-identical results.
+    that swapping the densities returns bit-identical results. A density
+    whose power overflows raises OverflowError naming both densities.
     """
     if not a >= 0.0:
         raise ValueError(f"scattering length must be nonnegative, got {a}")
+    _refuse_density_overflow(params)
     # as a Python float, a product that overflows is inf and a power
     # raises OverflowError, where a numpy scalar would warn first
     a = float(a)
@@ -168,7 +180,9 @@ def hy_energy(params, a):
 def hy_energy_error(params, a, a_error):
     """Error in hy_energy's total that an error a_error in a carries: its
     derivative in a, 8*pi*rho_up*rho_down + 2a*rho_max^(7/3)*F(x), times
-    a_error, with the same majority routing as hy_energy."""
+    a_error, with the same majority routing and overflow refusal as
+    hy_energy."""
+    _refuse_density_overflow(params)
     hi, lo = max(params.rho_up, params.rho_down), min(params.rho_up,
                                                       params.rho_down)
     slope = 8.0 * math.pi * params.rho_up * params.rho_down

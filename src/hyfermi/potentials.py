@@ -287,57 +287,33 @@ def _u_at(solution, r):
     return solution.u_profile[i] + du
 
 
-def _radial_transform(r, w, f, s):
-    """4*pi * sum_k w_k f_k sin(s r_k)/(s r_k) for each s of a 1D array:
-    the radial Fourier transform of f on a rule of nodes r and weights w.
-    Each block of 256 values of s is one matrix-vector product."""
-    wf = 4.0 * np.pi * w * f
-    out = np.empty(s.shape)
-    for lo in range(0, s.size, 256):
-        out[lo:lo + 256] = np.sinc(s[lo:lo + 256, None] * r[None, :] / np.pi) @ wf
-    return out
+def _radial_transform(potential, s, g):
+    """4 pi int_0^support V g sin(sr)/(sr) dr at |p| = s (vectorized), on the
+    Gauss panels of _radial_rule for the largest |s|, with g read at the
+    nodes; each block of 256 values of s is one matrix-vector product."""
+    flat = np.atleast_1d(np.asarray(s, dtype=np.float64)).ravel()
+    r, wv = _radial_rule(potential, float(np.abs(flat).max(initial=0.0)))
+    wf = 4.0 * np.pi * wv * g(r)
+    out = np.empty(flat.shape)
+    for lo in range(0, flat.size, 256):
+        out[lo:lo + 256] = np.sinc(flat[lo:lo + 256, None] * r[None, :] / np.pi) @ wf
+    return float(out[0]) if np.ndim(s) == 0 else out.reshape(np.shape(s))
 
 
 def fourier_Vf(solution, s):
     """Radial Fourier transform of V * (1 - phi) at |p| = s (vectorized).
 
     Equals 8*pi*a at s = 0 and decays like 1/s^2; phi-hat(p) is this
-    divided by 2|p|^2. The Gauss panels of _radial_rule, with u at each
-    node from _u_at.
+    divided by 2|p|^2. The weight is r * u, with u at each node from _u_at.
     """
-    flat = np.atleast_1d(np.asarray(s, dtype=np.float64)).ravel()
-    r, wv = _radial_rule(solution.potential, float(np.abs(flat).max(initial=0.0)))
-    out = _radial_transform(r, wv, _u_at(solution, r) * r, flat)
-    return float(out[0]) if np.ndim(s) == 0 else out.reshape(np.shape(s))
-
-
-# Below this sR the square-well closed form (sin x - x cos x)/x^3 cancels
-# (its relative error grows like 1e-16/x^2) and its Taylor series takes over,
-# written as 1/3 of sum_j (-1)^j 6(j+1) x^2j / (2j+3)!: seven terms, highest
-# first for Horner, exact to rounding for x <= 0.3 (the first omitted term is
-# 7e-21 of the sum there), and equal to 1 at x = 0, so the zero mode keeps
-# its value bit for bit.
-_SW_SERIES_MAX = 0.3
-_SW_SERIES = tuple((-1) ** j * 6.0 * (j + 1) / math.factorial(2 * j + 3)
-                   for j in reversed(range(7)))
+    return _radial_transform(solution.potential, s, lambda r: _u_at(solution, r) * r)
 
 
 def fourier_V(potential, s):
-    """Radial Fourier transform of the bare potential at |p| = s: the
-    square well in closed form, other kinds on the Gauss panels of
-    _radial_rule, which split at every tabulated sample radius."""
-    flat = np.atleast_1d(np.asarray(s, dtype=np.float64)).ravel()
-    if potential.kind == "square-well":
-        V0, R = potential.V0, potential.R
-        small = np.abs(flat * R) <= _SW_SERIES_MAX
-        ss = np.where(small, 1.0, flat)
-        out = 4.0 * np.pi * V0 * (np.sin(ss * R) - ss * R * np.cos(ss * R)) / ss ** 3
-        series = np.polyval(_SW_SERIES, (flat * R) ** 2)
-        out = np.where(small, 4.0 * np.pi * V0 * R ** 3 * series / 3.0, out)
-    else:
-        r, wv = _radial_rule(potential, float(np.abs(flat).max(initial=0.0)))
-        out = _radial_transform(r, wv, r * r, flat)
-    return float(out[0]) if np.ndim(s) == 0 else out.reshape(np.shape(s))
+    """Radial Fourier transform of the bare potential at |p| = s
+    (vectorized): weight r^2, for every kind; a square well's 4 pi V0
+    (sin sR - sR cos sR) / s^3 comes out within 4e-16 relative of exact."""
+    return _radial_transform(potential, s, lambda r: r * r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,17 +344,23 @@ class PeriodicScatteringFunction:
         return table[inverse]
 
 
+def check_box(L, potential):
+    """Refuse a box side L that does not exceed twice the range R of the
+    potential: the box the periodized scattering function needs."""
+    if not L > 2.0 * potential.R:
+        raise ValueError(f"box side L = {L} must exceed twice the range "
+                         f"{potential.R}")
+
+
 def periodize_phi(solution, L, cutoff=None):
     """Fourier coefficients of the box-periodized scattering function.
 
     phi-hat(p) = F(V(1-phi))(|p|) / (2|p|^2) on p in (2pi/L)Z^3, zero mode
     dropped; when a cutoff is supplied each coefficient is multiplied by
-    chi_greater(|p|). Refuses boxes that cannot contain the support of V.
-    Coefficients are transformed when coeffs asks for them.
+    chi_greater(|p|). Refuses boxes that check_box refuses. Coefficients
+    are transformed when coeffs asks for them.
     """
-    R = solution.potential.R
-    if L <= 2.0 * R:
-        raise ValueError(f"box side L = {L} must exceed twice the range {R}")
+    check_box(L, solution.potential)
     return PeriodicScatteringFunction(L=float(L), solution=solution, cutoff=cutoff)
 
 
@@ -435,8 +417,7 @@ class BGSolution:
     @property
     def nodes(self):
         """The solver's momentum nodes, rebuilt bit for bit."""
-        return _bg_grid(max(self.kF_up, self.kF_down), self.q_max,
-                        _BG_NODES)[0]
+        return _bg_grid(max(self.kF_up, self.kF_down), self.q_max)[0]
 
     @property
     def denominators(self):
@@ -467,15 +448,19 @@ def _radial_rule(potential, q_max):
     return r, w * potential(r)
 
 
-def _bg_grid(kf_floor, q_max, n_radial):
-    """Momentum nodes and weights of the Bethe-Goldstone grid: Gauss panels
-    between the Pauli floor and q_max, graded toward the floor."""
+# momentum nodes of the Bethe-Goldstone grid, which reaches 80 / R
+_BG_NODES = 240
+
+
+def _bg_grid(kf_floor, q_max):
+    """_BG_NODES momentum nodes and weights of the Bethe-Goldstone grid:
+    Gauss panels between the Pauli floor and q_max, graded toward it."""
     edges = kf_floor + (q_max - kf_floor) * np.array(
         [0.0, 0.03, 0.1, 0.3, 0.6, 1.0])
-    return _panels(edges, max(8, n_radial // (len(edges) - 1)))
+    return _panels(edges, _BG_NODES // (len(edges) - 1))
 
 
-def _bg_radial_matrix(potential, kf_floor, n_radial, q_max):
+def _bg_radial_matrix(potential, kf_floor, q_max):
     """Collocation matrix for the spherically symmetric case r = r' = 0.
 
     Returns (nodes, M, FV) with the equation reading (I + M) G = FV. The
@@ -489,16 +474,12 @@ def _bg_radial_matrix(potential, kf_floor, n_radial, q_max):
     S = sin(q_i r_k): V >= 0 makes wV >= 0, and numpy hands the product
     to BLAS as a symmetric one.
     """
-    q, w = _bg_grid(kf_floor, q_max, n_radial)
+    q, w = _bg_grid(kf_floor, q_max)
     r, wv = _radial_rule(potential, q_max)
     S = np.sin(q[:, None] * r[None, :])
     A = S * np.sqrt(wv)
     M = (A @ A.T) * (w / q) / (np.pi * q[:, None])
     return q, M, (4.0 * np.pi / q) * (S @ (wv * r))
-
-
-# momentum nodes of the Bethe-Goldstone grid, which reaches 80 / R
-_BG_NODES = 240
 
 
 def bethe_goldstone_solve(potential, kF_up, kF_down, tol=1e-11):
@@ -520,8 +501,7 @@ def bethe_goldstone_solve(potential, kF_up, kF_down, tol=1e-11):
     # an extreme V0 or R overflows the build; the residual check below
     # reports it once, and numpy warns nothing on the way
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        _, M, FV_nodes = _bg_radial_matrix(potential, kf_floor, _BG_NODES,
-                                           q_max)
+        _, M, FV_nodes = _bg_radial_matrix(potential, kf_floor, q_max)
         G = np.linalg.solve(np.eye(len(FV_nodes)) + M, FV_nodes)
         residual = float(np.max(np.abs(G - (FV_nodes - M @ G))))
     bound = tol * max(1.0, float(np.max(np.abs(G))))

@@ -8,6 +8,8 @@ kept next to the tests because no command runs them.
   nested centered differences, for any gauge A of f (f_gauged);
 - scattering_length_from_integral: a as (1/2) * integral of V u r, the
   integral route beside the solve's matching route;
+- g_full_balls: g(x, p) for p >= 2 as a tensor Gauss sum over both full
+  balls, beside g_pointwise's exact t-integral and far-field series;
 - q2_ud_from_pairs: the opposite-spin Q2 block rebuilt from products of
   pair operators, the second coding beside build_corr_terms.
 """
@@ -165,3 +167,25 @@ def q2_ud_from_pairs(lattice, basis, vhat):
     # plus the adjoint: the factors reversed, each one's dagger flipped
     terms += [(c, [(j, not d) for j, d in reversed(ops)]) for c, ops in terms]
     return fock.make_operator(basis, terms, hermitian=True)
+
+
+def g_full_balls(x, p, n_gauss=16, n_levels=30):
+    """g(x, p) for p >= 2, where both shells |k| < 1 and |q| < x^(1/3) are
+    full balls: 9/(8 pi^2) times the tensor Gauss sum over the axial
+    components s, t of pi(1 - s^2) pi(x^(2/3) - t^2) / (2p^2 + 2p(s + t)).
+    Each axis is n_levels + 1 panels of n_gauss nodes, graded dyadically
+    toward its lower end: at p = 2, x = 1 the denominator vanishes at the
+    corner s = t = -1."""
+    xg, wg = np.polynomial.legendre.leggauss(n_gauss)
+
+    def axis(kf):
+        edges = -kf + 2.0 * kf * np.concatenate(
+            ([0.0], 2.0 ** -np.arange(n_levels, -1, -1.0)))
+        a, b = edges[:-1, None], edges[1:, None]
+        s = (0.5 * (a + b) + 0.5 * (b - a) * xg).ravel()
+        return s, (0.5 * (b - a) * wg).ravel() * np.pi * (kf * kf - s * s)
+
+    s, ws = axis(1.0)
+    t, wt = axis(x ** (1.0 / 3.0))
+    den = 2.0 * p * p + 2.0 * p * (s[:, None] + t[None, :])
+    return 9.0 / (8.0 * math.pi ** 2) * float(ws @ (1.0 / den) @ wt)

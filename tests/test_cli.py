@@ -9,7 +9,9 @@ import io
 import json
 import math
 import re
+import shlex
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -41,6 +43,29 @@ def parse_json_output(text):
     return payload, meta
 
 
+def _readme_commands():
+    """The hyfermi lines of the README's "Command line" code block."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("hyfermi ")]
+    assert commands, "the README's Command line block holds no hyfermi line"
+    return commands
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda a: a[0])
+def test_readme_commands_run(argv, tmp_path, monkeypatch, capsys):
+    """Each command line the README shows exits 0 and ends its output, on
+    stdout or in its --out file, with the JSON metadata line."""
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    if "--out" in argv:
+        out = (tmp_path / argv[argv.index("--out") + 1]).read_text()
+    assert "version" in json.loads(out.strip().splitlines()[-1])
+
+
 def test_parse_defaults():
     config = cli.parse_config(["hy-table"])
     assert config.command == "hy-table"
@@ -66,14 +91,22 @@ def test_parse_rejects_split_shell(capsys):
 
 
 def test_fock_demo_box_not_holding_the_range_exits_two(capsys):
-    """periodize_phi refuses L <= 2R; the CLI prints its message and exits
-    2, like every other refused input."""
-    code, out, err = run_cli(["fock-demo", "--R", "4", "--lambda-grid", "0"],
-                             capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("usage error: ")
-    assert f"L = {2.0 * math.pi}" in err and "twice the range 4.0" in err
+    """check_box refuses L <= 2R in the lattice stage, before V^ is
+    transformed or u is solved; the CLI prints its message and exits 2,
+    like every other refused input, with no numpy warning on the way."""
+    for argv, R in ((["--R", "4"], "4.0"),
+                    (["--R", "1e6"], "1000000.0"),
+                    (["--R", "1e300"], "1e+300"),
+                    (["--kind", "truncated-gaussian", "--R", "1e300"], "1e+300")):
+        with mock.patch.object(cli, "solve_scattering") as solve, \
+                mock.patch.object(fock, "fourier_V") as transform:
+            code, out, err = run_cli(["fock-demo", *argv, "--lambda-grid", "0"],
+                                     capsys)
+        assert solve.call_count == transform.call_count == 0, argv
+        assert code == 2, argv
+        assert out == ""
+        assert err == (f"usage error: box side L = {2.0 * math.pi} must "
+                       f"exceed twice the range {R}\n")
 
 
 @pytest.mark.parametrize("argv", [["--gamma", "0.2", "--delta", "1.7"],
@@ -756,8 +789,8 @@ def test_bg_solve_non_finite_phi_exits_one(monkeypatch, capsys):
     the solve is done."""
     real_solve, real_grid = cli.bethe_goldstone_solve, potentials._bg_grid
 
-    def grid_with_node_at_zero(*args):
-        nodes, weights = real_grid(*args)
+    def grid_with_node_at_zero(kf_floor, q_max):
+        nodes, weights = real_grid(kf_floor, q_max)
         nodes = nodes.copy()
         nodes[0] = 0.0
         return nodes, weights
@@ -802,6 +835,17 @@ def test_overflow_exits_one_without_a_warning(argv, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("rho_up, rho_down", [("4.4e153", "4.4e153"),
+                                               ("1e200", "0")])
+def test_hy_eval_overflow_names_both_densities(rho_up, rho_down, capsys):
+    code, out, err = run_cli(["hy-eval", "--rho-up", rho_up, "--rho-down",
+                              rho_down], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: rho^(7/3) lies beyond the float range at rho_up = "
+                   f"{float(rho_up)}, rho_down = {float(rho_down)}\n")
 
 
 @pytest.mark.parametrize("text, word", [

@@ -153,6 +153,19 @@ def test_x_whose_power_overflows_is_refused_naming_it(fn, x):
         fn(x)
 
 
+@pytest.mark.parametrize("fn", [lambda p: hy_energy(p, 0.37),
+                                lambda p: hy_energy_error(p, 0.37, 1e-12)],
+                         ids=["hy_energy", "hy_energy_error"])
+@pytest.mark.parametrize("rho_up, rho_down", [
+    (math.nextafter(_X_MAX, math.inf), 0.0), (1e-3, 1e200)])
+def test_density_whose_power_overflows_is_refused_naming_both(fn, rho_up, rho_down):
+    params = FermiParams(rho_up=rho_up, rho_down=rho_down)
+    with pytest.raises(OverflowError, match=re.escape(
+            f"rho_up = {rho_up}, rho_down = {rho_down}")):
+        fn(params)
+    fn(FermiParams(rho_up=min(rho_up, _X_MAX), rho_down=min(rho_down, _X_MAX)))
+
+
 def test_f_from_f_refuses_x_whose_inverse_power_overflows():
     with pytest.raises(OverflowError, match=re.escape("x^(-7/3)")):
         F_from_f(1e-200)

@@ -37,6 +37,7 @@ from hyfermi.quadrature import (
 )
 
 from references import (
+    g_full_balls,
     ode_check_f,
     p_integral_linear,
     p_integral_quadratic,
@@ -373,6 +374,23 @@ def test_g_large_p_behaves_like_x_over_p_squared():
     res = g_pointwise(x, p)
     assert res.value == pytest.approx(x / p ** 2, rel=0.05)
     assert not res.flagged
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9])
+@pytest.mark.parametrize("x", [1e-3, 0.05, 0.3, 0.8, 1.0])
+def test_g_error_estimate_is_honest(x, tol):
+    """Against g_full_balls from p = 2 on, where both shells are full
+    balls, and a tol 1e-13 run below 2; p straddles 2x^(1/3), beyond which
+    the corner s = t = -p/2 is out of reach. A far-field row reads an
+    estimate of 0 and is exact only to rounding, so the bound carries a
+    rounding slack of 1e-13 |ref|."""
+    y = x ** (1.0 / 3.0)
+    for p in (1e-3, 0.1, y, 2.0 * y * (1.0 - 1e-6), 2.0 * y * (1.0 + 1e-6),
+              1.0, 1.999, 2.0, 2.5, 3.0, 6.0, 20.0):
+        ref = g_full_balls(x, p) if p >= 2.0 else g_pointwise(x, p, 1e-13).value
+        res = g_pointwise(x, p, tol)
+        assert not res.flagged, p
+        assert abs(res.value - ref) <= res.error_estimate + 1e-13 * abs(ref), p
 
 
 def test_g_domain_checks():
