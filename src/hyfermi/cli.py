@@ -472,22 +472,19 @@ def _cmd_fock_demo(config):
     with _stage(stages, "sector"):
         physics = fock.sector(basis, lat.N_up, lat.N_down)
         ph = fock.ph_sector(lat, basis, 0, 0)
-    with _stage(stages, "H"):
-        h = fock.build_hamiltonian(lat, basis, vhat)
-    with _stage(stages, "corr-terms"):
-        terms = fock.build_corr_terms(lat, basis, vhat)
+    with _stage(stages, "scatter"):
+        sol = solve_scattering(pot)
+    with _stage(stages, "operators"):
+        # H, the seven terms, B1 and B2 in one reduce-and-merge pass
+        psf = periodize_phi(sol, lat.L, cutoff=cutoff)
+        eta = EtaFunction(a=sol.a, epsilon=cutoff.epsilon, kF_up=lat.kF_up,
+                          kF_down=lat.kF_down)
+        h, terms, b1, b2 = fock.build_operators(lat, basis, vhat, phi=psf,
+                                                eta=eta, cutoff=cutoff)
     with _stage(stages, "PH"):
         e_ffg = fock.ffg_energy(lat, basis, h)
     with _stage(stages, "identity"):
         report = fock.corr_identity_report(lat, basis, h, terms)
-    with _stage(stages, "scatter"):
-        sol = solve_scattering(pot)
-    with _stage(stages, "generators"):
-        psf = periodize_phi(sol, lat.L, cutoff=cutoff)
-        eta = EtaFunction(a=sol.a, epsilon=cutoff.epsilon, kF_up=lat.kF_up,
-                          kF_down=lat.kF_down)
-        b1 = fock.build_generator(lat, basis, "B1", phi=psf, cutoff=cutoff)
-        b2 = fock.build_generator(lat, basis, "B2", eta=eta, cutoff=cutoff)
     with _stage(stages, "trial"):
         trial = []
         for l1 in p["lambda_grid"]:

@@ -10,14 +10,19 @@ tests can check to near machine precision.
 
 H, the quartic correlation blocks Q1..Q4 and the generators B1, B2 are
 momentum-conserving sums of four ladder operators, written as arrays of
-ladder strings from one enumeration of the momentum quartets
-(_quartets): per block an occupation mask over the four slots, a
-coefficient array and a spin pattern. Each build call (build_hamiltonian,
-build_corr_terms with all seven terms, build_generator, make_operator)
-makes one reduce-and-merge pass (_assemble): one batched symbolic _reduce
-over its strings, number terms written as forms directly, and one merge
-of equal forms keyed by operator label, on which every claimed flag is
-checked operator by operator.
+ladder strings over the momentum quartets (_quartets, one read-only
+table per lattice and creator pattern): per block an occupation mask over
+the four slots, a coefficient array and a spin pattern. Each builder
+contributes its _Sum list (_hamiltonian_sum, _corr_sums,
+_generator_sum), and each build call makes one reduce-and-merge pass
+(_assemble) over what it asks for: one batched symbolic _reduce over the
+strings, number terms written as forms directly, and one merge of equal
+forms keyed by operator label, on which every claimed flag is checked
+operator by operator. build_operators, which fock-demo calls once per
+run, makes one pass over all ten operators (H, the seven correlation
+terms, B1 and B2) on one V^ table; build_hamiltonian, build_corr_terms
+and build_generator each make one pass over their own, with the same
+result.
 
 Momenta are integer triples n standing for k = (2*pi/L) n, and mode 2i + s
 is momentum i with spin s. Every builder reads the Fermi-ball geometry from
@@ -125,6 +130,11 @@ class LatticeConfig:
     def d2(self) -> np.ndarray:
         return _read_only(np.sum(np.square(self.n[:, None] - self.n[None]), axis=2))
 
+    @cached_property
+    def _quartet_tables(self) -> dict:
+        # _quartets' tables, filled on first use
+        return {}
+
 
 def build_lattice(L: float, K_max: float, shell_up: float, shell_down: float) -> LatticeConfig:
     """Enumerate the symmetric grid |k| <= K_max and fill closed Fermi shells.
@@ -142,6 +152,9 @@ def build_lattice(L: float, K_max: float, shell_up: float, shell_down: float) ->
     if L <= 0.0 or K_max <= 0.0:
         raise ValueError("box side and momentum cutoff must be positive")
     unit = 2.0 * math.pi / L
+    if not math.isfinite(unit):
+        raise ValueError(f"box side L = {L} is too small: the momentum unit 2 pi / L "
+                         f"overflows")
     reach = K_max / unit + 1e-12
     if not reach < _AXIS_NMAX:
         raise ValueError(
@@ -397,7 +410,7 @@ def _sum_equal(forms, coef):
 
 class _Sum(NamedTuple):
     """One operator for _assemble: blocks (modes, dag, coef) of ladder
-    strings, modes (T, n) and dag broadcasting to it; number[j], the
+    strings, modes (T, n) and dag (n,) marking the creators; number[j], the
     coefficient of a*_j a_j; its claimed flags; and plus_adjoint, which
     adds every string's adjoint, so the strings of M give M + M*."""
 
@@ -430,12 +443,12 @@ def _assemble(basis: FockBasis, sums) -> list[FockOperator]:
             by_length.setdefault(modes.shape[1], []).append((op, modes, dag, c))
     for group in by_length.values():
         ops, modes, dag, c = zip(*group)
-        if len(group) > 1:
-            dag = [np.broadcast_to(d, m.shape) for m, d in zip(modes, dag)]
-        f, sign = _reduce(np.concatenate(modes), np.concatenate(dag))
+        counts = [len(x) for x in c]
+        f, sign = _reduce(np.concatenate(modes), np.repeat(np.array(dag, dtype=bool), counts,
+                                                           axis=0))
         # a vanishing string's form is not meaningful: drop it, whatever its coefficient
         live = sign != 0.0
-        forms.append(np.concatenate((f, np.repeat(ops, [len(x) for x in c])[None]))[:, live])
+        forms.append(np.concatenate((f, np.repeat(ops, counts)[None]))[:, live])
         coef.append(sign[live] * np.concatenate(c)[live])
     forms, coef = np.concatenate(forms, axis=1), np.concatenate(coef)
     adjoint, hermitian, conserving = np.array(
@@ -476,33 +489,40 @@ def make_operator(basis, terms, hermitian=False,
 
 
 def _quartets(lattice: LatticeConfig, dag) -> np.ndarray:
-    """Every momentum-index quadruple (k1, k2, k3, k4), as a 4 x T array,
-    whose creator momenta (dag[slot] true) less its annihilator momenta
-    sum to zero. k1, k2, k3 run over the grid; k4 is solved for and looked
-    up by its integer coordinates, and the quadruple is dropped when k4
-    leaves the grid."""
-    n = lattice.n
-    # n -> n . (B^2, B, 1) is linear, and one to one on coordinates within
-    # +-3r, the most that k4 can reach
-    base = 6 * int(np.abs(n).max()) + 1
-    code = n @ np.array([base * base, base, 1])
-    table = np.full(base ** 3, -1, dtype=np.int64)
-    table[code + base ** 3 // 2] = np.arange(len(n))
-    sign = np.where(dag, 1, -1)
-    k4 = table[base ** 3 // 2 - sign[3] * (sign[0] * code[:, None, None]
-                                          + sign[1] * code[None, :, None]
-                                          + sign[2] * code[None, None, :])]
-    quads = np.vstack((np.indices(k4.shape).reshape(3, -1), k4.ravel()))
-    return quads[:, quads[3] >= 0]
+    """Every momentum-index quadruple (k1, k2, k3, k4), as a read-only 4 x T
+    array, whose creator momenta (dag[slot] true) less its annihilator
+    momenta sum to zero. k1, k2, k3 run over the grid; k4 is solved for and
+    looked up by its integer coordinates, and the quadruple is dropped when
+    k4 leaves the grid. A pattern and its global flip (every creator an
+    annihilator and back) select the same quadruples in the same order, so
+    they share one table, built once per lattice."""
+    # the pattern up to a global flip: its first slot made a creator
+    key = tuple(d == dag[0] for d in dag)
+    tables = lattice._quartet_tables
+    if key not in tables:
+        n = lattice.n
+        # n -> n . (B^2, B, 1) is linear, and one to one on coordinates
+        # within +-3r, the most that k4 can reach
+        base = 6 * int(np.abs(n).max()) + 1
+        code = n @ np.array([base * base, base, 1])
+        table = np.full(base ** 3, -1, dtype=np.int64)
+        table[code + base ** 3 // 2] = np.arange(len(n))
+        sign = np.where(key, 1, -1)
+        k4 = table[base ** 3 // 2 - sign[3] * (sign[0] * code[:, None, None]
+                                              + sign[1] * code[None, :, None]
+                                              + sign[2] * code[None, None, :])]
+        quads = np.vstack((np.indices(k4.shape).reshape(3, -1), k4.ravel()))
+        tables[key] = _read_only(quads[:, quads[3] >= 0])
+    return tables[key]
 
 
 def _quartic(quads, dag, spins, coef):
     """The strings a#_{k1 s1} a#_{k2 s2} a#_{k3 s3} a#_{k4 s4} over the
     quartets (k1, k2, k3, k4), a# = a* where dag holds, as a _Sum block.
-    The spins (s1, s2, s3, s4) and the coefficient per quartet broadcast
-    together, so a spin array of shape (S, 1) gives S strings per quartet;
-    zero coefficients are skipped."""
-    modes = np.stack(np.broadcast_arrays(*(2 * k + s for k, s in zip(quads, spins))), axis=-1)
+    spins holds (s1, s2, s3, s4) on its last axis; it and the coefficient
+    per quartet broadcast together, so spins of shape (S, 1, 4) give S
+    strings per quartet. Zero coefficients are skipped."""
+    modes = 2 * quads.T + spins
     coef = np.broadcast_to(coef, modes.shape[:-1])
     keep = coef != 0.0
     return modes[keep], dag, coef[keep]
@@ -515,7 +535,15 @@ def vhat_from_potential(lattice: LatticeConfig, potential) -> np.ndarray:
     m = np.unique(lattice.d2)
     table = np.zeros(m[-1] + 1)
     table[m] = fourier_V(potential, lattice.unit * np.sqrt(m))
+    # an extreme V0 overflows the transform: refused here, before anything
+    # reads the table
+    _refuse_nonfinite(table)
     return _read_only(table)
+
+
+def _refuse_nonfinite(vhat: np.ndarray) -> None:
+    if not np.isfinite(vhat).all():
+        raise ValueError(f"V^ must be finite, got {vhat[~np.isfinite(vhat)][0]}")
 
 
 def _vhat_table(lattice: LatticeConfig, vhat) -> np.ndarray:
@@ -528,15 +556,29 @@ def _vhat_table(lattice: LatticeConfig, vhat) -> np.ndarray:
     if vhat.ndim != 1 or vhat.size <= lattice.d2.max():
         raise ValueError(f"V^ must be a 1-D table of at least {lattice.d2.max() + 1} "
                          f"entries, one per |n|^2; got shape {vhat.shape}")
-    if not np.isfinite(vhat).all():
-        raise ValueError(f"V^ must be finite, got {vhat[~np.isfinite(vhat)][0]}")
+    _refuse_nonfinite(vhat)
     return vhat.astype(np.float64)[lattice.d2]
 
 
 # the four spin pairs (s, t), as (4, 1) columns that broadcast against the
 # quartets: _quartic then writes one string per pair and quartet
 _S, _T = np.array(list(itertools.product((SPIN_UP, SPIN_DOWN), repeat=2))).T[:, :, None]
+# the blocks' spin patterns (s1, s2, s3, s4), one per pair (s, t): (4, 1, 4)
+_STTS, _SSTT, _STST = (np.stack(slots, axis=-1) for slots in
+                       ((_S, _T, _T, _S), (_S, _S, _T, _T), (_S, _T, _S, _T)))
+_UUDD = np.array([SPIN_UP, SPIN_UP, SPIN_DOWN, SPIN_DOWN])
 _NUMBER_LIKE = (True, True, False, False)
+
+
+def _hamiltonian_sum(lattice: LatticeConfig, table: np.ndarray) -> _Sum:
+    """H as a _Sum, from the pair table V^(n_i - n_j) of _vhat_table."""
+    quads = k1, _, _, k4 = _quartets(lattice, _NUMBER_LIKE)
+    # a*_{k1 s} a*_{k2 t} a_{k3 t} a_{k4 s} V^(k1 - k4) / (2 L^3)
+    coef = 1.0 / (2.0 * lattice.L ** 3) * table[k1, k4]
+    # mode 2 i + s has momentum n_i
+    return _Sum([_quartic(quads, _NUMBER_LIKE, _STTS, coef)],
+                number=np.repeat(np.square(lattice.k), 2),
+                hermitian=True, number_conserving=True)
 
 
 def build_hamiltonian(lattice: LatticeConfig, basis: FockBasis, vhat) -> FockOperator:
@@ -546,14 +588,7 @@ def build_hamiltonian(lattice: LatticeConfig, basis: FockBasis, vhat) -> FockOpe
     truncation keeps the operator Hermitian and number conserving, and is the
     finite model all identity checks refer to.
     """
-    vd = _vhat_table(lattice, vhat)
-    quads = k1, _, _, k4 = _quartets(lattice, _NUMBER_LIKE)
-    # a*_{k1 s} a*_{k2 t} a_{k3 t} a_{k4 s} V^(k1 - k4) / (2 L^3)
-    coef = 1.0 / (2.0 * lattice.L ** 3) * vd[k1, k4]
-    # mode 2 i + s has momentum n_i
-    return _assemble(basis, [_Sum([_quartic(quads, _NUMBER_LIKE, (_S, _T, _T, _S), coef)],
-                                  number=np.repeat(np.square(lattice.k), 2),
-                                  hermitian=True, number_conserving=True)])[0]
+    return _assemble(basis, [_hamiltonian_sum(lattice, _vhat_table(lattice, vhat))])[0]
 
 
 def ffg_index(lattice: LatticeConfig, basis: FockBasis) -> int:
@@ -619,19 +654,10 @@ def ffg_energy_wick(lattice: LatticeConfig, vhat) -> float:
     return kin + (table[0, 0] * n_tot * n_tot - exch) / (2.0 * lattice.L ** 3)
 
 
-def build_corr_terms(lattice: LatticeConfig, basis: FockBasis, vhat) -> dict:
-    """Correlation Hamiltonian pieces in momentum form, term by term.
-
-    Conjugating the Hamiltonian by the particle-hole transform and normal
-    ordering sorts it into a constant (the determinant energy), a quadratic
-    part (H0 and X) and quartic blocks Q1..Q4 classified by how many
-    excitations they create. The identity holds exactly on the sector where
-    particle and hole numbers balance within each spin; the leftover on the
-    other sectors is the kF^2-weighted imbalance that corr_identity_report
-    measures.
-    """
+def _corr_sums(lattice: LatticeConfig, table: np.ndarray) -> dict:
+    """The seven correlation terms as _Sums by name, from the pair table
+    V^(n_i - n_j) of _vhat_table."""
     vol = lattice.L ** 3
-    table = _vhat_table(lattice, vhat)
     vd = table / vol
     # V^(k + k') = vd[k, neg[k']], with neg the index of the reflected momentum
     ins, neg = lattice.inside, lattice.reflect
@@ -659,14 +685,14 @@ def build_corr_terms(lattice: LatticeConfig, basis: FockBasis, vhat) -> dict:
     dag = _NUMBER_LIKE
     quads = k1, k2, k3, k4 = _quartets(lattice, dag)
     # one particle and one hole created at k1 + k2, a hole pair eaten
-    q1 = [_quartic(quads, dag, (s, s, t, t), vd[k1, neg[k2]]
+    q1 = [_quartic(quads, dag, _SSTT, vd[k1, neg[k2]]
                    * (out[s, k1] & ins[s, k2] & ins[t, k3] & out[t, k4]))]
     # a hole pair (k2, k3) of spin t scattered against a spin-s pair
     # (k1, k4): +1/2 when both are holes, -1 when both are particles
     pair = 0.5 * (ins[s, k1] & ins[s, k4]) - 1.0 * (out[s, k1] & out[s, k4])
-    q1.append(_quartic(quads, dag, (s, t, t, s), pair * vd[k1, k4] * (ins[t, k2] & ins[t, k3])))
+    q1.append(_quartic(quads, dag, _STTS, pair * vd[k1, k4] * (ins[t, k2] & ins[t, k3])))
     # particle-particle scattering
-    q4 = [_quartic(quads, dag, (s, t, t, s), 0.5 * vd[k1, k4]
+    q4 = [_quartic(quads, dag, _STTS, 0.5 * vd[k1, k4]
                    * (out[s, k1] & out[t, k2] & out[t, k3] & out[s, k4]))]
 
     # particles k1, k2 and holes k3, k4 created, plus the adjoint; split
@@ -674,19 +700,33 @@ def build_corr_terms(lattice: LatticeConfig, basis: FockBasis, vhat) -> dict:
     dag = (True, True, True, True)
     quads = k1, k2, k3, k4 = _quartets(lattice, dag)
     q2 = 0.5 * vd[k1, neg[k4]] * (out[s, k1] & out[t, k2] & ins[t, k3] & ins[s, k4])
-    q2_par = [_quartic(quads, dag, (s, t, t, s), q2 * (s == t))]
-    q2_ud = [_quartic(quads, dag, (s, t, t, s), q2 * (s != t))]
+    q2_par = [_quartic(quads, dag, _STTS, q2 * (s == t))]
+    q2_ud = [_quartic(quads, dag, _STTS, q2 * (s != t))]
 
     # a particle-hole pair (k1, k3) created while a spin-t mode moves from
     # k4 to k2: +1 between holes, -1 between particles, plus the adjoint
     dag = (True, True, True, False)
     quads = k1, k2, k3, k4 = _quartets(lattice, dag)
     moved = 1.0 * (ins[t, k2] & ins[t, k4]) - 1.0 * (out[t, k2] & out[t, k4])
-    q3 = [_quartic(quads, dag, (s, t, s, t), moved * vd[k1, neg[k3]] * (out[s, k1] & ins[s, k3]))]
+    q3 = [_quartic(quads, dag, _STST, moved * vd[k1, neg[k3]] * (out[s, k1] & ins[s, k3]))]
 
     paired = dict(hermitian=True, plus_adjoint=True)
-    sums = {"H0": h0, "X": x, "Q1": _Sum(q1, **conserving), "Q2_par": _Sum(q2_par, **paired),
+    return {"H0": h0, "X": x, "Q1": _Sum(q1, **conserving), "Q2_par": _Sum(q2_par, **paired),
             "Q2_ud": _Sum(q2_ud, **paired), "Q3": _Sum(q3, **paired), "Q4": _Sum(q4, **conserving)}
+
+
+def build_corr_terms(lattice: LatticeConfig, basis: FockBasis, vhat) -> dict:
+    """Correlation Hamiltonian pieces in momentum form, term by term.
+
+    Conjugating the Hamiltonian by the particle-hole transform and normal
+    ordering sorts it into a constant (the determinant energy), a quadratic
+    part (H0 and X) and quartic blocks Q1..Q4 classified by how many
+    excitations they create. The identity holds exactly on the sector where
+    particle and hole numbers balance within each spin; the leftover on the
+    other sectors is the kF^2-weighted imbalance that corr_identity_report
+    measures.
+    """
+    sums = _corr_sums(lattice, _vhat_table(lattice, vhat))
     return dict(zip(sums, _assemble(basis, list(sums.values()))))
 
 
@@ -775,15 +815,9 @@ def corr_identity_report(lattice: LatticeConfig, basis: FockBasis,
                                ((0, 0), (-1, 0), (0, -1), (-1, -1)))
 
 
-def build_generator(lattice: LatticeConfig, basis: FockBasis, which: str, *,
-                    phi=None, eta=None, cutoff=None) -> FockOperator:
-    """Quasi-bosonic generator B1 or B2 (the annihilation half; take B - B* yourself).
-
-    B1 wants a periodized scattering function (its `coeffs(ns)` and box side
-    `L`) carrying the high-pass factor; B2 wants the pair kernel plus the
-    cutoff config whose low-pass window and epsilon it should use. Terms
-    whose momenta leave the grid or hit Pauli blocking are simply absent.
-    """
+def _generator_sum(lattice: LatticeConfig, which: str, *, phi=None, eta=None,
+                   cutoff=None) -> _Sum:
+    """B1 or B2 as a _Sum, its inputs checked as build_generator states."""
     if which == "B1":
         if phi is None:
             raise ValueError("B1 needs the periodized scattering coefficients")
@@ -810,8 +844,35 @@ def build_generator(lattice: LatticeConfig, basis: FockBasis, which: str, *,
         keep &= w != 0.0
         val = eta.value(-unit * n[k2[keep]], -unit * n[k4[keep]], unit * p[keep])
         coef[keep] = w[keep] * val / lattice.L ** 3
-    return _assemble(basis, [_Sum([_quartic(quads, dag, (SPIN_UP, SPIN_UP, SPIN_DOWN, SPIN_DOWN),
-                                            coef)])])[0]
+    return _Sum([_quartic(quads, dag, _UUDD, coef)])
+
+
+def build_generator(lattice: LatticeConfig, basis: FockBasis, which: str, *,
+                    phi=None, eta=None, cutoff=None) -> FockOperator:
+    """Quasi-bosonic generator B1 or B2 (the annihilation half; take B - B* yourself).
+
+    B1 wants a periodized scattering function (its `coeffs(ns)` and box side
+    `L`) carrying the high-pass factor; B2 wants the pair kernel plus the
+    cutoff config whose low-pass window and epsilon it should use. Terms
+    whose momenta leave the grid or hit Pauli blocking are simply absent.
+    """
+    return _assemble(basis, [_generator_sum(lattice, which, phi=phi, eta=eta,
+                                            cutoff=cutoff)])[0]
+
+
+def build_operators(lattice: LatticeConfig, basis: FockBasis, vhat, *, phi, eta, cutoff):
+    """(H, the correlation terms by name, B1, B2), as build_hamiltonian,
+    build_corr_terms and build_generator give them, from one V^ table and
+    one reduce-and-merge pass over all ten operators. _assemble keys its
+    merge on the operator first and sorts stably, so each operator's forms
+    and coefficients are bit for bit those of its own builder."""
+    table = _vhat_table(lattice, vhat)
+    corr = _corr_sums(lattice, table)
+    h, *terms, b1, b2 = _assemble(basis, [
+        _hamiltonian_sum(lattice, table), *corr.values(),
+        _generator_sum(lattice, "B1", phi=phi),
+        _generator_sum(lattice, "B2", eta=eta, cutoff=cutoff)])
+    return h, dict(zip(corr, terms)), b1, b2
 
 
 _VACUUM = np.zeros(1, dtype=np.int64)

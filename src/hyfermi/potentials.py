@@ -292,11 +292,14 @@ def _radial_transform(potential, s, g):
     Gauss panels of _radial_rule for the largest |s|, with g read at the
     nodes; each block of 256 values of s is one matrix-vector product."""
     flat = np.atleast_1d(np.asarray(s, dtype=np.float64)).ravel()
-    r, wv = _radial_rule(potential, float(np.abs(flat).max(initial=0.0)))
-    wf = 4.0 * np.pi * wv * g(r)
     out = np.empty(flat.shape)
-    for lo in range(0, flat.size, 256):
-        out[lo:lo + 256] = np.sinc(flat[lo:lo + 256, None] * r[None, :] / np.pi) @ wf
+    # an extreme V0 overflows the sum to inf or nan; numpy warns nothing,
+    # and a caller refuses what is not finite (vhat_from_potential does)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, wv = _radial_rule(potential, float(np.abs(flat).max(initial=0.0)))
+        wf = 4.0 * np.pi * wv * g(r)
+        for lo in range(0, flat.size, 256):
+            out[lo:lo + 256] = np.sinc(flat[lo:lo + 256, None] * r[None, :] / np.pi) @ wf
     return float(out[0]) if np.ndim(s) == 0 else out.reshape(np.shape(s))
 
 
@@ -489,7 +492,8 @@ def bethe_goldstone_solve(potential, kF_up, kF_down, tol=1e-11):
     (r = r' = 0), where the problem is spherically symmetric and is
     collocated on a radial grid from the Pauli floor max(kF_up, kF_down)
     to q_max = 80 / R; a floor that is negative or not below a finite
-    q_max raises ValueError. The dense system (I + M) G = FV is solved
+    q_max, or an R so small that the pair dispersion 2 q_max^2 overflows,
+    raises ValueError. The dense system (I + M) G = FV is solved
     directly; a residual above tol * max(1, max|G|), or one that is not a
     number because the system over- or underflowed, raises RuntimeError.
     """
@@ -498,6 +502,9 @@ def bethe_goldstone_solve(potential, kF_up, kF_down, tol=1e-11):
         raise ValueError(f"Pauli floor max(kF_up, kF_down) = {kf_floor} must "
                          f"be nonnegative and below the grid's finite "
                          f"q_max = 80/R = {q_max}")
+    if not 2.0 * q_max * q_max < math.inf:
+        raise ValueError(f"range R = {potential.R} is too small: the pair dispersion "
+                         f"2 q_max^2 at the grid's q_max = 80/R = {q_max} overflows")
     # an extreme V0 or R overflows the build; the residual check below
     # reports it once, and numpy warns nothing on the way
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

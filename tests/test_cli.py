@@ -109,6 +109,70 @@ def test_fock_demo_box_not_holding_the_range_exits_two(capsys):
                        f"exceed twice the range {R}\n")
 
 
+def test_fock_demo_overflowing_vhat_exits_two_before_the_scattering_solve(capsys):
+    """V0 = 1e308 overflows V^'s transform: the lattice stage refuses the
+    table, before u is solved, with no numpy warning on the way (tier-1
+    turns a RuntimeWarning into a failure)."""
+    with mock.patch.object(cli, "solve_scattering") as solve:
+        code, out, err = run_cli(["fock-demo", "--V0", "1e308"], capsys)
+    assert solve.call_count == 0
+    assert code == 2
+    assert out == ""
+    assert err == "usage error: V^ must be finite, got inf\n"
+
+
+def test_fock_demo_box_whose_momentum_unit_overflows_exits_two(capsys):
+    """At L = 5e-324, 2 pi / L is infinite: build_lattice refuses the box,
+    naming L, before any lattice arithmetic could warn."""
+    code, out, err = run_cli(["fock-demo", "--L", "5e-324"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: box side L = 5e-324 ")
+
+
+def test_bg_solve_range_whose_dispersion_overflows_exits_two(capsys):
+    """q_max = 80/R is finite, but its pair dispersion 2 q_max^2 is not:
+    refused naming R, with no numpy warning on the way."""
+    code, out, err = run_cli(["bg-solve", "--R", "3.114842222737176e-278"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: range R = 3.114842222737176e-278 ")
+
+
+def _separate_builds(lat, basis, vhat, *, phi, eta, cutoff):
+    """build_operators' result from the three one-operator builders."""
+    return (fock.build_hamiltonian(lat, basis, vhat), fock.build_corr_terms(lat, basis, vhat),
+            fock.build_generator(lat, basis, "B1", phi=phi),
+            fock.build_generator(lat, basis, "B2", eta=eta, cutoff=cutoff))
+
+
+def test_fock_demo_one_pass_prints_what_separate_builds_print(capsys):
+    """On 20 drawn 7-momentum lattices (kmax in [unit, sqrt(2) unit),
+    shells below one unit, both potential kinds), fock-demo prints the
+    same bytes whether its operators come from one build_operators pass
+    or from the separate builders; only the metadata's times differ."""
+    rng = np.random.default_rng(31)
+    for turn in range(20):
+        L = rng.uniform(5.0, 9.0)
+        unit = 2.0 * math.pi / L
+        argv = ["fock-demo", "--L", repr(L), "--kmax", repr(unit * rng.uniform(1.001, 1.41)),
+                "--shells", repr(unit * rng.uniform(0.1, 0.9)),
+                repr(unit * rng.uniform(0.1, 0.9)),
+                "--kind", ("square-well", "truncated-gaussian")[turn % 2],
+                "--V0", repr(10.0 ** rng.uniform(-1.0, 1.0)), "--R", repr(rng.uniform(0.5, 1.5)),
+                "--lambda-grid", "0", repr(rng.uniform(0.25, 1.0))]
+        runs = []
+        for build in (fock.build_operators, _separate_builds):
+            with mock.patch.object(fock, "build_operators", build):
+                code, out, err = run_cli(argv, capsys)
+            assert code == 0, argv
+            data, meta = out.rstrip("\n").rsplit("\n", 1)
+            meta = json.loads(meta)
+            del meta["wall_time_ms"], meta["stages"]
+            runs.append((data, meta, err))
+        assert runs[0] == runs[1], argv
+
+
 @pytest.mark.parametrize("argv", [["--gamma", "0.2", "--delta", "1.7"],
                                   ["--gamma", "0.3333333333333333"],
                                   ["--gamma", "0.334"]])
@@ -116,7 +180,7 @@ def test_fock_demo_refuses_cutoff_exponents_before_any_operator(argv, capsys):
     """gamma and delta are refused in the lattice stage: no Hamiltonian is
     built, also at gamma = 1/3, where the crossover density would divide
     by zero, and just above it, where it would overflow."""
-    with mock.patch.object(fock, "build_hamiltonian") as build:
+    with mock.patch.object(fock, "build_operators") as build:
         code, out, err = run_cli(["fock-demo", *argv], capsys)
     assert build.call_count == 0
     assert code == 2
@@ -494,9 +558,8 @@ def test_fock_demo_contract(capsys):
         payload, meta = parse_json_output(out)
         metas.append({k: meta[k] for k in ("sector_states", "trial_block", "nnz", "forms")})
         # per-stage wall times, outside the byte-identical-rerun guarantee
-        assert set(meta["stages"]) == {"lattice", "sector", "H", "corr-terms", "PH",
-                                       "identity", "scatter", "generators", "trial",
-                                       "ground"}
+        assert list(meta["stages"]) == ["lattice", "sector", "scatter", "operators", "PH",
+                                        "identity", "trial", "ground"]
         assert all(v >= 0.0 for v in meta["stages"].values())
     assert set(payload) == {"E_ffg", "E_ground", "trial_energies",
                             "identity_residuals"}
@@ -517,21 +580,20 @@ def test_fock_demo_contract(capsys):
 
 def test_fock_demo_forms_counts_merged_strings(capsys):
     """`forms` is the number of merged ladder strings of H, the seven
-    correlation terms, B1 and B2, as fock-demo built them."""
-    built = []
+    correlation terms, B1 and B2, as fock-demo built them in its one
+    build_operators call."""
+    calls, build = [], fock.build_operators
 
-    def recording(build):
-        def wrapped(*args, **kwargs):
-            out = build(*args, **kwargs)
-            built.extend(out.values() if isinstance(out, dict) else [out])
-            return out
-        return wrapped
+    def recording(*args, **kwargs):
+        h, terms, b1, b2 = out = build(*args, **kwargs)
+        calls.append([h, *terms.values(), b1, b2])
+        return out
 
-    with contextlib.ExitStack() as stack:
-        for name in ("build_hamiltonian", "build_corr_terms", "build_generator"):
-            stack.enter_context(mock.patch.object(fock, name, recording(getattr(fock, name))))
+    with mock.patch.object(fock, "build_operators", recording):
         code, out, _ = run_cli(["fock-demo", "--lambda-grid", "0"], capsys)
     assert code == 0
+    assert len(calls) == 1
+    built, = calls
     assert len(built) == 10
     _, meta = parse_json_output(out)
     assert meta["forms"] == sum(op.coef.size for op in built) == 390
@@ -917,34 +979,54 @@ def test_potential_file_runs(tmp_path, capsys):
                                          rel=1e-6)
 
 
-# the float flags of the quick commands; the count flags stay fixed
+# the float flags of each command; the count flags stay fixed. shells
+# takes two values, each drawn on its own
 _FLOAT_FLAGS = {
     "scatter": ("V0", "R"),
     "hy-eval": ("V0", "R", "rho-up", "rho-down"),
     "quad-g": ("x", "p", "tol"),
     "hy-table": ("x-min", "x-max"),
     "lattice-sum": ("gamma", "delta", "rho-up", "rho-down", "L-grid"),
+    "fock-demo": ("tol", "gamma", "delta", "V0", "R", "L", "kmax", "shells",
+                  "lambda-grid"),
+    "bg-solve": ("tol", "V0", "R", "rho-up", "rho-down"),
 }
+# a fock-demo or bg-solve run costs milliseconds: fewer draws keep them cheap
+_EXAMPLES = {"fock-demo": 20, "bg-solve": 20}
+_BASE_ARGV = {"hy-table": ["--x-count", "3"], "fock-demo": ["--lambda-grid", "0"]}
 _ANY_FLOAT = st.one_of(st.floats(), st.floats(-2.0, 2.0),
                        st.sampled_from([1e300, -1e300, 1e-300, 1e-30]))
 _NON_FINITE = re.compile(r"\b(?:nan|inf|NaN|Infinity)\b")
 
 
 @pytest.mark.parametrize("command", sorted(_FLOAT_FLAGS))
-@settings(max_examples=50, deadline=None)
-@given(data=st.data())
-def test_random_floats_never_give_a_non_finite_success(command, data):
+def test_random_floats_never_give_a_non_finite_success(command):
     """Finite, non-finite, negative and huge flag values end in a usage
     error, a computational failure, or a run whose output is finite."""
-    argv = [command, "--x-count", "3"] if command == "hy-table" else [command]
-    for flag in _FLOAT_FLAGS[command]:
-        if data.draw(st.booleans()):
-            argv.append(f"--{flag}={data.draw(_ANY_FLOAT)!r}")
-    out, err = io.StringIO(), io.StringIO()
-    # a small cap keeps every box that lattice-sum accepts cheap
-    with mock.patch.object(quadrature, "_MAX_LATTICE_NMAX", 24), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    assert code in (0, 1, 2), argv
-    if code == 0:
-        assert not _NON_FINITE.search(out.getvalue()), argv
+
+    @settings(max_examples=_EXAMPLES.get(command, 50), deadline=None)
+    @given(data=st.data())
+    def draws(data):
+        argv = [command, *_BASE_ARGV.get(command, [])]
+        for flag in _FLOAT_FLAGS[command]:
+            if not data.draw(st.booleans()):
+                continue
+            if flag == "shells":
+                argv += ["--shells", repr(data.draw(_ANY_FLOAT)), repr(data.draw(_ANY_FLOAT))]
+            else:
+                argv.append(f"--{flag}={data.draw(_ANY_FLOAT)!r}")
+        out, err = io.StringIO(), io.StringIO()
+        # a small cap keeps every box that lattice-sum accepts cheap
+        with mock.patch.object(quadrature, "_MAX_LATTICE_NMAX", 24), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                # argparse's own refusal, as of --shells -inf 0.5, whose
+                # -inf reads as an option: the process exits with this code
+                code = exc.code
+        assert code in (0, 1, 2), argv
+        if code == 0:
+            assert not _NON_FINITE.search(out.getvalue()), argv
+
+    draws()

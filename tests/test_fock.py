@@ -387,7 +387,10 @@ def test_hamiltonian_flags_and_commutators(demo):
 
 # every reader of a V^ table, called as reader(lattice, basis, vhat)
 _VHAT_READERS = (fock.build_hamiltonian, fock.build_corr_terms, q2_ud_from_pairs,
-                 lambda lat, basis, vhat: fock.ffg_energy_wick(lat, vhat))
+                 lambda lat, basis, vhat: fock.ffg_energy_wick(lat, vhat),
+                 # V^ is refused before the generators' inputs are read
+                 lambda lat, basis, vhat: fock.build_operators(lat, basis, vhat, phi=None,
+                                                               eta=None, cutoff=None))
 
 
 def test_vhat_table_must_be_real_1d_and_cover_the_grid(demo):
@@ -409,6 +412,14 @@ def test_vhat_must_be_finite(demo):
     for read in _VHAT_READERS:
         with pytest.raises(ValueError, match="must be finite"):
             read(lat, basis, bad)
+
+
+def test_vhat_from_an_overflowing_transform_is_refused(demo):
+    """V0 = 1e308 overflows the transform: vhat_from_potential refuses the
+    table, and numpy warns nothing on the way."""
+    lat = demo[0]
+    with pytest.raises(ValueError, match="V\\^ must be finite, got inf"):
+        fock.vhat_from_potential(lat, RadialPotential(kind="square-well", V0=1e308, R=1.0))
 
 
 @pytest.mark.parametrize("pot", [POT, RadialPotential(kind="truncated-gaussian", V0=30.0, R=1.0)],
@@ -795,6 +806,53 @@ def test_generator_needs_matching_box(demo):
     psf = periodize_phi(sol, 2.0 * L)
     with pytest.raises(ValueError):
         fock.build_generator(lat, basis, "B1", phi=psf)
+
+
+# ---------------------------------------------------------- one-pass build
+
+
+def test_quartet_tables_are_read_only_and_shared_under_a_global_flip():
+    """Each quartet table lists the momentum-conserving quadruples in
+    lexicographic order and is read-only. It is built once per lattice and
+    creator pattern up to a global flip: a pattern and its flip get the
+    same array, so the 16 patterns hold 8 tables."""
+    lat = fock.build_lattice(L, 1.01, 0.5, 0.5)
+    every = np.array(list(itertools.product(range(len(lat.momenta)), repeat=4)))
+    for dag in itertools.product((True, False), repeat=4):
+        quads = fock._quartets(lat, dag)
+        assert not quads.flags.writeable
+        assert fock._quartets(lat, tuple(not d for d in dag)) is quads
+        total = np.einsum("s,tsc->tc", np.where(dag, 1, -1), lat.n[every])
+        assert np.array_equal(quads, every[~total.any(axis=1)].T), dag
+    assert len(lat._quartet_tables) == 8
+
+
+@pytest.mark.parametrize("shells, kmax", [((0.5, 0.5), 1.01), ((0.5, 1.2), 1.01),
+                                          ((0.5, 0.5), 1.42), ((0.5, 0.5), 1.74)],
+                         ids=["demo", "asym", "19", "27"])
+def test_build_operators_equals_the_separate_builders(shells, kmax):
+    """The one pass over all ten operators gives each the forms,
+    coefficients and flags its own builder gives, bit for bit."""
+    lat = fock.build_lattice(L, kmax, *shells)
+    basis = fock.build_basis(lat)
+    vhat = fock.vhat_from_potential(lat, POT)
+    sol = solve_scattering(POT)
+    cut = CutoffConfig(rho=0.225 ** 4.5)
+    psf = periodize_phi(sol, L, cutoff=cut)
+    eta = EtaFunction(a=sol.a, epsilon=cut.epsilon, kF_up=lat.kF_up, kF_down=lat.kF_down)
+    h, terms, b1, b2 = fock.build_operators(lat, basis, vhat, phi=psf, eta=eta, cutoff=cut)
+    together = {"H": h, **terms, "B1": b1, "B2": b2}
+    apart = {"H": fock.build_hamiltonian(lat, basis, vhat),
+             **fock.build_corr_terms(lat, basis, vhat),
+             "B1": fock.build_generator(lat, basis, "B1", phi=psf),
+             "B2": fock.build_generator(lat, basis, "B2", eta=eta, cutoff=cut)}
+    assert list(together) == list(apart)
+    for name, op in together.items():
+        alone = apart[name]
+        assert np.array_equal(op.forms, alone.forms), name
+        assert np.array_equal(op.coef, alone.coef), name
+        assert (op.hermitian, op.number_conserving) == (alone.hermitian,
+                                                        alone.number_conserving)
 
 
 def _embed(sub, amp, states):
